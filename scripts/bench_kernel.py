@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Time the compiled integration kernel on cubic rings of growing size.
+
+For each agent count N this builds a leaderless ring (unit masses, gains and
+weights, cubic coupling, 1-D) and prints:
+
+- the peak memory traced while lowering the scenario to its compiled form;
+- microseconds per right-hand-side evaluation;
+- microseconds per RK4 step.
+
+Times are the best of several repeats of a loop sized to about 0.2 s, so
+they approach the unloaded speed of the machine. Run from the repository
+root:
+
+    PYTHONPATH=src python scripts/bench_kernel.py
+"""
+
+import platform
+import time
+import tracemalloc
+
+import numpy as np
+
+from consensim import (CouplingShape, GainProfile, IntegratorSettings, Mode,
+                       ProtocolSpec, Scenario, SystemState, VelocityShape,
+                       build_topology)
+from consensim.dynamics import _Compiled
+
+SIZES = (6, 500, 5000, 50000)
+
+
+def cubic_ring(n: int) -> Scenario:
+    edges = [(i, i % n + 1, 1.0) for i in range(1, n + 1)]
+    return Scenario(
+        mode=Mode.LEADERLESS,
+        masses=(1.0,) * n,
+        topology=build_topology(n, edges),
+        protocol=ProtocolSpec(velocity=VelocityShape(),
+                              coupling=CouplingShape(kind="linear_plus_cubic"),
+                              gains=(GainProfile(b0=1.0),) * n),
+        initial=SystemState(t=0.0, p=np.sin(np.arange(n)), q=np.zeros(n)),
+        integrator=IntegratorSettings(dt=1e-2, t_end=1.0, record_every=100),
+    )
+
+
+def best_us(fn, repeats: int = 5, budget_s: float = 0.2) -> float:
+    start = time.perf_counter()
+    fn()
+    loops = max(1, int(budget_s / max(time.perf_counter() - start, 1e-7)))
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(loops):
+            fn()
+        best = min(best, (time.perf_counter() - start) / loops)
+    return best * 1e6
+
+
+def probe(n: int) -> tuple[float, float, float]:
+    scenario = cubic_ring(n)
+    tracemalloc.start()
+    comp = _Compiled(scenario)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    y = comp.flatten(scenario.initial)
+    dt = scenario.integrator.dt
+    return (peak / 2**20, best_us(lambda: comp.rhs(0.0, y)), best_us(lambda: comp.rk4(0.0, y, dt)))
+
+
+def main() -> None:
+    print(f"numpy {np.__version__}, Python {platform.python_version()}, "
+          f"{platform.machine()} {platform.system()}")
+    print(f"{'N':>8} {'build peak MB':>14} {'rhs us':>10} {'rk4 step us':>12}")
+    for n in SIZES:
+        peak_mb, rhs_us, step_us = probe(n)
+        print(f"{n:>8} {peak_mb:>14.3f} {rhs_us:>10.1f} {step_us:>12.1f}")
+
+
+if __name__ == "__main__":
+    main()

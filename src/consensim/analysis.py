@@ -10,24 +10,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Mode, Scenario, SystemState, Trajectory, tracking_errors
+from .dynamics import Mode, Scenario, SystemState, Trajectory
 from .errors import HypothesisViolated, InvalidBounds
 from .graph import Topology, is_connected, leader_reaches_all
 from .protocols import GainProfile, ProtocolSpec, gain_envelope, sector_constants
 
 
+# Floats per edge- or agent-sized temporary in one block of lyapunov_series.
+_SERIES_BLOCK = 2**18
+
+
+def _stack(states, attr: str) -> np.ndarray:
+    return np.stack([getattr(s, attr) for s in states])
+
+
+def _edge_energies(P: np.ndarray, topo: Topology, spec: ProtocolSpec) -> np.ndarray:
+    # Per sample of P (S, N, d): the sum over unordered pairs of w times the
+    # coupling antiderivative of the position differences, i.e. half the
+    # double sum over ordered pairs, which the even antiderivative makes
+    # equal in both directions.
+    i, j, w = topo.edge_arrays
+    return spec.coupling.antiderivative(P[:, j] - P[:, i]).sum(axis=2) @ w
+
+
+def _leaderless_energies(P: np.ndarray, Q: np.ndarray, topo: Topology, spec: ProtocolSpec,
+                         masses) -> np.ndarray:
+    masses = np.asarray(masses, dtype=float)
+    return 0.5 * np.sum(masses[:, None] * Q * Q, axis=(1, 2)) + _edge_energies(P, topo, spec)
+
+
+def _leader_energies(
+    P: np.ndarray,
+    Q: np.ndarray,
+    leader_P: np.ndarray,
+    leader_Q: np.ndarray,
+    topo: Topology,
+    spec: ProtocolSpec,
+    leader_weight: float,
+    gain_lower: float,
+    sector_lower: float,
+) -> np.ndarray:
+    if not (gain_lower > 0.0 and sector_lower > 0.0):
+        raise HypothesisViolated(
+            f"gain_lower and sector_lower must be > 0, got {gain_lower}, {sector_lower}")
+    bk = gain_lower * sector_lower
+    p_err = P - leader_P[:, None, :]
+    q_err = Q - leader_Q[:, None, :]
+    link_i, link_w = topo.link_arrays
+    value = leader_weight / (2.0 * bk) * np.sum(leader_Q * leader_Q, axis=1)
+    value += np.sum(q_err * q_err, axis=(1, 2)) / bk
+    value += 2.0 / bk * (spec.coupling.antiderivative(p_err[:, link_i]).sum(axis=2) @ link_w)
+    value += 2.0 / bk * _edge_energies(p_err, topo, spec)
+    return value
+
+
 def lyapunov_leaderless(state: SystemState, topo: Topology, spec: ProtocolSpec, masses) -> float:
     """Energy of a leaderless state: half the mass-weighted kinetic term plus
     half the double sum, over ordered neighbor pairs, of the coupling
-    antiderivative of the position differences. Each unordered pair is
-    visited in both directions, which the even antiderivative makes equal."""
-    masses = np.asarray(masses, dtype=float)
-    value = 0.5 * float(np.sum(masses[:, None] * state.q * state.q))
-    anti = spec.coupling.antiderivative
-    for i, j, w in topo.edges:
-        diff = state.p[j] - state.p[i]
-        value += 0.5 * w * float(np.sum(anti(diff)) + np.sum(anti(-diff)))
-    return value
+    antiderivative of the position differences. The antiderivative is even,
+    so each unordered pair counts once with its full weight."""
+    return float(_leaderless_energies(state.p[None], state.q[None], topo, spec, masses)[0])
 
 
 def lyapunov_leader(
@@ -47,20 +89,9 @@ def lyapunov_leader(
     """
     if state.leader is None:
         raise HypothesisViolated("tracking energy needs a leader state")
-    if not (gain_lower > 0.0 and sector_lower > 0.0):
-        raise HypothesisViolated(
-            f"gain_lower and sector_lower must be > 0, got {gain_lower}, {sector_lower}")
-    bk = gain_lower * sector_lower
-    p_err, q_err = tracking_errors(state)
-    anti = spec.coupling.antiderivative
-    value = leader_weight / (2.0 * bk) * float(state.leader.q @ state.leader.q)
-    value += float(np.sum(q_err * q_err)) / bk
-    for i, w in topo.leader_links:
-        value += 2.0 / bk * w * float(np.sum(anti(p_err[i])))
-    for i, j, w in topo.edges:
-        diff = p_err[j] - p_err[i]
-        value += w / bk * float(np.sum(anti(diff)) + np.sum(anti(-diff)))
-    return value
+    return float(_leader_energies(state.p[None], state.q[None], state.leader.p[None],
+                                  state.leader.q[None], topo, spec, leader_weight,
+                                  gain_lower, sector_lower)[0])
 
 
 def tracking_gain_lower_bound(
@@ -284,16 +315,32 @@ def lyapunov_series(
     Leaderless scenarios use the leaderless energy with the scenario's
     masses; leader scenarios use the tracking energy with the scenario's
     gain/sector envelopes and ``leader_weight`` (default: 1.01 times the
-    guaranteed-monotone bound).
+    guaranteed-monotone bound). Samples are evaluated in blocks whose edge
+    and agent temporaries hold about ``_SERIES_BLOCK`` floats each.
     """
     topo, spec = scenario.topology, scenario.protocol
+    samples = traj.samples
     if scenario.mode is Mode.LEADERLESS:
-        return [(s.t, lyapunov_leaderless(s, topo, spec, scenario.masses)) for s in traj.samples]
-    if leader_weight is None:
-        leader_weight = default_tracking_weight(scenario)
-    (g_lo, _), (s_lo, _) = _protocol_envelopes(spec)
-    return [(s.t, lyapunov_leader(s, topo, spec, leader_weight, g_lo, s_lo))
-            for s in traj.samples]
+        def energies(block):
+            return _leaderless_energies(_stack(block, "p"), _stack(block, "q"), topo, spec,
+                                        scenario.masses)
+    else:
+        if samples[0].leader is None:
+            raise HypothesisViolated("tracking energy needs a leader state")
+        if leader_weight is None:
+            leader_weight = default_tracking_weight(scenario)
+        (g_lo, _), (s_lo, _) = _protocol_envelopes(spec)
+
+        def energies(block):
+            leaders = [s.leader for s in block]
+            return _leader_energies(_stack(block, "p"), _stack(block, "q"),
+                                    _stack(leaders, "p"), _stack(leaders, "q"),
+                                    topo, spec, leader_weight, g_lo, s_lo)
+    n, d = samples[0].p.shape
+    size = max(1, _SERIES_BLOCK // (max(n, len(topo.edges)) * d))
+    values = np.concatenate([energies(samples[k:k + size])
+                             for k in range(0, len(samples), size)])
+    return list(zip(traj.times().tolist(), values.tolist()))
 
 
 def conserved_series(traj: Trajectory, scenario: Scenario) -> list[tuple[float, np.ndarray]]:

@@ -259,10 +259,13 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
 class _Compiled:
     """Scenario lowered to flat numpy arrays for the integration hot path.
 
-    The state vector is [p.ravel(), q.ravel(), leader_p, leader_q]. Neighbor
-    sums are a gather along precomputed edge endpoints followed by a dense
-    scatter matmul, which keeps evaluation order fixed and runs bitwise
-    reproducibly.
+    The state vector is [p.ravel(), q.ravel(), leader_p, leader_q]. Each
+    undirected edge is stored once in each direction, so a neighbor sum is a
+    gather of position differences along (src, nbr) followed by one
+    ``np.bincount`` into the agents' state slots: O(E) work and memory.
+    The coupling is odd bit for bit, so both endpoints of an edge receive
+    exactly opposite forces. Summation order is fixed by the edge order,
+    which keeps runs bitwise reproducible.
     """
 
     def __init__(self, scenario: Scenario):
@@ -273,26 +276,21 @@ class _Compiled:
         self.block = self.n * self.dims
         self.has_leader = scenario.mode is Mode.LEADER
         self.inv_mass = 1.0 / np.array(scenario.masses)[:, None]
+        components = np.arange(self.dims)
 
-        edges = topo.edges
-        self.n_edges = len(edges)
+        edge_i, edge_j, edge_w = topo.edge_arrays
+        self.n_edges = len(edge_w)
         if self.n_edges:
-            self.edge_i = np.array([e[0] for e in edges])
-            self.edge_j = np.array([e[1] for e in edges])
-            self.edge_w = np.array([e[2] for e in edges])[:, None]
-            scatter = np.zeros((self.n, self.n_edges))
-            scatter[self.edge_i, np.arange(self.n_edges)] = 1.0
-            scatter[self.edge_j, np.arange(self.n_edges)] = -1.0
-            self.scatter = scatter
+            self.src = np.concatenate([edge_i, edge_j])
+            self.nbr = np.concatenate([edge_j, edge_i])
+            self.w = np.concatenate([edge_w, edge_w])[:, None]
+            self.slots = (self.src[:, None] * self.dims + components).ravel()
 
-        links = topo.leader_links
-        self.n_links = len(links)
+        self.link_i, link_w = topo.link_arrays
+        self.n_links = len(link_w)
         if self.n_links:
-            self.link_i = np.array([l[0] for l in links])
-            self.link_w = np.array([l[1] for l in links])[:, None]
-            lscatter = np.zeros((self.n, self.n_links))
-            lscatter[self.link_i, np.arange(self.n_links)] = 1.0
-            self.link_scatter = lscatter
+            self.link_w = link_w[:, None]
+            self.link_slots = (self.link_i[:, None] * self.dims + components).ravel()
 
         self.omega = 0.0 if spec.velocity.is_linear else spec.velocity.omega
         self.cubic = not spec.coupling.is_linear
@@ -302,6 +300,12 @@ class _Compiled:
             self.leader_gain_base = spec.leader_gain.b0
             self.leader_gain_ripple = spec.leader_gain.amplitude
             self.leader_omega = 0.0 if spec.leader_velocity.is_linear else spec.leader_velocity.omega
+
+    def _couple(self, diff: np.ndarray) -> np.ndarray:
+        return diff + diff * diff * diff if self.cubic else diff
+
+    def _sum_into_agents(self, slots: np.ndarray, forces: np.ndarray) -> np.ndarray:
+        return np.bincount(slots, forces.ravel(), minlength=self.block).reshape(self.n, self.dims)
 
     def flatten(self, state: SystemState) -> np.ndarray:
         parts = [state.p.ravel(), state.q.ravel()]
@@ -318,6 +322,17 @@ class _Compiled:
         return SystemState(t=t, p=y[:b].reshape(self.n, d), q=y[b:2 * b].reshape(self.n, d),
                            leader=leader)
 
+    def first_non_finite(self, y: np.ndarray) -> str:
+        """Where the first non-finite entry of state vector y sits, with the
+        1-based agent and coordinate numbers of the scenario files."""
+        k = int(np.argmin(np.isfinite(y)))
+        b, d = self.block, self.dims
+        if k >= 2 * b:
+            part = "position" if k < 2 * b + d else "velocity"
+            return f"leader {part}, coordinate {(k - 2 * b) % d + 1}"
+        part = "position" if k < b else "velocity"
+        return f"agent {k % b // d + 1} {part}, coordinate {k % d + 1}"
+
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         b, d = self.block, self.dims
         p = y[:b].reshape(self.n, d)
@@ -328,16 +343,14 @@ class _Compiled:
         damped = q + self.omega * np.sin(q) if self.omega else q
         u = (-(self.gain_base + self.gain_ripple * math.cos(t))) * damped
         if self.n_edges:
-            diff = p[self.edge_j] - p[self.edge_i]
-            coupled = diff + diff * diff * diff if self.cubic else diff
-            u = u + self.scatter @ (self.edge_w * coupled)
+            u = u + self._sum_into_agents(
+                self.slots, self.w * self._couple(p[self.nbr] - p[self.src]))
         if self.has_leader:
             lp = y[2 * b:2 * b + d]
             lq = y[2 * b + d:]
             if self.n_links:
-                ldiff = lp - p[self.link_i]
-                lcoupled = ldiff + ldiff * ldiff * ldiff if self.cubic else ldiff
-                u = u + self.link_scatter @ (self.link_w * lcoupled)
+                u = u + self._sum_into_agents(
+                    self.link_slots, self.link_w * self._couple(lp - p[self.link_i]))
             ldamped = lq + self.leader_omega * np.sin(lq) if self.leader_omega else lq
             out[2 * b:2 * b + d] = lq
             out[2 * b + d:] = (-(self.leader_gain_base
@@ -369,13 +382,13 @@ def _check_state_matches(state: SystemState, scenario: Scenario) -> None:
 def rhs(state: SystemState, scenario: Scenario) -> StateDerivative:
     """Time derivative of the full state under the scenario's closed loop."""
     _check_state_matches(state, scenario)
-    finite = np.all(np.isfinite(state.p)) and np.all(np.isfinite(state.q))
-    if finite and state.leader is not None:
-        finite = np.all(np.isfinite(state.leader.p)) and np.all(np.isfinite(state.leader.q))
-    if not finite:
-        raise NonFiniteState("state contains non-finite entries", last_good_time=None)
     comp = _Compiled(scenario)
-    yd = comp.rhs(state.t, comp.flatten(state))
+    y = comp.flatten(state)
+    if not np.isfinite(y).all():
+        raise NonFiniteState(
+            f"state contains non-finite entries, first at {comp.first_non_finite(y)}",
+            last_good_time=None)
+    yd = comp.rhs(state.t, y)
     b, d = comp.block, comp.dims
     leader_p_dot = leader_q_dot = None
     if comp.has_leader:
@@ -432,7 +445,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     The scenario is validated first; a blocking failure raises
     ValidationFailed with every broken rule in the message. The state is
     checked for finiteness after every step and a blow-up raises
-    NonFiniteState carrying the last good time.
+    NonFiniteState carrying the last good time; its message names the first
+    non-finite agent (1-based) and component.
 
     Returns a Trajectory whose first sample is the initial state and whose
     samples are spaced dt*record_every apart, t_end inclusive.
@@ -452,7 +466,8 @@ def simulate(scenario: Scenario) -> Trajectory:
             y = comp.rk4(t_prev, y, iset.dt)
             if not np.isfinite(y).all():
                 raise NonFiniteState(
-                    f"state became non-finite between t={t_prev:.6g} and t={step * iset.dt:.6g}",
+                    f"state became non-finite between t={t_prev:.6g} and t={step * iset.dt:.6g}, "
+                    f"first at {comp.first_non_finite(y)}",
                     last_good_time=t_prev)
             if step % iset.record_every == 0:
                 samples.append(comp.unflatten(step * iset.dt, y))

@@ -43,6 +43,19 @@ class Topology:
         return self.neighbor_map[i]
 
     @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``edges`` as read-only arrays (i, j, weight), one entry per pair."""
+        table = np.array(self.edges, dtype=float).reshape(-1, 3)
+        return _frozen(table[:, 0].astype(np.intp), table[:, 1].astype(np.intp),
+                       np.ascontiguousarray(table[:, 2]))
+
+    @cached_property
+    def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``leader_links`` as read-only arrays (agent, weight)."""
+        table = np.array(self.leader_links, dtype=float).reshape(-1, 2)
+        return _frozen(table[:, 0].astype(np.intp), np.ascontiguousarray(table[:, 1]))
+
+    @cached_property
     def leader_weight(self) -> np.ndarray:
         """Leader-link weight per agent (0 where absent), shape (n_agents,)."""
         w = np.zeros(self.n_agents)
@@ -102,6 +115,12 @@ def build_topology(
         norm_links.append((i - 1, w))
 
     return Topology(n_agents=n_agents, edges=tuple(norm_edges), leader_links=tuple(norm_links))
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def _check_index(i, n_agents: int, what: str) -> None:

@@ -3,6 +3,7 @@ order, determinism, equivariance, blow-up handling, and scenario validation."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderSta
                        leader_closed_form_for, leader_control, leaderless_control,
                        rhs, rk4_step, scenario_fingerprint, simulate, tracking_errors,
                        validate_scenario)
+from consensim.dynamics import _Compiled
 from consensim.errors import HypothesisViolated
 
 
@@ -137,6 +139,117 @@ def test_blow_up_raises_non_finite_state():
         simulate(scenario)
     assert excinfo.value.last_good_time is not None
     assert excinfo.value.last_good_time >= 0.0
+
+
+@pytest.mark.parametrize("leader", [False, True], ids=["agent", "leader"])
+def test_blow_up_names_first_non_finite_agent_and_component(leader):
+    # A velocity near the float limit in one coordinate overflows within the
+    # first step, while the coupling it induces elsewhere stays finite.
+    q0 = np.zeros((3, 2))
+    if not leader:
+        q0[2, 1] = 1e308
+    scenario = leaderless_scenario(
+        n=3, p0=np.zeros((3, 2)), q0=q0,
+        integrator=IntegratorSettings(dt=0.1, t_end=1.0, record_every=10))
+    expected = "agent 3 position, coordinate 2"
+    if leader:
+        scenario = dataclasses.replace(
+            scenario, mode=Mode.LEADER,
+            topology=build_topology(3, [(1, 2, 1.0), (2, 3, 1.0)], leader_links=[(1, 1.0)]),
+            protocol=dataclasses.replace(scenario.protocol, leader_velocity=VelocityShape(),
+                                         leader_gain=GainProfile(b0=1.0)),
+            initial=SystemState(t=0.0, p=scenario.initial.p, q=scenario.initial.q,
+                                leader=LeaderState(np.zeros(2), np.array([0.0, 1e308]))))
+        expected = "leader position, coordinate 2"
+    with pytest.raises(NonFiniteState) as excinfo:
+        simulate(scenario)
+    assert excinfo.value.last_good_time == 0.0
+    assert str(excinfo.value).endswith(f"first at {expected}")
+
+
+def reference_rhs(state, scenario):
+    """Plain per-edge reference of the closed loop, built from the topology's
+    edge and leader-link lists: (q_dot, leader_q_dot or None)."""
+    topo, spec, t = scenario.topology, scenario.protocol, state.t
+    force = np.array([-spec.gains[i].evaluate(t) * spec.velocity.evaluate(state.q[i])
+                      for i in range(scenario.n_agents)])
+    for i, j, w in topo.edges:
+        pull = w * spec.coupling.evaluate(state.p[j] - state.p[i])
+        force[i] += pull
+        force[j] -= pull
+    leader_q_dot = None
+    if state.leader is not None:
+        for i, w in topo.leader_links:
+            force[i] += w * spec.coupling.evaluate(state.leader.p - state.p[i])
+        leader_q_dot = (-spec.leader_gain.evaluate(t)
+                        * spec.leader_velocity.evaluate(state.leader.q))
+    return force / np.array(scenario.masses)[:, None], leader_q_dot
+
+
+def random_scenario(rng, leader, coupling, velocity, dims, n=8):
+    """Random tree plus chords over the agents; in leader mode the last agent
+    has no edge at all, only its leader link."""
+    linked = n - 1 if leader else n
+    pairs = {(int(rng.integers(0, k)), k) for k in range(1, linked)}
+    pairs |= {tuple(sorted(map(int, rng.choice(linked, 2, replace=False)))) for _ in range(4)}
+    edges = [(i + 1, j + 1, float(rng.uniform(0.2, 2.0))) for i, j in sorted(pairs)]
+    links = [(1, 0.8), (n, 1.3)] if leader else []
+
+    def shape():
+        if velocity == "linear":
+            return VelocityShape()
+        return VelocityShape(kind="sine_perturbed", omega=float(rng.uniform(0.1, 0.9)))
+
+    extra = {"leader_velocity": shape(), "leader_gain": GainProfile(b0=0.7)} if leader else {}
+    return Scenario(
+        mode=Mode.LEADER if leader else Mode.LEADERLESS,
+        masses=tuple(rng.uniform(0.5, 2.0, n)),
+        topology=build_topology(n, edges, leader_links=links),
+        protocol=ProtocolSpec(
+            velocity=shape(), coupling=CouplingShape(kind=coupling),
+            gains=tuple(GainProfile(kind="cosine", b0=float(b), amplitude=float(a))
+                        for b, a in zip(rng.uniform(0.6, 1.5, n), rng.uniform(-0.3, 0.3, n))),
+            **extra),
+        initial=SystemState(
+            t=float(rng.uniform(0.0, 10.0)), p=rng.normal(size=(n, dims)),
+            q=rng.normal(size=(n, dims)),
+            leader=LeaderState(rng.normal(size=dims), rng.normal(size=dims)) if leader else None),
+    )
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("velocity", ["linear", "sine"])
+@pytest.mark.parametrize("coupling", ["linear", "linear_plus_cubic"])
+@pytest.mark.parametrize("leader", [False, True], ids=["leaderless", "leader"])
+def test_rhs_matches_per_edge_reference(leader, coupling, velocity, dims):
+    rng = np.random.default_rng([int(leader), len(coupling), len(velocity), dims])
+    scenario = random_scenario(rng, leader, coupling, velocity, dims)
+    state = scenario.initial
+    derivative = rhs(state, scenario)
+    q_dot, leader_q_dot = reference_rhs(state, scenario)
+    np.testing.assert_array_equal(derivative.p_dot, state.q)
+    np.testing.assert_allclose(derivative.q_dot, q_dot, rtol=1e-13, atol=1e-13)
+    if leader:
+        assert not any(scenario.n_agents - 1 in edge[:2] for edge in scenario.topology.edges)
+        np.testing.assert_array_equal(derivative.leader_p_dot, state.leader.q)
+        np.testing.assert_allclose(derivative.leader_q_dot, leader_q_dot, rtol=1e-13)
+    else:
+        assert derivative.leader_q_dot is None
+
+
+def test_compiled_kernel_memory_is_linear_in_edges():
+    # A dense agents-by-edges coupling matrix alone would take 32 MB here.
+    n = 2000
+    scenario = leaderless_scenario(n=n, coupling="linear_plus_cubic",
+                                   edges=[(i, i % n + 1, 1.0) for i in range(1, n + 1)])
+    tracemalloc.start()
+    try:
+        comp = _Compiled(scenario)
+        comp.rk4(0.0, comp.flatten(scenario.initial), scenario.integrator.dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_rhs_matches_reference_controls_leaderless():
