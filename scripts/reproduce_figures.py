@@ -11,7 +11,6 @@ inside the default tolerances.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -19,20 +18,13 @@ import numpy as np
 
 from consensim import (bundled_scenario_path, detect_consensus, list_bundled,
                        parse_scenario, simulate)
-from consensim.cli import build_report, write_plots, write_trajectory_csv
+from consensim.cli import write_outputs
 
 
 def run_one(name: str, out_root: Path, plots: bool) -> dict:
-    scenario = parse_scenario(bundled_scenario_path(name))
-    trajectory = simulate(scenario)
-    out_dir = out_root / name
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(trajectory, scenario, out_dir / "trajectory.csv")
-    report = build_report(trajectory, scenario, str(bundled_scenario_path(name)))
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if plots:
-        write_plots(trajectory, scenario, out_dir)
-    return report
+    path = bundled_scenario_path(name)
+    scenario = parse_scenario(path)
+    return write_outputs(simulate(scenario), scenario, path, out_root / name, plots)
 
 
 def fmt_value(value) -> str:

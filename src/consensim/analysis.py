@@ -13,7 +13,7 @@ import numpy as np
 from .dynamics import Mode, Scenario, SystemState, Trajectory
 from .errors import HypothesisViolated, InvalidBounds
 from .graph import Topology, is_connected, leader_reaches_all
-from .protocols import GainProfile, ProtocolSpec, gain_envelope, sector_constants
+from .protocols import GainProfile, ProtocolSpec, protocol_envelopes
 
 
 # Floats per edge- or agent-sized temporary in one block of lyapunov_series.
@@ -119,24 +119,12 @@ def tracking_gain_lower_bound(
     return 2.0 * n_agents * (low * high + 3.0 * low * low + 2.0 * high * high) / (low * low)
 
 
-def _protocol_envelopes(spec: ProtocolSpec) -> tuple[tuple[float, float], tuple[float, float]]:
-    # Global (gain, sector) envelopes over followers and leader, the bounds
-    # the tracking machinery is stated in.
-    profiles = list(spec.gains)
-    sector = sector_constants(spec.velocity)
-    if spec.leader_gain is not None:
-        profiles.append(spec.leader_gain)
-        ls = sector_constants(spec.leader_velocity)
-        sector = (min(sector[0], ls[0]), max(sector[1], ls[1]))
-    return gain_envelope(profiles), sector
-
-
 def default_tracking_weight(scenario: Scenario) -> float:
     """Leader kinetic weight used when none is given: 1.01 times the
     guaranteed-monotone lower bound for this scenario's envelopes."""
     if scenario.mode is not Mode.LEADER:
         raise HypothesisViolated("tracking weight applies to leader scenarios only")
-    (g_lo, g_hi), (s_lo, s_hi) = _protocol_envelopes(scenario.protocol)
+    (g_lo, g_hi), (s_lo, s_hi) = protocol_envelopes(scenario.protocol)
     if g_lo <= 0.0 or s_lo <= 0.0:
         raise HypothesisViolated(
             f"gain/sector envelopes must be positive, got {(g_lo, g_hi)}, {(s_lo, s_hi)}")
@@ -329,7 +317,7 @@ def lyapunov_series(
             raise HypothesisViolated("tracking energy needs a leader state")
         if leader_weight is None:
             leader_weight = default_tracking_weight(scenario)
-        (g_lo, _), (s_lo, _) = _protocol_envelopes(spec)
+        (g_lo, _), (s_lo, _) = protocol_envelopes(spec)
 
         def energies(block):
             leaders = [s.leader for s in block]
@@ -353,10 +341,13 @@ def conserved_series(traj: Trajectory, scenario: Scenario) -> list[tuple[float, 
             for s in traj.samples]
 
 
-def conservation_drift(traj: Trajectory, scenario: Scenario) -> float:
+def conservation_drift(traj: Trajectory, scenario: Scenario,
+                       series: list[tuple[float, np.ndarray]] | None = None) -> float:
     """Largest relative excursion of the conserved quantity over the run:
-    max_t |value(t) - value(0)|_inf / (1 + |value(0)|_inf)."""
-    series = conserved_series(traj, scenario)
+    max_t |value(t) - value(0)|_inf / (1 + |value(0)|_inf). ``series`` is
+    the run's :func:`conserved_series` when the caller already has it."""
+    if series is None:
+        series = conserved_series(traj, scenario)
     initial = series[0][1]
     scale = 1.0 + float(np.abs(initial).max())
     worst = max(float(np.abs(value - initial).max()) for _, value in series)

@@ -50,7 +50,34 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path) -> None:
+@dataclasses.dataclass(frozen=True)
+class RunSeries:
+    """The energy and conserved-quantity series of one run, computed once and
+    shared by the CSV and the report. A series the scenario's hypotheses rule
+    out is None, with the reason beside it."""
+
+    leader_weight: float | None
+    energy: list | None
+    energy_reason: str | None
+    conserved: list | None
+    conserved_reason: str | None
+
+
+def run_series(traj: Trajectory, scenario: Scenario) -> RunSeries:
+    weight = energy = energy_reason = conserved = conserved_reason = None
+    try:
+        weight = default_tracking_weight(scenario) if scenario.mode is Mode.LEADER else None
+        energy = lyapunov_series(traj, scenario, weight)
+    except HypothesisViolated as exc:
+        energy_reason = str(exc)
+    try:
+        conserved = conserved_series(traj, scenario)
+    except HypothesisViolated as exc:
+        conserved_reason = str(exc)
+    return RunSeries(weight, energy, energy_reason, conserved, conserved_reason)
+
+
+def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path, series: RunSeries) -> None:
     """One row per sample: time, agent positions, agent velocities, leader
     state when present, the energy value, and the conserved quantity when
     the scenario admits one."""
@@ -71,19 +98,13 @@ def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path) -> None:
     if has_leader:
         header += leader_cols("p") + leader_cols("q")
 
-    energy = None
-    try:
-        energy = [v for _, v in lyapunov_series(traj, scenario)]
+    energy, conserved = series.energy, series.conserved
+    if energy is None:
+        print(f"warning: energy column omitted: {series.energy_reason}", file=sys.stderr)
+    else:
         header.append("V")
-    except HypothesisViolated as exc:
-        print(f"warning: energy column omitted: {exc}", file=sys.stderr)
-
-    conserved = None
-    try:
-        conserved = [vec for _, vec in conserved_series(traj, scenario)]
+    if conserved is not None:
         header += [f"alpha_{l + 1}" for l in range(dims)]
-    except HypothesisViolated:
-        pass
 
     lines = [",".join(header)]
     for idx, s in enumerate(traj.samples):
@@ -94,9 +115,9 @@ def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path) -> None:
             row += [_fmt(v) for v in s.leader.p]
             row += [_fmt(v) for v in s.leader.q]
         if energy is not None:
-            row.append(_fmt(energy[idx]))
+            row.append(_fmt(energy[idx][1]))
         if conserved is not None:
-            row += [_fmt(v) for v in conserved[idx]]
+            row += [_fmt(v) for v in conserved[idx][1]]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -109,37 +130,34 @@ def _jsonable(value):
     return value
 
 
-def build_report(traj: Trajectory, scenario: Scenario, scenario_path: str) -> dict:
+def build_report(traj: Trajectory, scenario: Scenario, scenario_path: str,
+                 series: RunSeries) -> dict:
     """Everything the run learned, JSON-shaped."""
     validation = validate_scenario(scenario)
     report_consensus = detect_consensus(traj, scenario.pos_tol, scenario.vel_tol, scenario)
 
-    lyap: dict = {"available": False, "leader_weight": None, "reason": None}
-    try:
-        weight = default_tracking_weight(scenario) if scenario.mode is Mode.LEADER else None
-        series = np.array([v for _, v in lyapunov_series(traj, scenario, weight)])
-        steps = np.diff(series)
-        slack = MONOTONE_SLACK * (1.0 + series[:-1])
+    lyap: dict = {"available": False, "leader_weight": None, "reason": series.energy_reason}
+    if series.energy is not None:
+        values = np.array([v for _, v in series.energy])
+        steps = np.diff(values)
+        slack = MONOTONE_SLACK * (1.0 + values[:-1])
         lyap = {
             "available": True,
-            "leader_weight": weight,
-            "initial": float(series[0]),
-            "final": float(series[-1]),
+            "leader_weight": series.leader_weight,
+            "initial": float(values[0]),
+            "final": float(values[-1]),
             "nonincreasing": bool(np.all(steps <= slack)),
             "max_step_increase": float(steps.max()) if len(steps) else 0.0,
             "slack_factor": MONOTONE_SLACK,
             "reason": None,
         }
-    except HypothesisViolated as exc:
-        lyap["reason"] = str(exc)
 
-    conservation: dict = {"applicable": False, "max_relative_drift": None, "reason": None}
-    try:
+    conservation: dict = {"applicable": False, "max_relative_drift": None,
+                          "reason": series.conserved_reason}
+    if series.conserved is not None:
         conservation = {"applicable": True,
-                        "max_relative_drift": conservation_drift(traj, scenario),
+                        "max_relative_drift": conservation_drift(traj, scenario, series.conserved),
                         "reason": None}
-    except HypothesisViolated as exc:
-        conservation["reason"] = str(exc)
 
     predicted = report_consensus.predicted_value
     prediction_error = None
@@ -289,9 +307,25 @@ def write_plots(traj: Trajectory, scenario: Scenario, out_dir: Path) -> list[Pat
     return written
 
 
+def write_outputs(traj: Trajectory, scenario: Scenario, scenario_path, out_dir: Path,
+                  plots: bool) -> dict:
+    """Write trajectory.csv, report.json and, with ``plots``, the SVGs into
+    out_dir, computing the energy and conserved series once for both files.
+    Returns the report."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    series = run_series(traj, scenario)
+    write_trajectory_csv(traj, scenario, out_dir / "trajectory.csv", series)
+    report = build_report(traj, scenario, str(scenario_path), series)
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if plots:
+        write_plots(traj, scenario, out_dir)
+    return report
+
+
 def cmd_run(args) -> int:
+    # simulate validates the scenario that actually runs, overrides included.
     path = resolve_scenario_path(args.scenario)
-    scenario = parse_scenario(path)
+    scenario = parse_scenario(path, validate=False)
     if args.dt is not None or args.t_end is not None:
         settings = scenario.integrator
         settings = IntegratorSettings(
@@ -301,14 +335,8 @@ def cmd_run(args) -> int:
         scenario = dataclasses.replace(scenario, integrator=settings)
 
     trajectory = simulate(scenario)
-
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(trajectory, scenario, out_dir / "trajectory.csv")
-    report = build_report(trajectory, scenario, str(path))
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if not args.no_plots:
-        write_plots(trajectory, scenario, out_dir)
+    report = write_outputs(trajectory, scenario, path, out_dir, plots=not args.no_plots)
 
     consensus = report["consensus"]
     if consensus["achieved"]:

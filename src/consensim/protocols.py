@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -169,61 +168,34 @@ def gain_envelope(profiles) -> tuple[float, float]:
     return (min(lows), max(highs))
 
 
-@lru_cache(maxsize=64)
-def _sector_numeric(omega: float, half_width: float, samples: int) -> tuple[float, float]:
-    # Ratio f(z)/z = 1 + omega*sin(z)/z, extended continuously by its limit
-    # 1 + omega at z = 0. Even in z. Grid scan plus golden-section polish.
-    grid = np.linspace(-half_width, half_width, samples)
-    vals = 1.0 + omega * np.sinc(grid / np.pi)
-    spacing = grid[1] - grid[0]
-
-    def ratio(z: float) -> float:
-        if z == 0.0:
-            return 1.0 + omega
-        return 1.0 + omega * math.sin(z) / z
-
-    i_min = int(np.argmin(vals))
-    i_max = int(np.argmax(vals))
-    lo = _golden_min(ratio, grid[i_min] - spacing, grid[i_min] + spacing)
-    hi = -_golden_min(lambda z: -ratio(z), grid[i_max] - spacing, grid[i_max] + spacing)
-    return (float(lo), float(hi))
+# sin(z)/z takes its minimum over all z at x* = 4.493409457909064, the first
+# positive root of tan x = x, where it equals cos(x*): this is cos(x*) rounded
+# to the nearest double.
+COS_TAN_ROOT = -0.21723362821122166
 
 
-def _golden_min(fn, lo: float, hi: float, iterations: int = 200) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        if b - a < 1e-14:
-            break
-    return min(fc, fd)
-
-
-def sector_constants(
-    shape: VelocityShape,
-    half_width: float = 50.0,
-    samples: int = 1_000_000,
-) -> tuple[float, float]:
+def sector_constants(shape: VelocityShape) -> tuple[float, float]:
     """Sector bounds (lower, upper) of the velocity shape: the inf and sup of
-    evaluate(z)/z over nonzero z, computed over [-half_width, half_width].
+    evaluate(z)/z over nonzero z.
 
-    Linear shapes give exactly (1, 1); sine-perturbed ones are scanned on a
-    grid and refined. The defaults resolve the bounds well past the tolerance
-    any caller here needs; both are overridable.
+    Linear shapes give exactly (1, 1). For z + omega*sin(z) the ratio is
+    1 + omega*sin(z)/z, so the bounds are 1 + omega*cos(x*) at the first
+    positive root x* of tan x = x, and the limit 1 + omega at z = 0.
     """
     if shape.is_linear:
         return (1.0, 1.0)
-    return _sector_numeric(shape.omega, float(half_width), int(samples))
+    return (1.0 + shape.omega * COS_TAN_ROOT, 1.0 + shape.omega)
+
+
+def protocol_envelopes(spec: ProtocolSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Global (gain, sector) envelopes over the followers and the leader: the
+    bounds the tracking energy and its weight are stated in."""
+    profiles, shapes = list(spec.gains), [spec.velocity]
+    if spec.has_leader:
+        profiles.append(spec.leader_gain)
+        shapes.append(spec.leader_velocity)
+    lows, highs = zip(*(sector_constants(s) for s in shapes))
+    return gain_envelope(profiles), (min(lows), max(highs))
 
 
 @dataclass(frozen=True)
@@ -334,12 +306,7 @@ def validate_assumptions(
     if spec.leader_gain is not None:
         gain_check(spec.leader_gain, "leader_gain_positive_floor")
 
-    vel_sector = sector_constants(spec.velocity)
-    leader_sector = None
-    sector = vel_sector
-    if spec.leader_velocity is not None:
-        leader_sector = sector_constants(spec.leader_velocity)
-        sector = (min(vel_sector[0], leader_sector[0]), max(vel_sector[1], leader_sector[1]))
+    gain_bounds, sector = protocol_envelopes(spec)
     checks.append(AssumptionCheck(
         name="velocity_sector_positive",
         passed=bool(sector[0] > 0.0),
@@ -347,13 +314,13 @@ def validate_assumptions(
         detail=f"sector [{sector[0]:.6g}, {sector[1]:.6g}]",
     ))
 
-    profiles = list(spec.gains) + ([spec.leader_gain] if spec.leader_gain is not None else [])
     return AssumptionReport(
         checks=tuple(checks),
-        velocity_sector=vel_sector,
-        leader_velocity_sector=leader_sector,
+        velocity_sector=sector_constants(spec.velocity),
+        leader_velocity_sector=None if spec.leader_velocity is None
+        else sector_constants(spec.leader_velocity),
         sector=sector,
-        gain_bounds=gain_envelope(profiles),
+        gain_bounds=gain_bounds,
     )
 
 

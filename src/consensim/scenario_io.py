@@ -154,8 +154,9 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
     Structural problems raise ParseError with the offending path; semantic
     rule violations (bad weights, indices, non-positive gains, disconnected
     graphs, ...) raise ValidationFailed naming the broken rule. With
-    ``validate=False`` the blocking rule check is skipped, which is only
-    useful for reporting on deliberately broken scenarios.
+    ``validate=False`` the blocking rule check is skipped, for callers that
+    check the scenario themselves: ``validate`` reports every rule, and
+    ``run`` leaves it to ``simulate``, after applying its overrides.
     """
     data = _require_mapping(data, "scenario")
     _reject_unknown(data, {"description", "mode", "n_agents", "n_dims", "masses", "topology",

@@ -8,6 +8,10 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+import consensim.analysis
+import consensim.cli
+import consensim.dynamics
+import consensim.scenario_io
 from consensim import bundled_scenario_path, parse_scenario, scenario_fingerprint
 from consensim.cli import main
 
@@ -136,6 +140,46 @@ def test_override_violating_grid_rules_is_a_validation_error(tmp_path, capsys):
     assert main(["run", str(scenario), "--out", str(tmp_path / "out"), "--no-plots",
                  "--t-end", "0.35"]) == 1
     assert "whole number" in capsys.readouterr().err
+
+
+def test_override_can_mend_a_grid_rule_the_file_breaks(tmp_path, capsys):
+    # 0.35 is 35 steps of 0.01, not a whole number of 10-step recording
+    # intervals; the scenario that runs is the one with the overrides applied.
+    scenario = write_pair_scenario(tmp_path / "pair.json", t_end=0.35)
+    assert main(["run", str(scenario), "--out", str(tmp_path / "a"), "--no-plots"]) == 1
+    assert "whole number" in capsys.readouterr().err
+    assert main(["run", str(scenario), "--out", str(tmp_path / "b"), "--no-plots",
+                 "--t-end", "0.3"]) == 0
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each named function wherever a consensim module refers to it."""
+    counts = dict.fromkeys(names, 0)
+    modules = (consensim.analysis, consensim.cli, consensim.dynamics, consensim.scenario_io)
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("scenario", ["pair", "fig3b"])
+def test_run_validates_twice_and_computes_each_series_once(tmp_path, monkeypatch, scenario):
+    names = ("validate_scenario", "lyapunov_series", "conserved_series",
+             "default_tracking_weight")
+    ref = "fig3b" if scenario == "fig3b" else str(write_pair_scenario(tmp_path / "pair.json"))
+    counts = count_calls(monkeypatch, names)
+    assert main(["run", ref, "--out", str(tmp_path / "out"), "--no-plots",
+                 "--t-end", "1.0"]) == 0
+    assert counts["validate_scenario"] == 2
+    assert counts["lyapunov_series"] == 1
+    assert counts["conserved_series"] == 1
+    assert counts["default_tracking_weight"] == (1 if scenario == "fig3b" else 0)
 
 
 def test_plots_are_written(tmp_path):

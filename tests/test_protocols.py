@@ -12,10 +12,14 @@ from consensim import (CouplingShape, GainProfile, ProtocolSpec, SystemState,
                        VelocityShape, build_topology, gain_envelope, leader_control,
                        leaderless_control, sector_constants, validate_assumptions)
 from consensim.dynamics import LeaderState
+from consensim.protocols import COS_TAN_ROOT
 
 # Sector bounds of z + 0.5*sin(z): the lower constant sits at the first
 # positive minimum of sin(z)/z (near z = 4.4934), the upper at z = 0.
 SECTOR_HALF = (0.8913831858943891, 1.5)
+
+# First positive root of tan x = x, where sin(z)/z takes its minimum.
+TAN_ROOT = 4.493409457909064
 
 finite_z = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 
@@ -115,6 +119,35 @@ def test_sector_constants_against_independent_minimizer():
                               options={"xatol": 1e-12})
     assert lo == pytest.approx(ratio(bracket.x), abs=1e-9)
     assert hi == pytest.approx(1.5, abs=1e-12)
+
+
+def test_tan_root_solves_tan_x_equals_x():
+    # tan x - x increases through zero at x* (its slope is tan^2 x), so the
+    # root lies between two points a few ulps either side of the constant.
+    step = 2 * math.ulp(TAN_ROOT)
+    below, above = TAN_ROOT - step, TAN_ROOT + step
+    assert math.tan(below) - below < 0.0 < math.tan(above) - above
+    assert 4.0 < TAN_ROOT < 3 * math.pi / 2
+    # At the root sin(x)/x equals cos(x), the minimum of the sector ratio.
+    assert COS_TAN_ROOT == pytest.approx(math.cos(TAN_ROOT), abs=2 * math.ulp(COS_TAN_ROOT))
+    assert COS_TAN_ROOT == pytest.approx(math.sin(TAN_ROOT) / TAN_ROOT,
+                                         abs=2 * math.ulp(COS_TAN_ROOT))
+
+
+def test_closed_form_sector_matches_independent_minimizer_across_omega():
+    from scipy.optimize import minimize_scalar
+    lows = []
+    for omega in np.linspace(0.01, 5.0, 50):
+        omega = float(omega)
+        lo, hi = sector_constants(sine_shape(omega))
+        ratio = lambda z: 1.0 + omega * math.sin(z) / z
+        best = minimize_scalar(ratio, bounds=(3.0, 6.0), method="bounded",
+                               options={"xatol": 1e-12})
+        assert lo == pytest.approx(ratio(best.x), abs=1e-12)
+        assert hi == 1.0 + omega
+        lows.append(lo)
+    # Past omega = 1/|cos x*| the sector lower bound turns negative.
+    assert min(lows) < 0.0 < max(lows)
 
 
 @given(st.floats(min_value=0.01, max_value=0.9),

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consensim import (Mode, ParseError, ValidationFailed, bundled_scenario_path,
                        list_bundled, parse_scenario, parse_scenario_dict,
@@ -151,6 +153,78 @@ def test_round_trip_preserves_fingerprint():
         scenario = parse_scenario(bundled_scenario_path(name))
         rebuilt = parse_scenario_dict(scenario_to_dict(scenario))
         assert scenario_fingerprint(rebuilt) == scenario_fingerprint(scenario)
+
+
+positive = st.floats(min_value=0.1, max_value=5.0)
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Valid schema-shaped scenarios over both modes, 1-3 dimensions, every
+    shape and gain kind, chain-plus-chord graphs and any recording grid."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    dims = draw(st.integers(min_value=1, max_value=3))
+    leader = draw(st.booleans())
+
+    def coordinate():
+        values = draw(st.lists(st.floats(min_value=-10.0, max_value=10.0),
+                               min_size=dims, max_size=dims))
+        return values[0] if dims == 1 else values
+
+    def velocity():
+        if draw(st.booleans()):
+            return {"kind": "linear"}
+        return {"kind": "sine_perturbed", "omega": draw(st.floats(min_value=0.0, max_value=2.0))}
+
+    def gain():
+        b0 = draw(positive)
+        if draw(st.booleans()):
+            return {"kind": "constant", "b0": b0}
+        return {"kind": "cosine", "b0": b0,
+                "amplitude": b0 * draw(st.floats(min_value=-0.9, max_value=0.9))}
+
+    # The chain keeps the graph connected; chords are drawn on top of it.
+    edges = [[i, i + 1, draw(positive)] for i in range(1, n)]
+    chords = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)]
+    if chords:
+        edges += [[i, j, draw(positive)] for i, j in
+                  draw(st.lists(st.sampled_from(chords), max_size=3, unique=True))]
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.05, 0.1]))
+    record_every = draw(st.integers(min_value=1, max_value=20))
+    data = {
+        "description": draw(st.text(max_size=12)),
+        "mode": "leader" if leader else "leaderless",
+        "n_agents": n,
+        "n_dims": dims,
+        "masses": [draw(positive) for _ in range(n)],
+        "topology": {"edges": edges},
+        "protocol": {
+            "velocity": velocity(),
+            "coupling": {"kind": draw(st.sampled_from(["linear", "linear_plus_cubic"]))},
+            "gains": [gain() for _ in range(n)],
+        },
+        "initial": {"p": [coordinate() for _ in range(n)],
+                    "q": [coordinate() for _ in range(n)]},
+        "integrator": {"dt": dt, "record_every": record_every,
+                       "t_end": dt * record_every * draw(st.integers(min_value=1, max_value=5))},
+        "tolerances": {"position": draw(positive), "velocity": draw(positive)},
+    }
+    if leader:
+        linked = draw(st.lists(st.integers(min_value=1, max_value=n), min_size=1, unique=True))
+        data["topology"]["leader_links"] = [[i, draw(positive)] for i in linked]
+        data["protocol"]["leader_velocity"] = velocity()
+        data["protocol"]["leader_gain"] = gain()
+        data["initial"]["leader"] = {"p": coordinate(), "q": coordinate()}
+    return data
+
+
+@given(scenario_dicts())
+@settings(max_examples=60, deadline=None)
+def test_round_trip_preserves_fingerprint_of_generated_scenarios(data):
+    scenario = parse_scenario_dict(data)
+    text = json.dumps(scenario_to_dict(scenario))
+    rebuilt = parse_scenario_dict(json.loads(text))
+    assert scenario_fingerprint(rebuilt) == scenario_fingerprint(scenario)
 
 
 def test_file_round_trip(tmp_path):
