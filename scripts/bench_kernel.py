@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the compiled integration kernel on cubic rings of growing size.
 
-For each agent count N this builds a leaderless ring (unit masses, gains and
-weights, cubic coupling, 1-D) and prints:
+For each agent count N this builds a ring (unit masses, gains and weights,
+cubic coupling, 1-D), once leaderless and once with agent 1 linked to a
+leader, and prints for each:
 
 - the peak memory traced while lowering the scenario to its compiled form;
 - microseconds per right-hand-side evaluation;
@@ -21,24 +22,27 @@ import tracemalloc
 
 import numpy as np
 
-from consensim import (CouplingShape, GainProfile, IntegratorSettings, Mode,
-                       ProtocolSpec, Scenario, SystemState, VelocityShape,
+from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderState,
+                       Mode, ProtocolSpec, Scenario, SystemState, VelocityShape,
                        build_topology)
 from consensim.dynamics import _Compiled
 
 SIZES = (6, 500, 5000, 50000)
 
 
-def cubic_ring(n: int) -> Scenario:
+def cubic_ring(n: int, leader: bool) -> Scenario:
     edges = [(i, i % n + 1, 1.0) for i in range(1, n + 1)]
+    extra = ({"leader_velocity": VelocityShape(), "leader_gain": GainProfile(b0=1.0)}
+             if leader else {})
     return Scenario(
-        mode=Mode.LEADERLESS,
+        mode=Mode.LEADER if leader else Mode.LEADERLESS,
         masses=(1.0,) * n,
-        topology=build_topology(n, edges),
+        topology=build_topology(n, edges, leader_links=[(1, 1.0)] if leader else ()),
         protocol=ProtocolSpec(velocity=VelocityShape(),
                               coupling=CouplingShape(kind="linear_plus_cubic"),
-                              gains=(GainProfile(b0=1.0),) * n),
-        initial=SystemState(t=0.0, p=np.sin(np.arange(n)), q=np.zeros(n)),
+                              gains=(GainProfile(b0=1.0),) * n, **extra),
+        initial=SystemState(t=0.0, p=np.sin(np.arange(n)), q=np.zeros(n),
+                            leader=LeaderState(np.ones(1), np.full(1, 0.5)) if leader else None),
         integrator=IntegratorSettings(dt=1e-2, t_end=1.0, record_every=100),
     )
 
@@ -56,8 +60,8 @@ def best_us(fn, repeats: int = 5, budget_s: float = 0.2) -> float:
     return best * 1e6
 
 
-def probe(n: int) -> tuple[float, float, float]:
-    scenario = cubic_ring(n)
+def probe(n: int, leader: bool) -> tuple[float, float, float]:
+    scenario = cubic_ring(n, leader)
     tracemalloc.start()
     comp = _Compiled(scenario)
     _, peak = tracemalloc.get_traced_memory()
@@ -70,10 +74,12 @@ def probe(n: int) -> tuple[float, float, float]:
 def main() -> None:
     print(f"numpy {np.__version__}, Python {platform.python_version()}, "
           f"{platform.machine()} {platform.system()}")
-    print(f"{'N':>8} {'build peak MB':>14} {'rhs us':>10} {'rk4 step us':>12}")
+    print(f"{'N':>8} {'leader':>7} {'build peak MB':>14} {'rhs us':>10} {'rk4 step us':>12}")
     for n in SIZES:
-        peak_mb, rhs_us, step_us = probe(n)
-        print(f"{n:>8} {peak_mb:>14.3f} {rhs_us:>10.1f} {step_us:>12.1f}")
+        for leader in (False, True):
+            peak_mb, rhs_us, step_us = probe(n, leader)
+            print(f"{n:>8} {'yes' if leader else 'no':>7} {peak_mb:>14.3f} "
+                  f"{rhs_us:>10.1f} {step_us:>12.1f}")
 
 
 if __name__ == "__main__":

@@ -46,10 +46,6 @@ def resolve_scenario_path(ref: str) -> Path:
                      f"(bundled: {', '.join(list_bundled())})")
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 @dataclasses.dataclass(frozen=True)
 class RunSeries:
     """The energy and conserved-quantity series of one run, computed once and
@@ -106,19 +102,20 @@ def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path, series: Run
     if conserved is not None:
         header += [f"alpha_{l + 1}" for l in range(dims)]
 
-    lines = [",".join(header)]
-    for idx, s in enumerate(traj.samples):
-        row = [_fmt(s.t)]
-        row += [_fmt(v) for v in s.p.ravel()]
-        row += [_fmt(v) for v in s.q.ravel()]
-        if has_leader:
-            row += [_fmt(v) for v in s.leader.p]
-            row += [_fmt(v) for v in s.leader.q]
-        if energy is not None:
-            row.append(_fmt(energy[idx][1]))
-        if conserved is not None:
-            row += [_fmt(v) for v in conserved[idx][1]]
-        lines.append(",".join(row))
+    samples = len(traj.samples)
+    columns = [traj.times()[:, None], traj.positions().reshape(samples, -1),
+               traj.velocities().reshape(samples, -1)]
+    if has_leader:
+        columns += [traj.leader_positions(), traj.leader_velocities()]
+    if energy is not None:
+        columns.append(np.array([v for _, v in energy])[:, None])
+    if conserved is not None:
+        columns.append(np.array([v for _, v in conserved]))
+    table = np.hstack(columns)
+    # "%.17g" % v is format(v, ".17g") for every double: one format call per
+    # row. Rows become Python floats one at a time, so the table never does.
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header)] + [row_format % tuple(row.tolist()) for row in table]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, NoLeader, NonFiniteState, ValidationFailed
 from .graph import Topology, is_connected, leader_reaches_all
-from .protocols import AssumptionReport, ProtocolSpec, validate_assumptions
+from .protocols import AssumptionReport, ProtocolSpec, VelocityShape, validate_assumptions
 
 
 class Mode(str, Enum):
@@ -256,114 +256,123 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     return ScenarioValidation(tuple(errors), tuple(warnings), assumptions)
 
 
+def _omega(shape: VelocityShape) -> float:
+    return 0.0 if shape.is_linear else shape.omega
+
+
 class _Compiled:
     """Scenario lowered to flat numpy arrays for the integration hot path.
 
-    The state vector is [p.ravel(), q.ravel(), leader_p, leader_q]. Each
-    undirected edge is stored once in each direction, so a neighbor sum is a
-    gather of position differences along (src, nbr) followed by one
-    ``np.bincount`` into the agents' state slots: O(E) work and memory.
-    The coupling is odd bit for bit, so both endpoints of an edge receive
-    exactly opposite forces. Summation order is fixed by the edge order,
-    which keeps runs bitwise reproducible.
+    Positions and velocities are (M, d) blocks P and Q, and the state vector
+    is [P.ravel(), Q.ravel()]. Row i < n is agent i; in leader mode the
+    leader is one more row, the last (M = n + 1), otherwise M = n. Gain base
+    and ripple, velocity-feedback omega and inverse mass are per-row arrays;
+    the leader row carries the leader's own gain and omega and inverse mass 1.
+
+    Each undirected edge is stored once in each direction, and each leader
+    link is one directed edge from its agent to the leader row with no
+    reverse edge, so the leader feels no agent. A neighbor sum is a gather
+    of position differences along (src, nbr) followed by one ``np.bincount``
+    into the agents' state slots: O(E) work and memory. The coupling is odd
+    bit for bit, so both endpoints of an undirected edge receive exactly
+    opposite forces. Summation order is fixed by the edge order, which keeps
+    runs bitwise reproducible.
     """
 
     def __init__(self, scenario: Scenario):
         topo = scenario.topology
         spec = scenario.protocol
-        self.n = topo.n_agents
-        self.dims = scenario.initial.n_dims
-        self.block = self.n * self.dims
+        self.n = n = topo.n_agents
+        self.dims = d = scenario.initial.n_dims
         self.has_leader = scenario.mode is Mode.LEADER
-        self.inv_mass = 1.0 / np.array(scenario.masses)[:, None]
-        components = np.arange(self.dims)
+        self.rows = n + self.has_leader
+        self.block = self.rows * d
 
         edge_i, edge_j, edge_w = topo.edge_arrays
-        self.n_edges = len(edge_w)
-        if self.n_edges:
-            self.src = np.concatenate([edge_i, edge_j])
-            self.nbr = np.concatenate([edge_j, edge_i])
-            self.w = np.concatenate([edge_w, edge_w])[:, None]
-            self.slots = (self.src[:, None] * self.dims + components).ravel()
+        link_i, link_w = topo.link_arrays
+        if not self.has_leader:
+            link_i, link_w = link_i[:0], link_w[:0]
+        self.src = np.concatenate([edge_i, edge_j, link_i])
+        self.nbr = np.concatenate([edge_j, edge_i, np.full(len(link_i), n)])
+        self.w = np.concatenate([edge_w, edge_w, link_w])[:, None]
+        self.n_edges = len(self.src)
+        self.slots = (self.src[:, None] * d + np.arange(d)).ravel()
 
-        self.link_i, link_w = topo.link_arrays
-        self.n_links = len(link_w)
-        if self.n_links:
-            self.link_w = link_w[:, None]
-            self.link_slots = (self.link_i[:, None] * self.dims + components).ravel()
-
-        self.omega = 0.0 if spec.velocity.is_linear else spec.velocity.omega
-        self.cubic = not spec.coupling.is_linear
-        self.gain_base = np.array([g.b0 for g in spec.gains])[:, None]
-        self.gain_ripple = np.array([g.amplitude for g in spec.gains])[:, None]
+        profiles = spec.gains + ((spec.leader_gain,) if self.has_leader else ())
+        self.gain_base = np.array([g.b0 for g in profiles])[:, None]
+        self.gain_ripple = np.array([g.amplitude for g in profiles])[:, None]
+        # With no ripple, b0 + 0·cos t is b0 bit for bit (for any b0 but -0.0,
+        # which no valid gain has), so one vector serves every t.
+        self.constant_gain = None if self.gain_ripple.any() else -self.gain_base
+        masses = np.ones((self.rows, 1))
+        masses[:n, 0] = scenario.masses
+        self.inv_mass = 1.0 / masses
+        omega = np.zeros((self.rows, 1))
+        omega[:n] = _omega(spec.velocity)
         if self.has_leader:
-            self.leader_gain_base = spec.leader_gain.b0
-            self.leader_gain_ripple = spec.leader_gain.amplitude
-            self.leader_omega = 0.0 if spec.leader_velocity.is_linear else spec.leader_velocity.omega
-
-    def _couple(self, diff: np.ndarray) -> np.ndarray:
-        return diff + diff * diff * diff if self.cubic else diff
-
-    def _sum_into_agents(self, slots: np.ndarray, forces: np.ndarray) -> np.ndarray:
-        return np.bincount(slots, forces.ravel(), minlength=self.block).reshape(self.n, self.dims)
+            omega[n] = _omega(spec.leader_velocity)
+        self.omega = omega if omega.any() else None
+        self.cubic = not spec.coupling.is_linear
 
     def flatten(self, state: SystemState) -> np.ndarray:
-        parts = [state.p.ravel(), state.q.ravel()]
         if self.has_leader:
-            parts += [state.leader.p, state.leader.q]
-        return np.concatenate(parts)
+            return np.concatenate([state.p.ravel(), state.leader.p,
+                                   state.q.ravel(), state.leader.q])
+        return np.concatenate([state.p.ravel(), state.q.ravel()])
 
     def unflatten(self, t: float, y: np.ndarray) -> SystemState:
         # SystemState copies on construction, so the views taken here are safe.
-        b, d = self.block, self.dims
-        leader = None
-        if self.has_leader:
-            leader = LeaderState(y[2 * b:2 * b + d], y[2 * b + d:])
-        return SystemState(t=t, p=y[:b].reshape(self.n, d), q=y[b:2 * b].reshape(self.n, d),
-                           leader=leader)
+        n, b = self.n, self.block
+        p = y[:b].reshape(self.rows, self.dims)
+        q = y[b:].reshape(self.rows, self.dims)
+        leader = LeaderState(p[n], q[n]) if self.has_leader else None
+        return SystemState(t=t, p=p[:n], q=q[:n], leader=leader)
 
     def first_non_finite(self, y: np.ndarray) -> str:
         """Where the first non-finite entry of state vector y sits, with the
-        1-based agent and coordinate numbers of the scenario files."""
-        k = int(np.argmin(np.isfinite(y)))
-        b, d = self.block, self.dims
-        if k >= 2 * b:
-            part = "position" if k < 2 * b + d else "velocity"
-            return f"leader {part}, coordinate {(k - 2 * b) % d + 1}"
-        part = "position" if k < b else "velocity"
-        return f"agent {k % b // d + 1} {part}, coordinate {k % d + 1}"
+        1-based agent and coordinate numbers of the scenario files. Agents
+        are searched before the leader: agent positions, agent velocities,
+        leader position, leader velocity."""
+        n, d = self.n, self.dims
+        finite = np.isfinite(y).reshape(2, self.rows, d)
+        k = int(np.argmin(np.concatenate([finite[:, :n].ravel(), finite[:, n:].ravel()])))
+        parts = ("position", "velocity")
+        if k >= 2 * n * d:
+            k -= 2 * n * d
+            return f"leader {parts[k // d]}, coordinate {k % d + 1}"
+        return f"agent {k % (n * d) // d + 1} {parts[k // (n * d)]}, coordinate {k % d + 1}"
+
+    def gains(self, t: float) -> np.ndarray:
+        """Per-row feedback factor -(b0 + a·cos t), shape (M, 1)."""
+        if self.constant_gain is not None:
+            return self.constant_gain
+        return -(self.gain_base + self.gain_ripple * math.cos(t))
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        b, d = self.block, self.dims
-        p = y[:b].reshape(self.n, d)
-        q = y[b:2 * b].reshape(self.n, d)
-        out = np.empty_like(y)
-        out[:b] = y[b:2 * b]
+        return self._rhs(y, self.gains(t))
 
-        damped = q + self.omega * np.sin(q) if self.omega else q
-        u = (-(self.gain_base + self.gain_ripple * math.cos(t))) * damped
+    def _rhs(self, y: np.ndarray, gain: np.ndarray) -> np.ndarray:
+        n, b, d = self.n, self.block, self.dims
+        q = y[b:].reshape(self.rows, d)
+        u = gain * (q + self.omega * np.sin(q) if self.omega is not None else q)
         if self.n_edges:
-            u = u + self._sum_into_agents(
-                self.slots, self.w * self._couple(p[self.nbr] - p[self.src]))
-        if self.has_leader:
-            lp = y[2 * b:2 * b + d]
-            lq = y[2 * b + d:]
-            if self.n_links:
-                u = u + self._sum_into_agents(
-                    self.link_slots, self.link_w * self._couple(lp - p[self.link_i]))
-            ldamped = lq + self.leader_omega * np.sin(lq) if self.leader_omega else lq
-            out[2 * b:2 * b + d] = lq
-            out[2 * b + d:] = (-(self.leader_gain_base
-                                 + self.leader_gain_ripple * math.cos(t))) * ldamped
-        out[b:2 * b] = (u * self.inv_mass).ravel()
-        return out
+            p = y[:b].reshape(self.rows, d)
+            diff = p.take(self.nbr, axis=0) - p.take(self.src, axis=0)
+            if self.cubic:
+                diff = diff + diff * diff * diff
+            # Only agent rows receive forces: adding an empty slot's +0.0 to
+            # the leader row would turn a -0.0 derivative into +0.0.
+            u[:n] += np.bincount(self.slots, (self.w * diff).ravel(),
+                                 minlength=n * d).reshape(n, d)
+        return np.concatenate([y[b:], (u * self.inv_mass).ravel()])
 
     def rk4(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
         half = 0.5 * dt
-        k1 = self.rhs(t, y)
-        k2 = self.rhs(t + half, y + half * k1)
-        k3 = self.rhs(t + half, y + half * k2)
-        k4 = self.rhs(t + dt, y + dt * k3)
+        mid = self.gains(t + half)
+        k1 = self._rhs(y, self.gains(t))
+        k2 = self._rhs(y + half * k1, mid)
+        k3 = self._rhs(y + half * k2, mid)
+        k4 = self._rhs(y + dt * k3, self.gains(t + dt))
         return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -388,18 +397,13 @@ def rhs(state: SystemState, scenario: Scenario) -> StateDerivative:
         raise NonFiniteState(
             f"state contains non-finite entries, first at {comp.first_non_finite(y)}",
             last_good_time=None)
-    yd = comp.rhs(state.t, y)
-    b, d = comp.block, comp.dims
+    p_dot, q_dot = comp.rhs(state.t, y).reshape(2, comp.rows, comp.dims)
+    n = comp.n
     leader_p_dot = leader_q_dot = None
     if comp.has_leader:
-        leader_p_dot = yd[2 * b:2 * b + d]
-        leader_q_dot = yd[2 * b + d:]
-    return StateDerivative(
-        p_dot=yd[:b].reshape(comp.n, d),
-        q_dot=yd[b:2 * b].reshape(comp.n, d),
-        leader_p_dot=leader_p_dot,
-        leader_q_dot=leader_q_dot,
-    )
+        leader_p_dot, leader_q_dot = p_dot[n], q_dot[n]
+    return StateDerivative(p_dot=p_dot[:n], q_dot=q_dot[:n],
+                           leader_p_dot=leader_p_dot, leader_q_dot=leader_q_dot)
 
 
 def rk4_step(state: SystemState, scenario: Scenario) -> SystemState:

@@ -246,3 +246,34 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1.516667"
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # Rows are formatted whole; every field must still read exactly as
+    # format(v, ".17g"), signed zeros, subnormals and non-finite values included.
+    scenario = parse_scenario(bundled_scenario_path("fig3b"))
+    n, d = scenario.n_agents, scenario.n_dims
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+               0.1, 1.0 / 3.0, np.inf, -np.inf, np.nan]
+
+    def values(size):
+        return np.where(rng.random(size) < 0.5, rng.choice(special, size),
+                        rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size))
+
+    samples = [consensim.dynamics.SystemState(
+        t=0.25 * k, p=values((n, d)), q=values((n, d)),
+        leader=consensim.dynamics.LeaderState(values(d), values(d))) for k in range(40)]
+    traj = consensim.dynamics.Trajectory(samples=tuple(samples), scenario_fingerprint="")
+    series = consensim.cli.RunSeries(
+        leader_weight=None, energy=[(s.t, float(v)) for s, v in zip(samples, values(40))],
+        energy_reason=None, conserved=[(s.t, values(d)) for s in samples], conserved_reason=None)
+    path = tmp_path / "trajectory.csv"
+    consensim.cli.write_trajectory_csv(traj, scenario, path, series)
+
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == len(samples)
+    for row, s, (_, energy), (_, conserved) in zip(rows, samples, series.energy,
+                                                   series.conserved):
+        fields = [s.t, *s.p.ravel(), *s.q.ravel(), *s.leader.p, *s.leader.q, energy, *conserved]
+        assert row == ",".join(format(float(v), ".17g") for v in fields)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderState,
                        Mode, NoLeader, NonFiniteState, ProtocolSpec, Scenario,
-                       SystemState, VelocityShape, build_topology, leader_closed_form,
-                       leader_closed_form_for, leader_control, leaderless_control,
-                       rhs, rk4_step, scenario_fingerprint, simulate, tracking_errors,
-                       validate_scenario)
+                       SystemState, VelocityShape, build_topology, bundled_scenario_path,
+                       leader_closed_form, leader_closed_form_for, leader_control,
+                       leaderless_control, parse_scenario, rhs, rk4_step,
+                       scenario_fingerprint, simulate, tracking_errors, validate_scenario)
 from consensim.dynamics import _Compiled
 from consensim.errors import HypothesisViolated
 
@@ -167,11 +167,17 @@ def test_blow_up_names_first_non_finite_agent_and_component(leader):
     assert str(excinfo.value).endswith(f"first at {expected}")
 
 
+def damping(shape, z):
+    """The velocity shape at z, keeping the sign of a zero: a linear shape's
+    ``evaluate`` returns z + 0.0, which turns -0.0 into +0.0."""
+    return z if shape.is_linear else shape.evaluate(z)
+
+
 def reference_rhs(state, scenario):
     """Plain per-edge reference of the closed loop, built from the topology's
     edge and leader-link lists: (q_dot, leader_q_dot or None)."""
     topo, spec, t = scenario.topology, scenario.protocol, state.t
-    force = np.array([-spec.gains[i].evaluate(t) * spec.velocity.evaluate(state.q[i])
+    force = np.array([-spec.gains[i].evaluate(t) * damping(spec.velocity, state.q[i])
                       for i in range(scenario.n_agents)])
     for i, j, w in topo.edges:
         pull = w * spec.coupling.evaluate(state.p[j] - state.p[i])
@@ -182,7 +188,7 @@ def reference_rhs(state, scenario):
         for i, w in topo.leader_links:
             force[i] += w * spec.coupling.evaluate(state.leader.p - state.p[i])
         leader_q_dot = (-spec.leader_gain.evaluate(t)
-                        * spec.leader_velocity.evaluate(state.leader.q))
+                        * damping(spec.leader_velocity, state.leader.q))
     return force / np.array(scenario.masses)[:, None], leader_q_dot
 
 
@@ -235,6 +241,36 @@ def test_rhs_matches_per_edge_reference(leader, coupling, velocity, dims):
         np.testing.assert_allclose(derivative.leader_q_dot, leader_q_dot, rtol=1e-13)
     else:
         assert derivative.leader_q_dot is None
+
+
+@pytest.mark.parametrize("q_leader", [0.0, -0.0], ids=["plus_zero", "minus_zero"])
+@pytest.mark.parametrize("leader_velocity", ["linear", "sine"])
+def test_leader_derivative_keeps_the_sign_of_zero(leader_velocity, q_leader):
+    # fig3b: sine followers around a linear leader, then the same with a sine
+    # leader. The leader row sits next to the agent rows in one state block;
+    # neither the agents' damping nor their forces may touch its zero signs.
+    scenario = parse_scenario(bundled_scenario_path("fig3b"))
+    if leader_velocity == "sine":
+        scenario = dataclasses.replace(scenario, protocol=dataclasses.replace(
+            scenario.protocol, leader_velocity=VelocityShape(kind="sine_perturbed", omega=0.5)))
+    initial = scenario.initial
+    state = SystemState(t=0.0, p=initial.p, q=initial.q,
+                        leader=LeaderState(initial.leader.p, np.array([q_leader])))
+    derivative = rhs(state, scenario)
+    _, expected = reference_rhs(state, scenario)
+    assert derivative.leader_q_dot == 0.0
+    np.testing.assert_array_equal(np.signbit(derivative.leader_q_dot), np.signbit(expected))
+    np.testing.assert_array_equal(np.signbit(derivative.leader_p_dot), np.signbit(q_leader))
+
+
+def test_non_finite_state_names_agents_before_the_leader():
+    scenario = leader_scenario(n=3)
+    q = np.array([0.2, np.nan, 0.2])
+    state = SystemState(t=0.0, p=scenario.initial.p, q=q,
+                        leader=LeaderState(np.array([np.inf]), np.array([0.3])))
+    with pytest.raises(NonFiniteState) as excinfo:
+        rhs(state, scenario)
+    assert str(excinfo.value).endswith("first at agent 2 velocity, coordinate 1")
 
 
 def test_compiled_kernel_memory_is_linear_in_edges():
