@@ -25,7 +25,7 @@ import numpy as np
 from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderState,
                        Mode, ProtocolSpec, Scenario, SystemState, VelocityShape,
                        build_topology)
-from consensim.dynamics import _Compiled
+from consensim.dynamics import _Compiled, _flatten
 
 SIZES = (6, 500, 5000, 50000)
 
@@ -66,7 +66,7 @@ def probe(n: int, leader: bool) -> tuple[float, float, float]:
     comp = _Compiled(scenario)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    y = comp.flatten(scenario.initial)
+    y = _flatten(scenario.initial)
     dt = scenario.integrator.dt
     return (peak / 2**20, best_us(lambda: comp.rhs(0.0, y)), best_us(lambda: comp.rk4(0.0, y, dt)))
 

@@ -20,10 +20,6 @@ from .protocols import GainProfile, ProtocolSpec, protocol_envelopes
 _SERIES_BLOCK = 2**18
 
 
-def _stack(states, attr: str) -> np.ndarray:
-    return np.stack([getattr(s, attr) for s in states])
-
-
 def _edge_energies(P: np.ndarray, topo: Topology, spec: ProtocolSpec) -> np.ndarray:
     # Per sample of P (S, N, d): the sum over unordered pairs of w times the
     # coupling antiderivative of the position differences, i.e. half the
@@ -258,21 +254,16 @@ def detect_consensus(
     """
     if not (pos_tol > 0.0 and vel_tol > 0.0):
         raise ValueError("tolerances must be > 0")
-    has_leader = traj.samples[0].leader is not None
-    spreads = np.empty(len(traj.samples))
-    speeds = np.empty(len(traj.samples))
-    for idx, s in enumerate(traj.samples):
-        if has_leader:
-            spreads[idx] = np.abs(s.p - s.leader.p).max()
-            speeds[idx] = np.abs(s.q - s.leader.q).max()
-        else:
-            spreads[idx] = (s.p.max(axis=0) - s.p.min(axis=0)).max()
-            speeds[idx] = np.abs(s.q).max()
+    P, Q = traj.p, traj.q
+    if traj.leader_p is not None:
+        spreads = np.abs(P - traj.leader_p[:, None]).max(axis=(1, 2))
+        speeds = np.abs(Q - traj.leader_q[:, None]).max(axis=(1, 2))
+    else:
+        spreads = (P.max(axis=1) - P.min(axis=1)).max(axis=1)
+        speeds = np.abs(Q).max(axis=(1, 2))
     ok = (spreads <= pos_tol) & (speeds <= vel_tol)
-
-    start = len(ok)
-    while start > 0 and ok[start - 1]:
-        start -= 1
+    # The trailing run of ok samples, as a prefix of the reversed flags.
+    start = len(ok) - int(np.logical_and.accumulate(ok[::-1]).sum())
     achieved = start < len(ok)
 
     predicted = None
@@ -282,10 +273,10 @@ def detect_consensus(
         predicted, reason = prediction.value, prediction.reason
     return ConsensusReport(
         achieved=achieved,
-        t_consensus=traj.samples[start].t if achieved else None,
+        t_consensus=float(traj.t[start]) if achieved else None,
         final_spread=float(spreads[-1]),
         final_speed=float(speeds[-1]),
-        observed_value=traj.samples[-1].p.mean(axis=0),
+        observed_value=P[-1].mean(axis=0),
         predicted_value=predicted,
         prediction_reason=reason,
         pos_tol=float(pos_tol),
@@ -307,28 +298,24 @@ def lyapunov_series(
     and agent temporaries hold about ``_SERIES_BLOCK`` floats each.
     """
     topo, spec = scenario.topology, scenario.protocol
-    samples = traj.samples
+    P, Q = traj.p, traj.q
     if scenario.mode is Mode.LEADERLESS:
         def energies(block):
-            return _leaderless_energies(_stack(block, "p"), _stack(block, "q"), topo, spec,
-                                        scenario.masses)
+            return _leaderless_energies(P[block], Q[block], topo, spec, scenario.masses)
     else:
-        if samples[0].leader is None:
+        if traj.leader_p is None:
             raise HypothesisViolated("tracking energy needs a leader state")
         if leader_weight is None:
             leader_weight = default_tracking_weight(scenario)
         (g_lo, _), (s_lo, _) = protocol_envelopes(spec)
 
         def energies(block):
-            leaders = [s.leader for s in block]
-            return _leader_energies(_stack(block, "p"), _stack(block, "q"),
-                                    _stack(leaders, "p"), _stack(leaders, "q"),
-                                    topo, spec, leader_weight, g_lo, s_lo)
-    n, d = samples[0].p.shape
+            return _leader_energies(P[block], Q[block], traj.leader_p[block],
+                                    traj.leader_q[block], topo, spec, leader_weight, g_lo, s_lo)
+    _, n, d = P.shape
     size = max(1, _SERIES_BLOCK // (max(n, len(topo.edges)) * d))
-    values = np.concatenate([energies(samples[k:k + size])
-                             for k in range(0, len(samples), size)])
-    return list(zip(traj.times().tolist(), values.tolist()))
+    values = np.concatenate([energies(slice(k, k + size)) for k in range(0, len(P), size)])
+    return list(zip(traj.t.tolist(), values.tolist()))
 
 
 def conserved_series(traj: Trajectory, scenario: Scenario) -> list[tuple[float, np.ndarray]]:
@@ -337,8 +324,10 @@ def conserved_series(traj: Trajectory, scenario: Scenario) -> list[tuple[float, 
         raise HypothesisViolated("conserved quantity is a leaderless construction")
     if not scenario.protocol.velocity.is_linear:
         raise HypothesisViolated("conservation needs linear velocity feedback")
-    return [(s.t, conserved_quantity(s, scenario.masses, scenario.protocol.gains))
-            for s in traj.samples]
+    b = _constant_gain_values(scenario.protocol.gains)
+    m = np.asarray(scenario.masses, dtype=float)
+    values = np.sum(b[:, None] * traj.p + m[:, None] * traj.q, axis=1)
+    return list(zip(traj.t.tolist(), values))
 
 
 def conservation_drift(traj: Trajectory, scenario: Scenario,
@@ -348,7 +337,6 @@ def conservation_drift(traj: Trajectory, scenario: Scenario,
     the run's :func:`conserved_series` when the caller already has it."""
     if series is None:
         series = conserved_series(traj, scenario)
-    initial = series[0][1]
-    scale = 1.0 + float(np.abs(initial).max())
-    worst = max(float(np.abs(value - initial).max()) for _, value in series)
-    return worst / scale
+    values = np.array([value for _, value in series])
+    scale = 1.0 + float(np.abs(values[0]).max())
+    return float(np.abs(values - values[0]).max()) / scale

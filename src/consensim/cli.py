@@ -79,37 +79,25 @@ def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path, series: Run
     the scenario admits one."""
     n, dims = scenario.n_agents, scenario.n_dims
 
-    def agent_cols(prefix: str) -> list[str]:
-        if dims == 1:
-            return [f"{prefix}_{i + 1}" for i in range(n)]
-        return [f"{prefix}_{i + 1}_{l + 1}" for i in range(n) for l in range(dims)]
+    def cols(prefix: str, who) -> list[str]:
+        return [f"{prefix}_{w}" + (f"_{l + 1}" if dims > 1 else "")
+                for w in who for l in range(dims)]
 
-    def leader_cols(prefix: str) -> list[str]:
-        if dims == 1:
-            return [f"{prefix}_L"]
-        return [f"{prefix}_L_{l + 1}" for l in range(dims)]
-
-    header = ["t"] + agent_cols("p") + agent_cols("q")
-    has_leader = scenario.mode is Mode.LEADER
-    if has_leader:
-        header += leader_cols("p") + leader_cols("q")
+    header = ["t"] + cols("p", range(1, n + 1)) + cols("q", range(1, n + 1))
+    samples = len(traj.t)
+    columns = [traj.t[:, None], traj.p.reshape(samples, -1), traj.q.reshape(samples, -1)]
+    if scenario.mode is Mode.LEADER:
+        header += cols("p", "L") + cols("q", "L")
+        columns += [traj.leader_p, traj.leader_q]
 
     energy, conserved = series.energy, series.conserved
     if energy is None:
         print(f"warning: energy column omitted: {series.energy_reason}", file=sys.stderr)
     else:
         header.append("V")
-    if conserved is not None:
-        header += [f"alpha_{l + 1}" for l in range(dims)]
-
-    samples = len(traj.samples)
-    columns = [traj.times()[:, None], traj.positions().reshape(samples, -1),
-               traj.velocities().reshape(samples, -1)]
-    if has_leader:
-        columns += [traj.leader_positions(), traj.leader_velocities()]
-    if energy is not None:
         columns.append(np.array([v for _, v in energy])[:, None])
     if conserved is not None:
+        header += [f"alpha_{l + 1}" for l in range(dims)]
         columns.append(np.array([v for _, v in conserved]))
     table = np.hstack(columns)
     # "%.17g" % v is format(v, ".17g") for every double: one format call per
@@ -129,8 +117,9 @@ def _jsonable(value):
 
 def build_report(traj: Trajectory, scenario: Scenario, scenario_path: str,
                  series: RunSeries) -> dict:
-    """Everything the run learned, JSON-shaped."""
-    validation = validate_scenario(scenario)
+    """Everything the run learned, JSON-shaped; the validation is the one
+    ``simulate`` ran and left on the trajectory."""
+    validation = traj.validation
     report_consensus = detect_consensus(traj, scenario.pos_tol, scenario.vel_tol, scenario)
 
     lyap: dict = {"available": False, "leader_weight": None, "reason": series.energy_reason}
@@ -276,28 +265,23 @@ def write_plots(traj: Trajectory, scenario: Scenario, out_dir: Path) -> list[Pat
     horizontal line. Reruns of one scenario write byte-identical files."""
     written: list[Path] = []
     try:
-        times = traj.times()
-        has_leader = scenario.mode is Mode.LEADER
         prediction = predict_consensus(scenario)
-        for attr, leader_attr, stem, ylabel in (
-                ("positions", "leader_positions", "positions", "position"),
-                ("velocities", "leader_velocities", "velocities", "velocity")):
-            data = getattr(traj, attr)()
+        for data, ldata, stem, ylabel in ((traj.p, traj.leader_p, "positions", "position"),
+                                          (traj.q, traj.leader_q, "velocities", "velocity")):
             lines = []
             for i in range(scenario.n_agents):
                 for l in range(scenario.n_dims):
                     suffix = f"_{l + 1}" if scenario.n_dims > 1 else ""
                     lines.append((f"agent {i + 1}{suffix}", data[:, i, l],
                                   _COLORS[len(lines) % len(_COLORS)], None, 1.2))
-            if has_leader:
-                ldata = getattr(traj, leader_attr)()
+            if ldata is not None:
                 lines += [("leader", ldata[:, l], "black", "6,3", 1.6)
                           for l in range(scenario.n_dims)]
             hlines = np.empty(0)
             if stem == "positions" and prediction.available:
                 hlines = np.atleast_1d(prediction.value)
             target = out_dir / f"{stem}.svg"
-            target.write_text(_svg_chart(times, lines, hlines, ylabel))
+            target.write_text(_svg_chart(traj.t, lines, hlines, ylabel))
             written.append(target)
     except Exception as exc:  # plotting must never fail the run
         print(f"warning: plotting failed: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -148,34 +149,67 @@ class ScenarioValidation:
         return not self.errors
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded samples of one run, first sample being the initial state,
-    evenly spaced by dt*record_every. ``scenario_fingerprint`` ties the data
-    back to the exact scenario content that produced it."""
+class _Samples(Sequence):
+    """Read-only view of a trajectory's samples: ``len`` builds nothing and
+    indexing builds the SystemState on demand."""
 
-    samples: tuple[SystemState, ...]
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.t)
+
+    def __getitem__(self, k: int) -> SystemState:
+        traj = self._traj
+        leader = None if traj.leader_p is None else LeaderState(traj.leader_p[k], traj.leader_q[k])
+        return SystemState(t=traj.t[k], p=traj.p[k], q=traj.q[k], leader=leader)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Recorded samples of one run as read-only arrays: times ``t`` (S,),
+    agent positions and velocities ``p``/``q`` (S, N, d), leader ``leader_p``/
+    ``leader_q`` (S, d) or None. ``scenario_fingerprint`` ties the data to the
+    scenario content; ``validation`` is the run's, None for a hand-built one."""
+
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    leader_p: np.ndarray | None
+    leader_q: np.ndarray | None
     scenario_fingerprint: str
+    validation: ScenarioValidation | None = None
+
+    @classmethod
+    def from_samples(cls, samples, scenario_fingerprint: str) -> Trajectory:
+        """Trajectory of a sequence of SystemStates, all with or all without a leader."""
+        t = np.array([s.t for s in samples])
+        buf = np.stack([_flatten(s) for s in samples])
+        t.flags.writeable = buf.flags.writeable = False
+        return cls(t, *_split(buf, samples[0].n_agents, samples[0].n_dims), scenario_fingerprint)
+
+    @property
+    def samples(self) -> Sequence[SystemState]:
+        return _Samples(self)
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return self.t
 
     def positions(self) -> np.ndarray:
-        """Stacked agent positions, shape (n_samples, n_agents, n_dims)."""
-        return np.stack([s.p for s in self.samples])
+        return self.p
 
     def velocities(self) -> np.ndarray:
-        return np.stack([s.q for s in self.samples])
+        return self.q
 
     def leader_positions(self) -> np.ndarray:
-        if self.samples[0].leader is None:
+        if self.leader_p is None:
             raise NoLeader("trajectory has no leader")
-        return np.stack([s.leader.p for s in self.samples])
+        return self.leader_p
 
     def leader_velocities(self) -> np.ndarray:
-        if self.samples[0].leader is None:
+        if self.leader_q is None:
             raise NoLeader("trajectory has no leader")
-        return np.stack([s.leader.q for s in self.samples])
+        return self.leader_q
 
 
 def validate_scenario(scenario: Scenario) -> ScenarioValidation:
@@ -256,6 +290,22 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     return ScenarioValidation(tuple(errors), tuple(warnings), assumptions)
 
 
+def _flatten(state: SystemState) -> np.ndarray:
+    """State vector [P.ravel(), Q.ravel()], the leader as the last row of P and Q."""
+    if state.leader is not None:
+        return np.concatenate([state.p.ravel(), state.leader.p, state.q.ravel(), state.leader.q])
+    return np.concatenate([state.p.ravel(), state.q.ravel()])
+
+
+def _split(y: np.ndarray, n: int, dims: int) -> tuple:
+    """Views (P, Q, leader P, leader Q) of state vectors y, one per row of a
+    (..., 2·M·d) array; the leader parts are None when there is no leader row."""
+    blocks = y.reshape(y.shape[:-1] + (2, -1, dims))
+    if blocks.shape[-2] == n:
+        return blocks[..., 0, :, :], blocks[..., 1, :, :], None, None
+    return blocks[..., 0, :n, :], blocks[..., 1, :n, :], blocks[..., 0, n, :], blocks[..., 1, n, :]
+
+
 def _omega(shape: VelocityShape) -> float:
     return 0.0 if shape.is_linear else shape.omega
 
@@ -313,20 +363,6 @@ class _Compiled:
             omega[n] = _omega(spec.leader_velocity)
         self.omega = omega if omega.any() else None
         self.cubic = not spec.coupling.is_linear
-
-    def flatten(self, state: SystemState) -> np.ndarray:
-        if self.has_leader:
-            return np.concatenate([state.p.ravel(), state.leader.p,
-                                   state.q.ravel(), state.leader.q])
-        return np.concatenate([state.p.ravel(), state.q.ravel()])
-
-    def unflatten(self, t: float, y: np.ndarray) -> SystemState:
-        # SystemState copies on construction, so the views taken here are safe.
-        n, b = self.n, self.block
-        p = y[:b].reshape(self.rows, self.dims)
-        q = y[b:].reshape(self.rows, self.dims)
-        leader = LeaderState(p[n], q[n]) if self.has_leader else None
-        return SystemState(t=t, p=p[:n], q=q[:n], leader=leader)
 
     def first_non_finite(self, y: np.ndarray) -> str:
         """Where the first non-finite entry of state vector y sits, with the
@@ -392,18 +428,12 @@ def rhs(state: SystemState, scenario: Scenario) -> StateDerivative:
     """Time derivative of the full state under the scenario's closed loop."""
     _check_state_matches(state, scenario)
     comp = _Compiled(scenario)
-    y = comp.flatten(state)
+    y = _flatten(state)
     if not np.isfinite(y).all():
         raise NonFiniteState(
             f"state contains non-finite entries, first at {comp.first_non_finite(y)}",
             last_good_time=None)
-    p_dot, q_dot = comp.rhs(state.t, y).reshape(2, comp.rows, comp.dims)
-    n = comp.n
-    leader_p_dot = leader_q_dot = None
-    if comp.has_leader:
-        leader_p_dot, leader_q_dot = p_dot[n], q_dot[n]
-    return StateDerivative(p_dot=p_dot[:n], q_dot=q_dot[:n],
-                           leader_p_dot=leader_p_dot, leader_q_dot=leader_q_dot)
+    return StateDerivative(*_split(comp.rhs(state.t, y), comp.n, comp.dims))
 
 
 def rk4_step(state: SystemState, scenario: Scenario) -> SystemState:
@@ -412,8 +442,10 @@ def rk4_step(state: SystemState, scenario: Scenario) -> SystemState:
     comp = _Compiled(scenario)
     dt = scenario.integrator.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        y = comp.rk4(state.t, comp.flatten(state), dt)
-    return comp.unflatten(state.t + dt, y)
+        y = comp.rk4(state.t, _flatten(state), dt)
+    p, q, leader_p, leader_q = _split(y, comp.n, comp.dims)
+    leader = None if leader_p is None else LeaderState(leader_p, leader_q)
+    return SystemState(t=state.t + dt, p=p, q=q, leader=leader)
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
@@ -453,7 +485,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     non-finite agent (1-based) and component.
 
     Returns a Trajectory whose first sample is the initial state and whose
-    samples are spaced dt*record_every apart, t_end inclusive.
+    samples are spaced dt*record_every apart, t_end inclusive, carrying the
+    scenario's validation.
     """
     validation = validate_scenario(scenario)
     if not validation.ok:
@@ -461,9 +494,10 @@ def simulate(scenario: Scenario) -> Trajectory:
 
     comp = _Compiled(scenario)
     iset = scenario.integrator
-    n_steps = round(iset.t_end / iset.dt)
-    y = comp.flatten(scenario.initial)
-    samples = [comp.unflatten(0.0, y)]
+    n_steps, every = round(iset.t_end / iset.dt), iset.record_every
+    y = _flatten(scenario.initial)
+    buf = np.empty((n_steps // every + 1, len(y)))
+    buf[0] = y
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             t_prev = (step - 1) * iset.dt
@@ -473,9 +507,12 @@ def simulate(scenario: Scenario) -> Trajectory:
                     f"state became non-finite between t={t_prev:.6g} and t={step * iset.dt:.6g}, "
                     f"first at {comp.first_non_finite(y)}",
                     last_good_time=t_prev)
-            if step % iset.record_every == 0:
-                samples.append(comp.unflatten(step * iset.dt, y))
-    return Trajectory(samples=tuple(samples), scenario_fingerprint=scenario_fingerprint(scenario))
+            if step % every == 0:
+                buf[step // every] = y
+    times = (np.arange(len(buf)) * every) * iset.dt
+    times.flags.writeable = buf.flags.writeable = False
+    return Trajectory(times, *_split(buf, comp.n, comp.dims), scenario_fingerprint(scenario),
+                      validation)
 
 
 def tracking_errors(state: SystemState) -> tuple[np.ndarray, np.ndarray]:

@@ -59,7 +59,7 @@ class VelocityShape:
 
     def evaluate(self, z):
         if self.is_linear:
-            return np.asarray(z, dtype=float) + 0.0
+            return np.array(z, dtype=float)
         z = np.asarray(z, dtype=float)
         return z + self.omega * np.sin(z)
 
@@ -86,9 +86,9 @@ class CouplingShape:
         return self.kind is CouplingKind.LINEAR
 
     def evaluate(self, z):
-        z = np.asarray(z, dtype=float)
         if self.kind is CouplingKind.LINEAR:
-            return z + 0.0
+            return np.array(z, dtype=float)
+        z = np.asarray(z, dtype=float)
         return z + z * z * z
 
     def antiderivative(self, x):

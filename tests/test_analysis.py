@@ -193,8 +193,7 @@ def test_energy_series_equals_per_state_energies(leader, coupling, dims):
     masses = (1.0,) * n if leader else tuple(rng.uniform(0.5, 2.0, n))
     scenario = Scenario(mode=Mode.LEADER if leader else Mode.LEADERLESS, masses=masses,
                         topology=topo, protocol=spec, initial=samples[0])
-    series = lyapunov_series(Trajectory(samples=samples, scenario_fingerprint="-"),
-                             scenario, leader_weight=25.0)
+    series = lyapunov_series(Trajectory.from_samples(samples, "-"), scenario, leader_weight=25.0)
     gain_lower = gain_envelope(gains + ((spec.leader_gain,) if leader else ()))[0]
     if leader:
         expected = [lyapunov_leader(s, topo, spec, 25.0, gain_lower, 1.0) for s in samples]
@@ -222,7 +221,7 @@ def test_energy_series_memory_is_bounded_on_dense_graph_with_many_samples():
     topo = build_topology(n, edges)
     scenario = Scenario(mode=Mode.LEADERLESS, masses=(1.0,) * n, topology=topo,
                         protocol=spec, initial=samples[0])
-    traj = Trajectory(samples=samples, scenario_fingerprint="-")
+    traj = Trajectory.from_samples(samples, "-")
     topo.edge_arrays
     tracemalloc.start()
     try:
@@ -264,7 +263,7 @@ def synthetic_trajectory(spread_speed_pairs, leader=None):
             q=[speed, -speed],
             leader=None if leader is None else LeaderState(np.array([leader]),
                                                            np.array([0.0]))))
-    return Trajectory(samples=tuple(samples), scenario_fingerprint="synthetic")
+    return Trajectory.from_samples(samples, "synthetic")
 
 
 def test_detect_consensus_trailing_run():
@@ -286,6 +285,55 @@ def test_detect_consensus_requires_staying_converged():
 
     recovered = synthetic_trajectory([(1e-5, 1e-5), (0.5, 0.5), (1e-5, 1e-5)])
     assert detect_consensus(recovered, 1e-3, 1e-3).t_consensus == 2.0
+
+
+def loop_verdict(traj, pos_tol, vel_tol):
+    """Plain per-sample reference of detect_consensus: (achieved,
+    t_consensus, final_spread, final_speed)."""
+    spreads, speeds = [], []
+    for s in traj.samples:
+        if s.leader is None:
+            spreads.append(float((s.p.max(axis=0) - s.p.min(axis=0)).max()))
+            speeds.append(float(np.abs(s.q).max()))
+        else:
+            spreads.append(float(np.abs(s.p - s.leader.p).max()))
+            speeds.append(float(np.abs(s.q - s.leader.q).max()))
+    start = len(spreads)
+    while start > 0 and spreads[start - 1] <= pos_tol and speeds[start - 1] <= vel_tol:
+        start -= 1
+    achieved = start < len(spreads)
+    return achieved, traj.samples[start].t if achieved else None, spreads[-1], speeds[-1]
+
+
+def ok_patterns(n):
+    return st.one_of(st.lists(st.booleans(), min_size=n, max_size=n),
+                     st.just([True] * n), st.just([False] * (n - 1) + [True]),
+                     st.just([True] * (n - 1) + [False]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flags=st.integers(1, 30).flatmap(ok_patterns), leader=st.booleans(), data=st.data())
+def test_detect_consensus_matches_per_sample_loop(flags, leader, data):
+    # Converged samples sit well inside the 1e-3 tolerances and the others
+    # well outside at least one of them, so the flags are the verdicts; with
+    # the leader at the center the measured spread is half the drawn one.
+    small = st.floats(0.0, 5e-4)
+    large = st.floats(4e-3, 10.0)
+    pairs = []
+    for ok in flags:
+        if ok:
+            pairs.append((data.draw(small), data.draw(small)))
+        else:
+            broken = data.draw(st.sampled_from(["spread", "speed", "both"]))
+            pairs.append((data.draw(large if broken != "speed" else small),
+                          data.draw(large if broken != "spread" else small)))
+    traj = synthetic_trajectory(pairs, leader=1.5 if leader else None)
+    report = detect_consensus(traj, 1e-3, 1e-3)
+    verdict = (report.achieved, report.t_consensus, report.final_spread, report.final_speed)
+    assert verdict == loop_verdict(traj, 1e-3, 1e-3)
+    start = len(flags) - next((k for k, ok in enumerate(reversed(flags)) if not ok), len(flags))
+    assert report.achieved == flags[-1]
+    assert report.t_consensus == (float(start) if flags[-1] else None)
 
 
 def test_detect_consensus_is_leader_relative():

@@ -169,14 +169,14 @@ def count_calls(monkeypatch, names):
 
 
 @pytest.mark.parametrize("scenario", ["pair", "fig3b"])
-def test_run_validates_twice_and_computes_each_series_once(tmp_path, monkeypatch, scenario):
+def test_run_validates_once_and_computes_each_series_once(tmp_path, monkeypatch, scenario):
     names = ("validate_scenario", "lyapunov_series", "conserved_series",
              "default_tracking_weight")
     ref = "fig3b" if scenario == "fig3b" else str(write_pair_scenario(tmp_path / "pair.json"))
     counts = count_calls(monkeypatch, names)
     assert main(["run", ref, "--out", str(tmp_path / "out"), "--no-plots",
                  "--t-end", "1.0"]) == 0
-    assert counts["validate_scenario"] == 2
+    assert counts["validate_scenario"] == 1
     assert counts["lyapunov_series"] == 1
     assert counts["conserved_series"] == 1
     assert counts["default_tracking_weight"] == (1 if scenario == "fig3b" else 0)
@@ -264,7 +264,7 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     samples = [consensim.dynamics.SystemState(
         t=0.25 * k, p=values((n, d)), q=values((n, d)),
         leader=consensim.dynamics.LeaderState(values(d), values(d))) for k in range(40)]
-    traj = consensim.dynamics.Trajectory(samples=tuple(samples), scenario_fingerprint="")
+    traj = consensim.dynamics.Trajectory.from_samples(samples, "")
     series = consensim.cli.RunSeries(
         leader_weight=None, energy=[(s.t, float(v)) for s, v in zip(samples, values(40))],
         energy_reason=None, conserved=[(s.t, values(d)) for s in samples], conserved_reason=None)

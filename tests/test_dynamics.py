@@ -16,7 +16,7 @@ from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderSta
                        leader_closed_form, leader_closed_form_for, leader_control,
                        leaderless_control, parse_scenario, rhs, rk4_step,
                        scenario_fingerprint, simulate, tracking_errors, validate_scenario)
-from consensim.dynamics import _Compiled
+from consensim.dynamics import _Compiled, _flatten
 from consensim.errors import HypothesisViolated
 
 
@@ -167,17 +167,11 @@ def test_blow_up_names_first_non_finite_agent_and_component(leader):
     assert str(excinfo.value).endswith(f"first at {expected}")
 
 
-def damping(shape, z):
-    """The velocity shape at z, keeping the sign of a zero: a linear shape's
-    ``evaluate`` returns z + 0.0, which turns -0.0 into +0.0."""
-    return z if shape.is_linear else shape.evaluate(z)
-
-
 def reference_rhs(state, scenario):
     """Plain per-edge reference of the closed loop, built from the topology's
     edge and leader-link lists: (q_dot, leader_q_dot or None)."""
     topo, spec, t = scenario.topology, scenario.protocol, state.t
-    force = np.array([-spec.gains[i].evaluate(t) * damping(spec.velocity, state.q[i])
+    force = np.array([-spec.gains[i].evaluate(t) * spec.velocity.evaluate(state.q[i])
                       for i in range(scenario.n_agents)])
     for i, j, w in topo.edges:
         pull = w * spec.coupling.evaluate(state.p[j] - state.p[i])
@@ -188,7 +182,7 @@ def reference_rhs(state, scenario):
         for i, w in topo.leader_links:
             force[i] += w * spec.coupling.evaluate(state.leader.p - state.p[i])
         leader_q_dot = (-spec.leader_gain.evaluate(t)
-                        * damping(spec.leader_velocity, state.leader.q))
+                        * spec.leader_velocity.evaluate(state.leader.q))
     return force / np.array(scenario.masses)[:, None], leader_q_dot
 
 
@@ -281,7 +275,7 @@ def test_compiled_kernel_memory_is_linear_in_edges():
     tracemalloc.start()
     try:
         comp = _Compiled(scenario)
-        comp.rk4(0.0, comp.flatten(scenario.initial), scenario.integrator.dt)
+        comp.rk4(0.0, _flatten(scenario.initial), scenario.integrator.dt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -328,6 +322,34 @@ def test_simulate_sample_grid_and_initial_sample():
     assert np.array_equal(traj.times(), expected)
     np.testing.assert_array_equal(traj.samples[0].p, scenario.initial.p)
     assert traj.samples[-1].t == 2.0
+
+
+@pytest.mark.parametrize("leader", [False, True], ids=["leaderless", "leader"])
+def test_trajectory_is_frozen_and_builds_samples_on_demand(leader):
+    scenario = leader_scenario(n=3) if leader else leaderless_scenario(n=3)
+    traj = simulate(scenario)
+    count = round(1.0 / 1e-2) // 10 + 1
+    assert len(traj.samples) == count == len(traj.t)
+    arrays = [traj.t, traj.p, traj.q] + ([traj.leader_p, traj.leader_q] if leader else [])
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    for k in (0, count // 2, count - 1, -1):
+        state = traj.samples[k]
+        assert state.t == traj.t[k]
+        np.testing.assert_array_equal(state.p, traj.p[k])
+        np.testing.assert_array_equal(state.q, traj.q[k])
+        if leader:
+            np.testing.assert_array_equal(state.leader.p, traj.leader_p[k])
+            np.testing.assert_array_equal(state.leader.q, traj.leader_q[k])
+        else:
+            assert state.leader is None
+    if not leader:
+        assert traj.leader_p is None and traj.leader_q is None
+        with pytest.raises(NoLeader):
+            traj.leader_positions()
+    np.testing.assert_array_equal(traj.samples[0].p, scenario.initial.p)
+    assert traj.validation == validate_scenario(scenario)
 
 
 def test_single_step_agrees_with_simulate():

@@ -48,6 +48,16 @@ def test_velocity_shape_rejects_bad_parameters():
         VelocityShape(kind="cubic")
 
 
+@pytest.mark.parametrize("z", [0.0, -0.0], ids=["plus_zero", "minus_zero"])
+@pytest.mark.parametrize("shape", [VelocityShape(), CouplingShape()], ids=["velocity", "coupling"])
+def test_linear_shapes_keep_the_sign_of_zero(shape, z):
+    values = np.array([z, 1.5])
+    out = shape.evaluate(values)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(values))
+    assert not np.shares_memory(out, values)
+    assert np.signbit(shape.evaluate(z)) == np.signbit(z)
+
+
 def test_coupling_shapes_evaluate():
     lin = CouplingShape(kind="linear")
     cubic = CouplingShape(kind="linear_plus_cubic")
