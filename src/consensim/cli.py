@@ -166,7 +166,8 @@ def build_report(traj: Trajectory, scenario: Scenario, scenario_path: str,
             "warnings": list(validation.warnings),
             "assumptions": {
                 "all_passed": assumptions.all_passed,
-                "checks": [dataclasses.asdict(c) for c in assumptions.checks],
+                "checks": [{"name": c.name, "passed": c.passed, "blocking": c.blocking,
+                            "detail": c.detail} for c in assumptions.checks],
                 "sector": [float(v) for v in assumptions.sector],
                 "gain_bounds": [float(v) for v in assumptions.gain_bounds],
             },

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import HypothesisViolated, NoLeader, NonFiniteState, ValidationFailed
 from .graph import Topology, is_connected, leader_reaches_all
-from .protocols import AssumptionReport, ProtocolSpec, VelocityShape, validate_assumptions
+from .protocols import (AssumptionReport, GainProfile, ProtocolSpec, VelocityShape,
+                        validate_assumptions)
 
 
 class Mode(str, Enum):
@@ -454,25 +455,69 @@ def scenario_fingerprint(scenario: Scenario) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _sequence(items) -> list:
+    # A list of plain floats or plain JSON scalars is encoded in one pass.
+    types = set(map(type, items))
+    if types == {float}:
+        return list(map(float.__repr__, items))
+    if types <= _AS_IS:
+        return list(items)
+    return [_canonical(v) for v in items]
+
+
+def _array(arr: np.ndarray):
+    # A float array's reprs, nested the way tolist() nests its values.
+    if arr.dtype != np.float64:
+        return _canonical(arr.tolist())
+    reprs = list(map(float.__repr__, arr.ravel().tolist()))
+    return np.array(reprs, dtype=object).reshape(arr.shape).tolist()
+
+
+def _rows(rows) -> list:
+    # A table of tuples, encoded one column at a time.
+    return list(map(list, zip(*map(_sequence, zip(*rows)))))
+
+
+def _fields(obj) -> dict:
+    return {k: _canonical(getattr(obj, k)) for k in obj.__dataclass_fields__}
+
+
+# Encoders by exact type. The Topology and GainProfile builders rely on what
+# their constructors guarantee: normalized edge tuples and float parameters.
+_AS_IS = {type(None), bool, int, str}
+_ENCODERS = {
+    **dict.fromkeys(_AS_IS, lambda obj: obj),
+    float: repr,
+    tuple: _sequence,
+    list: _sequence,
+    np.ndarray: _array,
+    Enum: lambda member: member.value,
+    LeaderState: lambda s: {"p": _canonical(s.p), "q": _canonical(s.q)},
+    Topology: lambda topo: {"n_agents": _canonical(topo.n_agents), "edges": _rows(topo.edges),
+                            "leader_links": _rows(topo.leader_links)},
+    GainProfile: lambda g: {"kind": g.kind.value, "b0": float.__repr__(g.b0),
+                            "amplitude": float.__repr__(g.amplitude)},
+}
+
+
+def _encoder_for(cls: type):
+    # A type with no encoder of its own: an enum goes by its value even when
+    # it also subclasses str, a dataclass by its fields, anything else by its
+    # nearest base that has an encoder.
+    if issubclass(cls, Enum):
+        return _ENCODERS[Enum]
+    if is_dataclass(cls):
+        return _fields
+    for base in cls.__mro__:
+        if base in _ENCODERS:
+            return _ENCODERS[base]
+    raise TypeError(f"cannot fingerprint {cls!r}")
+
+
 def _canonical(obj):
-    if isinstance(obj, Topology):
-        return {"n_agents": obj.n_agents, "edges": _canonical(obj.edges),
-                "leader_links": _canonical(obj.leader_links)}
-    if isinstance(obj, LeaderState):
-        return {"p": _canonical(obj.p), "q": _canonical(obj.q)}
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, np.ndarray):
-        return _canonical(obj.tolist())
-    if isinstance(obj, (tuple, list)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, float):
-        return repr(obj)
-    if obj is None or isinstance(obj, (int, str, bool)):
-        return obj
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _canonical(getattr(obj, k)) for k in obj.__dataclass_fields__}
-    raise TypeError(f"cannot fingerprint {type(obj)!r}")
+    """JSON-ready form of a scenario part: floats as their repr, enums as
+    their value, arrays as nested lists, dataclasses as dicts of fields."""
+    return (_ENCODERS.get(type(obj)) or _encoder_for(type(obj)))(obj)
 
 
 def simulate(scenario: Scenario) -> Trajectory:

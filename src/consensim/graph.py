@@ -7,6 +7,7 @@ indices, converted at that boundary.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +39,17 @@ class Topology:
             nbrs[i].append((j, w))
             nbrs[j].append((i, w))
         return tuple(tuple(entry) for entry in nbrs)
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the agent graph is connected; see :func:`is_connected`."""
+        return _reaches_all(self, (0,))
+
+    @cached_property
+    def leader_reaches_all(self) -> bool:
+        """Whether every agent has a path to a leader-linked agent; see
+        :func:`leader_reaches_all`."""
+        return _reaches_all(self, (i for i, _ in self.leader_links))
 
     def neighbors(self, i: int) -> tuple[tuple[int, float], ...]:
         return self.neighbor_map[i]
@@ -93,7 +105,7 @@ def build_topology(
         if i == j:
             raise SelfLoop(f"edge ({i}, {j}) connects agent {i} to itself")
         w = float(w)
-        if not np.isfinite(w) or w <= 0.0:
+        if not math.isfinite(w) or w <= 0.0:
             raise NonPositiveWeight(f"edge ({i}, {j}) has weight {w}, must be finite and > 0")
         a, b = (i - 1, j - 1) if i < j else (j - 1, i - 1)
         if (a, b) in seen:
@@ -107,7 +119,7 @@ def build_topology(
         i, w = entry
         _check_index(i, n_agents, "leader link target")
         w = float(w)
-        if not np.isfinite(w) or w <= 0.0:
+        if not math.isfinite(w) or w <= 0.0:
             raise NonPositiveWeight(f"leader link to agent {i} has weight {w}, must be finite and > 0")
         if i - 1 in seen_leader:
             raise DuplicateEdge(f"leader link to agent {i} listed more than once")
@@ -146,25 +158,10 @@ def laplacian(topo: Topology) -> np.ndarray:
 def is_connected(topo: Topology) -> bool:
     """Whether the agent graph (ignoring the leader) is connected.
 
-    Breadth-first search from agent 0; a single agent with no edges counts
-    as connected.
+    Breadth-first search from agent 0, run once per topology; a single
+    agent with no edges counts as connected.
     """
-    n = topo.n_agents
-    if n == 1:
-        return True
-    nbrs = topo.neighbor_map
-    seen = [False] * n
-    seen[0] = True
-    frontier = deque([0])
-    count = 1
-    while frontier:
-        i = frontier.popleft()
-        for j, _ in nbrs[i]:
-            if not seen[j]:
-                seen[j] = True
-                count += 1
-                frontier.append(j)
-    return count == n
+    return topo.connected
 
 
 def leader_reaches_all(topo: Topology) -> bool:
@@ -172,13 +169,16 @@ def leader_reaches_all(topo: Topology) -> bool:
     leader-linked agent. False when there are no leader links. Independent
     of :func:`is_connected`: the leader may reach all agents of a graph
     that is disconnected without it, and a connected graph with no leader
-    links reaches nobody."""
-    if not topo.leader_links:
-        return False
+    links reaches nobody. Searched once per topology."""
+    return topo.leader_reaches_all
+
+
+def _reaches_all(topo: Topology, sources) -> bool:
+    """Whether a breadth-first search from ``sources`` reaches every agent."""
     nbrs = topo.neighbor_map
     seen = [False] * topo.n_agents
     frontier = deque()
-    for i, _ in topo.leader_links:
+    for i in sources:
         if not seen[i]:
             seen[i] = True
             frontier.append(i)

@@ -48,50 +48,60 @@ from .errors import ParseError, TopologyError, ValidationFailed
 from .graph import Topology, build_topology
 from .protocols import CouplingShape, GainProfile, ProtocolSpec, VelocityShape
 
-_VELOCITY_KEYS = {"linear": set(), "sine_perturbed": {"omega"}}
-_GAIN_KEYS = {"constant": {"b0"}, "cosine": {"b0", "amplitude"}}
+_VELOCITY_KEYS = {"linear": {"kind"}, "sine_perturbed": {"kind", "omega"}}
+_GAIN_KEYS = {"constant": {"kind", "b0"}, "cosine": {"kind", "b0", "amplitude"}}
 
 
-def _require_mapping(obj, path: str) -> dict:
+def _at(where) -> str:
+    # Error paths are formatted only when an error is raised. ``where`` is a
+    # path string, or a (parent, key) pair below one: ``[key]`` for an int
+    # key, ``.key`` for a str one.
+    if isinstance(where, str):
+        return where
+    parent, key = where
+    return _at(parent) + (f"[{key}]" if isinstance(key, int) else f".{key}")
+
+
+def _require_mapping(obj, where) -> dict:
     if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected an object, got {type(obj).__name__}")
+        raise ParseError(f"{_at(where)}: expected an object, got {type(obj).__name__}")
     return obj
 
 
-def _reject_unknown(obj: dict, allowed, path: str) -> None:
-    unknown = set(obj) - set(allowed)
+def _reject_unknown(obj: dict, allowed: set, where) -> None:
+    unknown = set(obj) - allowed
     if unknown:
-        raise ParseError(f"{path}: unknown key(s) {sorted(unknown)}")
+        raise ParseError(f"{_at(where)}: unknown key(s) {sorted(unknown)}")
 
 
-def _get(obj: dict, key: str, path: str):
+def _get(obj: dict, key: str, where):
     if key not in obj:
-        raise ParseError(f"{path}: missing required key '{key}'")
+        raise ParseError(f"{_at(where)}: missing required key '{key}'")
     return obj[key]
 
 
-def _number(value, path: str) -> float:
+def _number(value, where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{path}: expected a number, got {value!r}")
+        raise ParseError(f"{_at(where)}: expected a number, got {value!r}")
     return float(value)
 
 
-def _integer(value, path: str) -> int:
+def _integer(value, where) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{path}: expected an integer, got {value!r}")
+        raise ParseError(f"{_at(where)}: expected an integer, got {value!r}")
     return value
 
 
-def _coordinate(value, n_dims: int, path: str) -> list[float]:
+def _coordinate(value, n_dims: int, where) -> list[float]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if n_dims != 1:
-            raise ParseError(f"{path}: scalar coordinate but n_dims={n_dims}")
+            raise ParseError(f"{_at(where)}: scalar coordinate but n_dims={n_dims}")
         return [float(value)]
     if isinstance(value, list):
         if len(value) != n_dims:
-            raise ParseError(f"{path}: expected {n_dims} components, got {len(value)}")
-        return [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
-    raise ParseError(f"{path}: expected a number or a list of numbers")
+            raise ParseError(f"{_at(where)}: expected {n_dims} components, got {len(value)}")
+        return [_number(v, (where, k)) for k, v in enumerate(value)]
+    raise ParseError(f"{_at(where)}: expected a number or a list of numbers")
 
 
 def _parse_velocity(obj, path: str) -> VelocityShape:
@@ -99,10 +109,10 @@ def _parse_velocity(obj, path: str) -> VelocityShape:
     kind = _get(obj, "kind", path)
     if kind not in _VELOCITY_KEYS:
         raise ParseError(f"{path}.kind: unknown velocity kind {kind!r}")
-    _reject_unknown(obj, {"kind"} | _VELOCITY_KEYS[kind], path)
+    _reject_unknown(obj, _VELOCITY_KEYS[kind], path)
     if kind == "linear":
         return VelocityShape("linear")
-    return VelocityShape("sine_perturbed", _number(_get(obj, "omega", path), f"{path}.omega"))
+    return VelocityShape("sine_perturbed", _number(_get(obj, "omega", path), (path, "omega")))
 
 
 def _parse_coupling(obj, path: str) -> CouplingShape:
@@ -114,16 +124,17 @@ def _parse_coupling(obj, path: str) -> CouplingShape:
     return CouplingShape(kind)
 
 
-def _parse_gain(obj, path: str) -> GainProfile:
-    obj = _require_mapping(obj, path)
-    kind = _get(obj, "kind", path)
+def _parse_gain(obj, where) -> GainProfile:
+    obj = _require_mapping(obj, where)
+    kind = _get(obj, "kind", where)
     if kind not in _GAIN_KEYS:
-        raise ParseError(f"{path}.kind: unknown gain kind {kind!r}")
-    _reject_unknown(obj, {"kind"} | _GAIN_KEYS[kind], path)
-    b0 = _number(_get(obj, "b0", path), f"{path}.b0")
+        raise ParseError(f"{_at(where)}.kind: unknown gain kind {kind!r}")
+    _reject_unknown(obj, _GAIN_KEYS[kind], where)
+    b0 = _number(_get(obj, "b0", where), (where, "b0"))
     if kind == "constant":
         return GainProfile("constant", b0)
-    return GainProfile("cosine", b0, _number(_get(obj, "amplitude", path), f"{path}.amplitude"))
+    return GainProfile("cosine", b0,
+                       _number(_get(obj, "amplitude", where), (where, "amplitude")))
 
 
 def _parse_topology(obj, path: str) -> tuple[list, list]:
@@ -134,17 +145,18 @@ def _parse_topology(obj, path: str) -> tuple[list, list]:
         raise ParseError(f"{path}.edges: expected a list")
     edges = []
     for k, entry in enumerate(edges_raw):
-        epath = f"{path}.edges[{k}]"
         if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(f"{epath}: expected [i, j, weight]")
-        edges.append((_integer(entry[0], f"{epath}[0]"), _integer(entry[1], f"{epath}[1]"),
-                      _number(entry[2], f"{epath}[2]")))
+            raise ParseError(f"{path}.edges[{k}]: expected [i, j, weight]")
+        i, j, w = entry
+        where = ((path, "edges"), k)
+        edges.append((_integer(i, (where, 0)), _integer(j, (where, 1)), _number(w, (where, 2))))
     links = []
     for k, entry in enumerate(obj.get("leader_links", [])):
-        lpath = f"{path}.leader_links[{k}]"
         if not isinstance(entry, list) or len(entry) != 2:
-            raise ParseError(f"{lpath}: expected [i, weight]")
-        links.append((_integer(entry[0], f"{lpath}[0]"), _number(entry[1], f"{lpath}[1]")))
+            raise ParseError(f"{path}.leader_links[{k}]: expected [i, weight]")
+        i, w = entry
+        where = ((path, "leader_links"), k)
+        links.append((_integer(i, (where, 0)), _number(w, (where, 1))))
     return edges, links
 
 
@@ -178,7 +190,7 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
     masses_raw = _get(data, "masses", "scenario")
     if not isinstance(masses_raw, list) or len(masses_raw) != n_agents:
         raise ParseError(f"scenario.masses: expected a list of {n_agents} numbers")
-    masses = tuple(_number(m, f"scenario.masses[{k}]") for k, m in enumerate(masses_raw))
+    masses = tuple(_number(m, ("scenario.masses", k)) for k, m in enumerate(masses_raw))
 
     edges, links = _parse_topology(_get(data, "topology", "scenario"), "scenario.topology")
 
@@ -196,7 +208,7 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
         block = _get(init_raw, key, "scenario.initial")
         if not isinstance(block, list) or len(block) != n_agents:
             raise ParseError(f"scenario.initial.{key}: expected a list of {n_agents} coordinates")
-        return np.array([_coordinate(v, n_dims, f"scenario.initial.{key}[{k}]")
+        return np.array([_coordinate(v, n_dims, (("scenario.initial", key), k))
                          for k, v in enumerate(block)])
 
     positions = agent_block("p")
@@ -233,7 +245,7 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
                                      "scenario.protocol.velocity"),
             coupling=_parse_coupling(_get(proto_raw, "coupling", "scenario.protocol"),
                                      "scenario.protocol.coupling"),
-            gains=tuple(_parse_gain(g, f"scenario.protocol.gains[{k}]")
+            gains=tuple(_parse_gain(g, ("scenario.protocol.gains", k))
                         for k, g in enumerate(gains_raw)),
             leader_velocity=_parse_velocity(proto_raw["leader_velocity"],
                                             "scenario.protocol.leader_velocity")

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, output files, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import pytest
 import consensim.analysis
 import consensim.cli
 import consensim.dynamics
+import consensim.graph
 import consensim.scenario_io
-from consensim import bundled_scenario_path, parse_scenario, scenario_fingerprint
+from consensim import (bundled_scenario_path, parse_scenario, scenario_fingerprint,
+                       validate_scenario)
 from consensim.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -122,6 +125,24 @@ def test_trajectory_outputs_are_byte_identical(tmp_path):
     assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
 
 
+@pytest.mark.parametrize("scenario", ["fig3b", "strong_sine"])
+def test_report_checks_are_the_assumption_checks_as_dicts(tmp_path, scenario):
+    # omega = 5 pushes the velocity sector below zero: the sector and sign
+    # checks fail, and they are advisory, so the run goes on.
+    ref = "fig3b" if scenario == "fig3b" else str(write_pair_scenario(
+        tmp_path / "sine.json", t_end=1.0, velocity={"kind": "sine_perturbed", "omega": 5.0}))
+    out = tmp_path / "out"
+    assert main(["run", ref, "--out", str(out), "--no-plots", "--t-end", "1.0"]) == 0
+    checks = validate_scenario(parse_scenario(consensim.cli.resolve_scenario_path(ref),
+                                              validate=False)).assumptions.checks
+    report = json.loads((out / "report.json").read_text())
+    assert report["validation"]["assumptions"]["checks"] == [
+        dataclasses.asdict(c) for c in checks]
+    failed_advisory = [c.name for c in checks if not c.passed and not c.blocking]
+    assert failed_advisory == ([] if scenario == "fig3b"
+                               else ["velocity_sign", "velocity_sector_positive"])
+
+
 def test_dt_and_t_end_overrides_change_the_grid(tmp_path):
     scenario = write_pair_scenario(tmp_path / "pair.json")
     out = tmp_path / "out"
@@ -180,6 +201,19 @@ def test_run_validates_once_and_computes_each_series_once(tmp_path, monkeypatch,
     assert counts["lyapunov_series"] == 1
     assert counts["conserved_series"] == 1
     assert counts["default_tracking_weight"] == (1 if scenario == "fig3b" else 0)
+
+
+@pytest.mark.parametrize("scenario", ["pair", "fig3b"])
+def test_run_with_plots_searches_the_graph_once(tmp_path, monkeypatch, scenario):
+    # Validation, the report's prediction and the plots' prediction all ask
+    # the same reachability question of the same topology.
+    searches = []
+    search = consensim.graph._reaches_all
+    monkeypatch.setattr(consensim.graph, "_reaches_all",
+                        lambda topo, sources: searches.append(topo) or search(topo, sources))
+    ref = "fig3b" if scenario == "fig3b" else str(write_pair_scenario(tmp_path / "pair.json"))
+    assert main(["run", ref, "--out", str(tmp_path / "out"), "--t-end", "1.0"]) == 0
+    assert len(searches) == 1
 
 
 def test_plots_are_written(tmp_path):

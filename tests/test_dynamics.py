@@ -416,6 +416,49 @@ def test_fingerprint_is_stable_and_content_sensitive():
     assert scenario_fingerprint(moved) != scenario_fingerprint(base)
 
 
+def leader_scenario_3d():
+    """Four agents in 3-D tracking a leader, cosine gains everywhere."""
+    n = 4
+    return Scenario(
+        mode=Mode.LEADER,
+        masses=(1.0,) * n,
+        topology=build_topology(n, [(1, 2, 0.7), (2, 3, 1.3), (3, 4, 0.9), (1, 4, 1.1)],
+                                leader_links=[(1, 0.8), (3, 1.2)]),
+        protocol=ProtocolSpec(
+            velocity=VelocityShape(kind="sine_perturbed", omega=0.4),
+            coupling=CouplingShape(kind="linear_plus_cubic"),
+            gains=tuple(GainProfile(kind="cosine", b0=1.0 + 0.1 * i, amplitude=0.1 + 0.05 * i)
+                        for i in range(n)),
+            leader_velocity=VelocityShape(),
+            leader_gain=GainProfile(kind="cosine", b0=0.9, amplitude=0.2),
+        ),
+        initial=SystemState(
+            t=0.0,
+            p=[[0.1 * (3 * i + l) - 0.5 for l in range(3)] for i in range(n)],
+            q=[[0.05 * (i - l) for l in range(3)] for i in range(n)],
+            leader=LeaderState(np.array([0.5, -0.25, 1.0 / 3.0]), np.array([0.1, -0.0, -0.2]))),
+        integrator=IntegratorSettings(dt=1e-2, t_end=1.0, record_every=10),
+    )
+
+
+# A report's fingerprint ties it to the scenario content, so these digests
+# must not move when the canonical form is reimplemented or the parser changes.
+GOLDEN_FINGERPRINTS = {
+    "fig2a": "3e188f8774ce3ffd02bdedb8865f58109c6eeb04ab8988e921320046d51d83b9",
+    "fig2b": "a303c8120e73a391ce9a2db459452d5261a7d16c4d6d42d0d6ec3dda7f7ab3d2",
+    "fig3a": "0031b3dde93a6090aa3b2b03282ced8ccc26a6dca2c641cb4245f647e127f8de",
+    "fig3b": "3a53f4bf71b7f9078c2b8cdcd9744d4cee0b52aaf63515d853355cc8dc2f4db2",
+    "leader_3d": "7877193ef66534c6217e241a9c34c86c8dd850a151ddc499611d44edec4cce1a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FINGERPRINTS))
+def test_fingerprint_matches_golden_digest(name):
+    scenario = (leader_scenario_3d() if name == "leader_3d"
+                else parse_scenario(bundled_scenario_path(name)))
+    assert scenario_fingerprint(scenario) == GOLDEN_FINGERPRINTS[name]
+
+
 def broken_variants():
     base = leaderless_scenario(n=3)
     on_leader = leader_scenario(n=2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import consensim.graph
 from consensim import (DuplicateEdge, IndexOutOfRange, NonPositiveWeight, SelfLoop,
                        TopologyError, build_topology, is_connected, laplacian,
                        leader_reaches_all)
@@ -188,3 +189,16 @@ def test_reachability_matches_oracle_randomized(topo):
     linked = [i for i, _ in topo.leader_links]
     assert is_connected(topo) == oracle_connected(topo.n_agents, pairs)
     assert leader_reaches_all(topo) == oracle_leader_reaches(topo.n_agents, pairs, linked)
+
+
+def test_each_reachability_question_is_searched_once_per_topology(monkeypatch):
+    searches = []
+    search = consensim.graph._reaches_all
+    monkeypatch.setattr(consensim.graph, "_reaches_all",
+                        lambda topo, sources: searches.append(topo) or search(topo, sources))
+    topo = build_topology(3, [(1, 2, 1.0), (2, 3, 1.0)], leader_links=[(2, 1.0)])
+    for _ in range(3):
+        assert is_connected(topo) and leader_reaches_all(topo)
+    assert searches == [topo, topo]
+    assert is_connected(build_topology(3, [(1, 2, 1.0), (2, 3, 1.0)]))
+    assert len(searches) == 3

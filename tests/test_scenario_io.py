@@ -246,3 +246,81 @@ def test_unreadable_and_malformed_files(tmp_path):
     garbled.write_text("{not json")
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_scenario(garbled)
+
+
+def leader_dict(n_dims=1):
+    def coordinate(v):
+        return v if n_dims == 1 else [v] * n_dims
+    return {
+        "mode": "leader",
+        "n_agents": 4,
+        "n_dims": n_dims,
+        "masses": [1.0] * 4,
+        "topology": {"edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0]],
+                     "leader_links": [[1, 1.0], [3, 0.5]]},
+        "protocol": {
+            "velocity": {"kind": "linear"},
+            "coupling": {"kind": "linear"},
+            "gains": [{"kind": "cosine", "b0": 1.0, "amplitude": 0.1} for _ in range(4)],
+            "leader_velocity": {"kind": "linear"},
+            "leader_gain": {"kind": "constant", "b0": 1.0},
+        },
+        "initial": {"p": [coordinate(0.1 * k) for k in range(4)],
+                    "q": [coordinate(0.0)] * 4,
+                    "leader": {"p": coordinate(1.0), "q": coordinate(0.0)}},
+    }
+
+
+# One bad element at a nonzero index in each list the parser walks element by
+# element, with the full message it must produce.
+BAD_ELEMENTS = [
+    (1, ("masses", 3), "x", "scenario.masses[3]: expected a number, got 'x'"),
+    (1, ("topology", "edges", 2), [1, 2],
+     "scenario.topology.edges[2]: expected [i, j, weight]"),
+    (1, ("topology", "edges", 2, 0), 2.5,
+     "scenario.topology.edges[2][0]: expected an integer, got 2.5"),
+    (1, ("topology", "edges", 2, 1), "4",
+     "scenario.topology.edges[2][1]: expected an integer, got '4'"),
+    (1, ("topology", "edges", 2, 2), None,
+     "scenario.topology.edges[2][2]: expected a number, got None"),
+    (1, ("topology", "leader_links", 1), 3,
+     "scenario.topology.leader_links[1]: expected [i, weight]"),
+    (1, ("topology", "leader_links", 1, 0), True,
+     "scenario.topology.leader_links[1][0]: expected an integer, got True"),
+    (1, ("topology", "leader_links", 1, 1), "half",
+     "scenario.topology.leader_links[1][1]: expected a number, got 'half'"),
+    (1, ("protocol", "gains", 2), [],
+     "scenario.protocol.gains[2]: expected an object, got list"),
+    (1, ("protocol", "gains", 2, "kind"), "wavy",
+     "scenario.protocol.gains[2].kind: unknown gain kind 'wavy'"),
+    (1, ("protocol", "gains", 2, "b0"), "big",
+     "scenario.protocol.gains[2].b0: expected a number, got 'big'"),
+    (1, ("protocol", "gains", 2, "amplitude"), [0.1],
+     "scenario.protocol.gains[2].amplitude: expected a number, got [0.1]"),
+    (1, ("protocol", "gains", 2, "phase"), 0.0,
+     "scenario.protocol.gains[2]: unknown key(s) ['phase']"),
+    (1, ("initial", "p", 2), "x",
+     "scenario.initial.p[2]: expected a number or a list of numbers"),
+    (1, ("initial", "q", 3), [0.0, 0.0],
+     "scenario.initial.q[3]: expected 1 components, got 2"),
+    (2, ("initial", "p", 1, 1), "x",
+     "scenario.initial.p[1][1]: expected a number, got 'x'"),
+    (2, ("initial", "q", 3), 0.5,
+     "scenario.initial.q[3]: scalar coordinate but n_dims=2"),
+    (2, ("initial", "leader", "q", 1), False,
+     "scenario.initial.leader.q[1]: expected a number, got False"),
+]
+
+
+@pytest.mark.parametrize("n_dims,where,value,message", BAD_ELEMENTS,
+                         ids=[".".join(map(str, case[1])) for case in BAD_ELEMENTS])
+def test_bad_element_message_names_its_path(n_dims, where, value, message):
+    data = leader_dict(n_dims)
+    assert parse_scenario_dict(leader_dict(n_dims)).n_agents == 4
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(ParseError) as info:
+        parse_scenario_dict(data)
+    assert str(info.value) == message
