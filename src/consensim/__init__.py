@@ -20,8 +20,8 @@ from .graph import (Topology, build_topology, is_connected, laplacian,
                     leader_reaches_all)
 from .protocols import (AssumptionCheck, AssumptionReport, CouplingKind,
                         CouplingShape, GainKind, GainProfile, ProtocolSpec,
-                        VelocityKind, VelocityShape, gain_envelope, leader_control,
-                        leaderless_control, sector_constants, validate_assumptions)
+                        VelocityKind, VelocityShape, gain_envelope, sector_constants,
+                        validate_assumptions)
 from .scenario_io import (bundled_scenario_path, list_bundled, parse_scenario,
                           parse_scenario_dict, scenario_to_dict, write_scenario)
 
@@ -38,10 +38,9 @@ __all__ = [
     "build_topology", "bundled_scenario_path", "conservation_drift",
     "conserved_quantity", "conserved_series", "default_tracking_weight",
     "detect_consensus", "gain_envelope", "is_connected", "laplacian",
-    "leader_closed_form", "leader_closed_form_for", "leader_control",
-    "leader_reaches_all", "leaderless_control", "list_bundled", "lyapunov_leader",
-    "lyapunov_leaderless", "lyapunov_series", "parse_scenario",
-    "parse_scenario_dict", "predict_consensus", "predicted_consensus_leader",
+    "leader_closed_form", "leader_closed_form_for", "leader_reaches_all",
+    "list_bundled", "lyapunov_leader", "lyapunov_leaderless", "lyapunov_series",
+    "parse_scenario", "parse_scenario_dict", "predict_consensus", "predicted_consensus_leader",
     "predicted_consensus_leaderless", "rhs", "rk4_step", "scenario_fingerprint",
     "scenario_to_dict", "sector_constants", "simulate", "tracking_errors",
     "tracking_gain_lower_bound", "validate_assumptions", "validate_scenario",

@@ -193,25 +193,6 @@ class Trajectory:
     def samples(self) -> Sequence[SystemState]:
         return _Samples(self)
 
-    def times(self) -> np.ndarray:
-        return self.t
-
-    def positions(self) -> np.ndarray:
-        return self.p
-
-    def velocities(self) -> np.ndarray:
-        return self.q
-
-    def leader_positions(self) -> np.ndarray:
-        if self.leader_p is None:
-            raise NoLeader("trajectory has no leader")
-        return self.leader_p
-
-    def leader_velocities(self) -> np.ndarray:
-        if self.leader_q is None:
-            raise NoLeader("trajectory has no leader")
-        return self.leader_q
-
 
 def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     """Run every blocking and advisory rule against the scenario.

@@ -51,9 +51,6 @@ class Topology:
         :func:`leader_reaches_all`."""
         return _reaches_all(self, (i for i, _ in self.leader_links))
 
-    def neighbors(self, i: int) -> tuple[tuple[int, float], ...]:
-        return self.neighbor_map[i]
-
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``edges`` as read-only arrays (i, j, weight), one entry per pair."""
@@ -66,14 +63,6 @@ class Topology:
         """``leader_links`` as read-only arrays (agent, weight)."""
         table = np.array(self.leader_links, dtype=float).reshape(-1, 2)
         return _frozen(table[:, 0].astype(np.intp), np.ascontiguousarray(table[:, 1]))
-
-    @cached_property
-    def leader_weight(self) -> np.ndarray:
-        """Leader-link weight per agent (0 where absent), shape (n_agents,)."""
-        w = np.zeros(self.n_agents)
-        for i, wi in self.leader_links:
-            w[i] = wi
-        return w
 
 
 def build_topology(

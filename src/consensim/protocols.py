@@ -1,5 +1,7 @@
 """Protocol building blocks: velocity feedback shapes, position coupling
-shapes, velocity gain profiles, and the per-agent control inputs they induce.
+shapes, velocity gain profiles, their sector and gain envelopes, and the
+checks against the standing assumptions. The closed loop they define is
+integrated in :mod:`consensim.dynamics`.
 
 The shape families are closed enumerations. Velocity feedback is either the
 identity or a sine-perturbed identity z + omega*sin(z); position coupling is
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .graph import Topology
 
 
 class VelocityKind(str, Enum):
@@ -62,14 +62,6 @@ class VelocityShape:
             return np.array(z, dtype=float)
         z = np.asarray(z, dtype=float)
         return z + self.omega * np.sin(z)
-
-    def derivative(self, z):
-        """Slope of the shape; 1 or 1 + omega*cos(z). Exposed for inspection,
-        no validation is attached to it."""
-        z = np.asarray(z, dtype=float)
-        if self.is_linear:
-            return np.ones_like(z)
-        return 1.0 + self.omega * np.cos(z)
 
 
 @dataclass(frozen=True)
@@ -217,8 +209,6 @@ class AssumptionReport:
     """
 
     checks: tuple[AssumptionCheck, ...]
-    velocity_sector: tuple[float, float]
-    leader_velocity_sector: tuple[float, float] | None
     sector: tuple[float, float]
     gain_bounds: tuple[float, float]
 
@@ -240,7 +230,8 @@ def validate_assumptions(
 
     Shape checks are sampled on a z-grid and advisory; the strict-positivity
     check on each gain profile (lower envelope > 0) is exact and blocking.
-    The report also carries the velocity sector constants.
+    The report also carries the gain and sector envelopes over followers and
+    leader; :func:`sector_constants` gives one shape's sector.
     """
     z = np.linspace(-grid_half_width, grid_half_width, grid_points)
     z = z[np.abs(z) > 1e-12]
@@ -314,37 +305,4 @@ def validate_assumptions(
         detail=f"sector [{sector[0]:.6g}, {sector[1]:.6g}]",
     ))
 
-    return AssumptionReport(
-        checks=tuple(checks),
-        velocity_sector=sector_constants(spec.velocity),
-        leader_velocity_sector=None if spec.leader_velocity is None
-        else sector_constants(spec.leader_velocity),
-        sector=sector,
-        gain_bounds=gain_bounds,
-    )
-
-
-def leaderless_control(i: int, state, t: float, topo: Topology, spec: ProtocolSpec) -> np.ndarray:
-    """Control force on agent i (0-based): velocity damping through the
-    agent's gain plus weighted coupling to each neighbor's position.
-
-    Reference implementation, one agent at a time; the integrator uses a
-    vectorized equivalent that is cross-checked against this in the tests.
-    """
-    gain = spec.gains[i].evaluate(t)
-    u = -gain * spec.velocity.evaluate(state.q[i])
-    for j, w in topo.neighbors(i):
-        u = u + w * spec.coupling.evaluate(state.p[j] - state.p[i])
-    return u
-
-
-def leader_control(i: int, state, leader, t: float, topo: Topology, spec: ProtocolSpec) -> np.ndarray:
-    """Control force on agent i when a leader is present: the leaderless
-    force plus coupling toward the leader's position for linked agents.
-    ``leader`` is the (position, velocity) pair; only the position enters."""
-    leader_p, _leader_q = leader
-    u = leaderless_control(i, state, t, topo, spec)
-    for j, w in topo.leader_links:
-        if j == i:
-            u = u + w * spec.coupling.evaluate(np.asarray(leader_p, dtype=float) - state.p[i])
-    return u
+    return AssumptionReport(checks=tuple(checks), sector=sector, gain_bounds=gain_bounds)

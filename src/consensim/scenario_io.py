@@ -83,7 +83,10 @@ def _get(obj: dict, key: str, where):
 def _number(value, where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{_at(where)}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{_at(where)}: integer too large for a float") from None
 
 
 def _integer(value, where) -> int:
@@ -96,7 +99,7 @@ def _coordinate(value, n_dims: int, where) -> list[float]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if n_dims != 1:
             raise ParseError(f"{_at(where)}: scalar coordinate but n_dims={n_dims}")
-        return [float(value)]
+        return [_number(value, where)]
     if isinstance(value, list):
         if len(value) != n_dims:
             raise ParseError(f"{_at(where)}: expected {n_dims} components, got {len(value)}")
@@ -104,11 +107,22 @@ def _coordinate(value, n_dims: int, where) -> list[float]:
     raise ParseError(f"{_at(where)}: expected a number or a list of numbers")
 
 
+def _list(value, where) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{_at(where)}: expected a list")
+    return value
+
+
+def _kind(obj: dict, kinds, what: str, where) -> str:
+    kind = _get(obj, "kind", where)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ParseError(f"{_at(where)}.kind: unknown {what} kind {kind!r}")
+    return kind
+
+
 def _parse_velocity(obj, path: str) -> VelocityShape:
     obj = _require_mapping(obj, path)
-    kind = _get(obj, "kind", path)
-    if kind not in _VELOCITY_KEYS:
-        raise ParseError(f"{path}.kind: unknown velocity kind {kind!r}")
+    kind = _kind(obj, _VELOCITY_KEYS, "velocity", path)
     _reject_unknown(obj, _VELOCITY_KEYS[kind], path)
     if kind == "linear":
         return VelocityShape("linear")
@@ -118,17 +132,12 @@ def _parse_velocity(obj, path: str) -> VelocityShape:
 def _parse_coupling(obj, path: str) -> CouplingShape:
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, {"kind"}, path)
-    kind = _get(obj, "kind", path)
-    if kind not in ("linear", "linear_plus_cubic"):
-        raise ParseError(f"{path}.kind: unknown coupling kind {kind!r}")
-    return CouplingShape(kind)
+    return CouplingShape(_kind(obj, ("linear", "linear_plus_cubic"), "coupling", path))
 
 
 def _parse_gain(obj, where) -> GainProfile:
     obj = _require_mapping(obj, where)
-    kind = _get(obj, "kind", where)
-    if kind not in _GAIN_KEYS:
-        raise ParseError(f"{_at(where)}.kind: unknown gain kind {kind!r}")
+    kind = _kind(obj, _GAIN_KEYS, "gain", where)
     _reject_unknown(obj, _GAIN_KEYS[kind], where)
     b0 = _number(_get(obj, "b0", where), (where, "b0"))
     if kind == "constant":
@@ -140,18 +149,15 @@ def _parse_gain(obj, where) -> GainProfile:
 def _parse_topology(obj, path: str) -> tuple[list, list]:
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, {"edges", "leader_links"}, path)
-    edges_raw = _get(obj, "edges", path)
-    if not isinstance(edges_raw, list):
-        raise ParseError(f"{path}.edges: expected a list")
     edges = []
-    for k, entry in enumerate(edges_raw):
+    for k, entry in enumerate(_list(_get(obj, "edges", path), (path, "edges"))):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{path}.edges[{k}]: expected [i, j, weight]")
         i, j, w = entry
         where = ((path, "edges"), k)
         edges.append((_integer(i, (where, 0)), _integer(j, (where, 1)), _number(w, (where, 2))))
     links = []
-    for k, entry in enumerate(obj.get("leader_links", [])):
+    for k, entry in enumerate(_list(obj.get("leader_links", []), (path, "leader_links"))):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"{path}.leader_links[{k}]: expected [i, weight]")
         i, w = entry
@@ -277,7 +283,7 @@ def parse_scenario(path, validate: bool = True) -> Scenario:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario_dict(data, validate=validate)
 

@@ -165,9 +165,9 @@ def leader_pair_scenario(leader_gain: float, dt: float, t_end: float,
 def test_criterion_7_closed_form_oracle_and_integrator_order():
     scenario = leader_pair_scenario(leader_gain=0.6, dt=1e-3, t_end=20.0)
     traj = simulate(scenario)
-    exact_p, exact_q = leader_closed_form_for(scenario, traj.times())
-    gap = max(float(np.abs(traj.leader_positions() - exact_p).max()),
-              float(np.abs(traj.leader_velocities() - exact_q).max()))
+    exact_p, exact_q = leader_closed_form_for(scenario, traj.t)
+    gap = max(float(np.abs(traj.leader_p - exact_p).max()),
+              float(np.abs(traj.leader_q - exact_q).max()))
 
     grid = np.array([4e-2, 2e-2, 1e-2])
     errors = []
@@ -175,7 +175,7 @@ def test_criterion_7_closed_form_oracle_and_integrator_order():
         fit_scenario = leader_pair_scenario(leader_gain=1.5, dt=float(dt), t_end=1.0,
                                             leader_q0=2.0)
         fit_traj = simulate(fit_scenario)
-        errors.append(abs(float(fit_traj.leader_velocities()[-1, 0])
+        errors.append(abs(float(fit_traj.leader_q[-1, 0])
                           - 2.0 * math.exp(-1.5)))
     slope = float(np.polyfit(np.log(grid), np.log(np.array(errors)), 1)[0])
 
@@ -254,7 +254,7 @@ def test_criterion_9_random_scenarios_match_prediction():
         predicted = predict_consensus(scenario).value
         assert predicted is not None
         traj = simulate(scenario)
-        worst = max(worst, float(np.abs(traj.positions()[-1] - predicted).max()))
+        worst = max(worst, float(np.abs(traj.p[-1] - predicted).max()))
     ok = worst <= 1e-4
     report(9, "random tree scenarios hit the predicted value", ok,
            f"worst |final - predicted| = {worst:.3e} over 20 trials (tol 1e-04)")

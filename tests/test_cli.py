@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -276,8 +278,12 @@ def test_leader_csv_columns(tmp_path):
 
 
 def test_module_entry_point_runs():
+    # The child imports the package this process imports, installed or not.
+    package_root = str(Path(consensim.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "consensim", "predict", "fig2b"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1.516667"
 

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderState,
                        Mode, NoLeader, NonFiniteState, ProtocolSpec, Scenario,
                        SystemState, VelocityShape, build_topology, bundled_scenario_path,
-                       leader_closed_form, leader_closed_form_for, leader_control,
-                       leaderless_control, parse_scenario, rhs, rk4_step,
-                       scenario_fingerprint, simulate, tracking_errors, validate_scenario)
+                       leader_closed_form, leader_closed_form_for, parse_scenario, rhs,
+                       rk4_step, scenario_fingerprint, simulate, tracking_errors,
+                       validate_scenario)
 from consensim.dynamics import _Compiled, _flatten
 from consensim.errors import HypothesisViolated
 
@@ -78,9 +78,8 @@ def test_single_damped_agent_matches_exponential():
         n=1, p0=[0.0], q0=[1.0], edges=[],
         integrator=IntegratorSettings(dt=1e-3, t_end=5.0, record_every=500))
     traj = simulate(scenario)
-    times = traj.times()
-    np.testing.assert_allclose(traj.velocities()[:, 0, 0], np.exp(-times), atol=1e-12)
-    np.testing.assert_allclose(traj.positions()[:, 0, 0], 1.0 - np.exp(-times), atol=1e-12)
+    np.testing.assert_allclose(traj.q[:, 0, 0], np.exp(-traj.t), atol=1e-12)
+    np.testing.assert_allclose(traj.p[:, 0, 0], 1.0 - np.exp(-traj.t), atol=1e-12)
 
 
 def test_rk4_global_error_is_fourth_order():
@@ -92,7 +91,7 @@ def test_rk4_global_error_is_fourth_order():
             gains=[GainProfile(b0=3.0)],
             integrator=IntegratorSettings(dt=dt, t_end=1.0, record_every=steps))
         traj = simulate(scenario)
-        errors.append(abs(traj.velocities()[-1, 0, 0] - 2.0 * math.exp(-3.0)))
+        errors.append(abs(traj.q[-1, 0, 0] - 2.0 * math.exp(-3.0)))
     for coarse, fine in zip(errors, errors[1:]):
         assert 12.0 < coarse / fine < 20.0
 
@@ -101,10 +100,10 @@ def test_simulate_is_bitwise_deterministic():
     first = simulate(leader_scenario())
     second = simulate(leader_scenario())
     assert first.scenario_fingerprint == second.scenario_fingerprint
-    np.testing.assert_array_equal(first.positions(), second.positions())
-    np.testing.assert_array_equal(first.velocities(), second.velocities())
-    np.testing.assert_array_equal(first.leader_positions(), second.leader_positions())
-    assert np.array_equal(first.times(), second.times())
+    np.testing.assert_array_equal(first.p, second.p)
+    np.testing.assert_array_equal(first.q, second.q)
+    np.testing.assert_array_equal(first.leader_p, second.leader_p)
+    assert np.array_equal(first.t, second.t)
 
 
 def test_translation_shifts_positions_only():
@@ -114,8 +113,8 @@ def test_translation_shifts_positions_only():
     shifted = dataclasses.replace(
         base, initial=SystemState(t=0.0, p=base.initial.p + shift, q=base.initial.q))
     a, b = simulate(base), simulate(shifted)
-    np.testing.assert_allclose(b.positions(), a.positions() + shift, atol=1e-10)
-    np.testing.assert_allclose(b.velocities(), a.velocities(), atol=1e-10)
+    np.testing.assert_allclose(b.p, a.p + shift, atol=1e-10)
+    np.testing.assert_allclose(b.q, a.q, atol=1e-10)
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0))
@@ -282,44 +281,13 @@ def test_compiled_kernel_memory_is_linear_in_edges():
     assert peak < 2 * 2**20
 
 
-def test_rhs_matches_reference_controls_leaderless():
-    scenario = leaderless_scenario(
-        n=3, p0=[0.3, -0.8, 1.4], q0=[0.7, 0.1, -0.5], masses=[0.4, 1.3, 2.2],
-        coupling="linear_plus_cubic",
-        velocity=VelocityShape(kind="sine_perturbed", omega=0.5),
-        gains=[GainProfile(kind="cosine", b0=0.6, amplitude=0.2)] * 3,
-        edges=[(1, 2, 0.7), (2, 3, 1.9), (1, 3, 0.4)])
-    state = SystemState(t=1.7, p=scenario.initial.p, q=scenario.initial.q)
-    derivative = rhs(state, scenario)
-    np.testing.assert_array_equal(derivative.p_dot, state.q)
-    for i in range(3):
-        reference = leaderless_control(i, state, 1.7, scenario.topology, scenario.protocol)
-        np.testing.assert_allclose(derivative.q_dot[i], reference / scenario.masses[i],
-                                   rtol=1e-13, atol=1e-13)
-
-
-def test_rhs_matches_reference_controls_leader():
-    scenario = leader_scenario(n=3)
-    state = SystemState(t=0.9, p=[0.3, -0.8, 1.4], q=[0.7, 0.1, -0.5],
-                        leader=LeaderState(np.array([2.0]), np.array([-0.4])))
-    derivative = rhs(state, scenario)
-    for i in range(3):
-        reference = leader_control(i, state, state.leader, 0.9,
-                                   scenario.topology, scenario.protocol)
-        np.testing.assert_allclose(derivative.q_dot[i], reference / scenario.masses[i],
-                                   rtol=1e-13, atol=1e-13)
-    np.testing.assert_array_equal(derivative.leader_p_dot, state.leader.q)
-    expected = -0.6 * state.leader.q
-    np.testing.assert_allclose(derivative.leader_q_dot, expected, rtol=1e-14)
-
-
 def test_simulate_sample_grid_and_initial_sample():
     settings_ = IntegratorSettings(dt=1e-2, t_end=2.0, record_every=25)
     scenario = leaderless_scenario(n=2, integrator=settings_)
     traj = simulate(scenario)
     assert len(traj.samples) == round(2.0 / 1e-2) // 25 + 1
     expected = np.array([(k * 25) * 1e-2 for k in range(len(traj.samples))])
-    assert np.array_equal(traj.times(), expected)
+    assert np.array_equal(traj.t, expected)
     np.testing.assert_array_equal(traj.samples[0].p, scenario.initial.p)
     assert traj.samples[-1].t == 2.0
 
@@ -346,8 +314,6 @@ def test_trajectory_is_frozen_and_builds_samples_on_demand(leader):
             assert state.leader is None
     if not leader:
         assert traj.leader_p is None and traj.leader_q is None
-        with pytest.raises(NoLeader):
-            traj.leader_positions()
     np.testing.assert_array_equal(traj.samples[0].p, scenario.initial.p)
     assert traj.validation == validate_scenario(scenario)
 

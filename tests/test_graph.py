@@ -58,9 +58,9 @@ def test_builds_and_normalizes_indices():
 
 def test_neighbor_map_is_symmetric_view():
     topo = build_topology(3, [(1, 2, 0.5), (2, 3, 1.5)])
-    assert topo.neighbors(0) == ((1, 0.5),)
-    assert set(topo.neighbors(1)) == {(0, 0.5), (2, 1.5)}
-    assert topo.neighbors(2) == ((1, 1.5),)
+    assert topo.neighbor_map[0] == ((1, 0.5),)
+    assert set(topo.neighbor_map[1]) == {(0, 0.5), (2, 1.5)}
+    assert topo.neighbor_map[2] == ((1, 1.5),)
 
 
 def test_rejects_out_of_range_indices():
@@ -113,11 +113,6 @@ def test_three_node_laplacian_entries():
                          [-2.0, 2.0, 0.0],
                          [-0.5, 0.0, 0.5]])
     np.testing.assert_array_equal(laplacian(topo), expected)
-
-
-def test_leader_weight_vector():
-    topo = build_topology(3, [(1, 2, 1.0)], leader_links=[(2, 0.7)])
-    np.testing.assert_array_equal(topo.leader_weight, [0.0, 0.7, 0.0])
 
 
 @st.composite

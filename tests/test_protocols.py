@@ -1,6 +1,7 @@
 """Shape families, sector bounds, standing-assumption checks, and the
-per-agent reference control laws."""
+closed loop's forces on hand-computed chains, read from the public rhs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensim import (CouplingShape, GainProfile, ProtocolSpec, SystemState,
-                       VelocityShape, build_topology, gain_envelope, leader_control,
-                       leaderless_control, sector_constants, validate_assumptions)
+from consensim import (CouplingShape, GainProfile, Mode, ProtocolSpec, Scenario, SystemState,
+                       VelocityShape, build_topology, gain_envelope, rhs, sector_constants,
+                       validate_assumptions)
 from consensim.dynamics import LeaderState
 from consensim.protocols import COS_TAN_ROOT
 
@@ -34,7 +35,6 @@ def test_velocity_shapes_evaluate():
     assert lin.is_linear
     s = sine_shape()
     assert s.evaluate(2.0) == pytest.approx(2.0 + 0.5 * math.sin(2.0), abs=0, rel=1e-15)
-    assert s.derivative(2.0) == pytest.approx(1.0 + 0.5 * math.cos(2.0), abs=0, rel=1e-15)
     assert not s.is_linear
     assert sine_shape(0.0).is_linear
 
@@ -223,7 +223,7 @@ def test_validate_assumptions_covers_leader_shapes():
     report = validate_assumptions(spec)
     assert report.all_passed
     # Combined sector widens to cover the leader's nonlinear shape.
-    assert report.velocity_sector == (1.0, 1.0)
+    assert sector_constants(spec.velocity) == (1.0, 1.0)
     assert report.sector == pytest.approx(SECTOR_HALF, abs=1e-12)
     assert report.gain_bounds == (0.5, 0.6)
 
@@ -241,23 +241,29 @@ def chain6_state_and_wiring():
     return topo, state, spec
 
 
+def forces(topo, state, spec):
+    """Control force on each agent: the closed loop's acceleration at unit masses."""
+    scenario = Scenario(mode=Mode.LEADER if spec.has_leader else Mode.LEADERLESS,
+                        masses=(1.0,) * topo.n_agents, topology=topo, protocol=spec,
+                        initial=state)
+    return rhs(state, scenario).q_dot[:, 0]
+
+
 def test_leaderless_control_hand_computed():
     # Agent 1: -0.2*0.3 + 0.6*(0.2 + 0.2^3) = 0.0648; the end agent sees one
     # neighbor only.
-    topo, state, spec = chain6_state_and_wiring()
-    u1 = leaderless_control(0, state, 0.0, topo, spec)
-    assert u1 == pytest.approx(0.0648, abs=1e-15)
+    u = forces(*chain6_state_and_wiring())
+    assert u[0] == pytest.approx(0.0648, abs=1e-15)
     # Agent 3 sees both neighbors at gap +-0.2 with weights 1.0 and 1.4:
     # -0.6*0.9 + 1.0*(-0.208) + 1.4*(0.208)
-    u3 = leaderless_control(2, state, 0.0, topo, spec)
-    assert u3 == pytest.approx(-0.54 - 0.208 + 1.4 * 0.208, abs=1e-14)
+    assert u[2] == pytest.approx(-0.54 - 0.208 + 1.4 * 0.208, abs=1e-14)
 
 
 def test_leader_control_hand_computed():
     # Five-agent chain with a leader linked to agent 1, evaluated at t = 0:
     # -0.35*(0.4 + 0.5*sin 0.4) + 0.9*h(-0.3) + 1.0*h(1.3), h(z) = z + z^3.
-    topo = build_topology(5, [(i, i + 1, 0.3 * (2 * i + 1)) for i in range(1, 5)],
-                          leader_links=[(1, 1.0)])
+    edges = [(i, i + 1, 0.3 * (2 * i + 1)) for i in range(1, 5)]
+    topo = build_topology(5, edges, leader_links=[(1, 1.0)])
     state = SystemState(t=0.0,
                         p=[-0.3 * i for i in range(1, 6)],
                         q=[0.4 * i for i in range(1, 6)],
@@ -270,9 +276,10 @@ def test_leader_control_hand_computed():
         leader_velocity=VelocityShape(),
         leader_gain=GainProfile(b0=0.6),
     )
-    u1 = leader_control(0, state, state.leader, 0.0, topo, spec)
-    assert u1 == pytest.approx(2.9945517900959864, abs=1e-14)
-    # Unlinked agents feel no leader term.
-    u2_leaderless = leaderless_control(1, state, 0.0, topo, spec)
-    u2 = leader_control(1, state, state.leader, 0.0, topo, spec)
-    assert u2 == u2_leaderless
+    u = forces(topo, state, spec)
+    assert u[0] == pytest.approx(2.9945517900959864, abs=1e-14)
+    # Unlinked agents feel no leader term: the same agents without the leader.
+    u_leaderless = forces(build_topology(5, edges),
+                          SystemState(t=0.0, p=state.p, q=state.q),
+                          dataclasses.replace(spec, leader_velocity=None, leader_gain=None))
+    np.testing.assert_array_equal(u[1:], u_leaderless[1:])

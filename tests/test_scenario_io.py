@@ -246,6 +246,11 @@ def test_unreadable_and_malformed_files(tmp_path):
     garbled.write_text("{not json")
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_scenario(garbled)
+    # json.loads refuses an integer of more than 4300 digits with a plain ValueError.
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(minimal_dict()).replace('"n_dims": 1', '"n_dims": 1' + "0" * 5000))
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_scenario(huge)
 
 
 def leader_dict(n_dims=1):
@@ -268,11 +273,13 @@ def leader_dict(n_dims=1):
         "initial": {"p": [coordinate(0.1 * k) for k in range(4)],
                     "q": [coordinate(0.0)] * 4,
                     "leader": {"p": coordinate(1.0), "q": coordinate(0.0)}},
+        "integrator": {"dt": 1e-3, "t_end": 1.0, "record_every": 100},
     }
 
 
 # One bad element at a nonzero index in each list the parser walks element by
-# element, with the full message it must produce.
+# element, then unhashable kinds, integers too large for a float and a
+# non-list of leader links, each with the full message it must produce.
 BAD_ELEMENTS = [
     (1, ("masses", 3), "x", "scenario.masses[3]: expected a number, got 'x'"),
     (1, ("topology", "edges", 2), [1, 2],
@@ -309,6 +316,24 @@ BAD_ELEMENTS = [
      "scenario.initial.q[3]: scalar coordinate but n_dims=2"),
     (2, ("initial", "leader", "q", 1), False,
      "scenario.initial.leader.q[1]: expected a number, got False"),
+    (1, ("protocol", "velocity", "kind"), [],
+     "scenario.protocol.velocity.kind: unknown velocity kind []"),
+    (1, ("protocol", "leader_velocity", "kind"), [],
+     "scenario.protocol.leader_velocity.kind: unknown velocity kind []"),
+    (1, ("protocol", "gains", 1, "kind"), [],
+     "scenario.protocol.gains[1].kind: unknown gain kind []"),
+    (1, ("protocol", "leader_gain", "kind"), {},
+     "scenario.protocol.leader_gain.kind: unknown gain kind {}"),
+    (1, ("integrator", "dt"), 10**400,
+     "scenario.integrator.dt: integer too large for a float"),
+    (1, ("masses", 2), -10**400, "scenario.masses[2]: integer too large for a float"),
+    (1, ("topology", "edges", 1, 2), 10**400,
+     "scenario.topology.edges[1][2]: integer too large for a float"),
+    (1, ("initial", "p", 1), 10**400, "scenario.initial.p[1]: integer too large for a float"),
+    (2, ("initial", "leader", "p", 0), 10**400,
+     "scenario.initial.leader.p[0]: integer too large for a float"),
+    (1, ("topology", "leader_links"), 5, "scenario.topology.leader_links: expected a list"),
+    (1, ("topology", "leader_links"), None, "scenario.topology.leader_links: expected a list"),
 ]
 
 
