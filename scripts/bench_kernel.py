@@ -5,9 +5,13 @@ For each agent count N this builds a ring (unit masses, gains and weights,
 cubic coupling, 1-D), once leaderless and once with agent 1 linked to a
 leader, and prints for each:
 
-- the peak memory traced while lowering the scenario to its compiled form;
+- the peak memory traced while lowering the scenario to its compiled form,
+  work buffers included;
 - microseconds per right-hand-side evaluation;
-- microseconds per RK4 step.
+- microseconds per RK4 step, through the step entry that ``simulate`` uses,
+  with the state advanced in place as a run advances it;
+- the RK4 step time over the RHS time: 4 is the floor, as one step makes
+  four RHS evaluations, and what lies above it is the stage arithmetic.
 
 Times are the best of several repeats of a loop sized to about 0.2 s, so
 they approach the unloaded speed of the machine. Run from the repository
@@ -68,18 +72,21 @@ def probe(n: int, leader: bool) -> tuple[float, float, float]:
     tracemalloc.stop()
     y = _flatten(scenario.initial)
     dt = scenario.integrator.dt
-    return (peak / 2**20, best_us(lambda: comp.rhs(0.0, y)), best_us(lambda: comp.rk4(0.0, y, dt)))
+    rhs_us = best_us(lambda: comp.rhs(0.0, y))
+    state = comp.rk4(0.0, y, dt)
+    return peak / 2**20, rhs_us, best_us(lambda: comp.rk4(0.0, state, dt))
 
 
 def main() -> None:
     print(f"numpy {np.__version__}, Python {platform.python_version()}, "
           f"{platform.machine()} {platform.system()}")
-    print(f"{'N':>8} {'leader':>7} {'build peak MB':>14} {'rhs us':>10} {'rk4 step us':>12}")
+    print(f"{'N':>8} {'leader':>7} {'build peak MB':>14} {'rhs us':>10} {'rk4 step us':>12} "
+          f"{'step/rhs':>9}")
     for n in SIZES:
         for leader in (False, True):
             peak_mb, rhs_us, step_us = probe(n, leader)
             print(f"{n:>8} {'yes' if leader else 'no':>7} {peak_mb:>14.3f} "
-                  f"{rhs_us:>10.1f} {step_us:>12.1f}")
+                  f"{rhs_us:>10.1f} {step_us:>12.1f} {step_us / rhs_us:>9.2f}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ Each phase is the call that ``consensim run --no-plots`` makes for it:
 - validate: every blocking and advisory rule;
 - compile: lowering the scenario to the kernel's arrays;
 - fingerprint: the scenario's content hash;
-- integrate: the RK4 steps of the run, with the per-step finiteness check;
+- integrate: the run's RK4 loop as ``simulate`` runs it, with the per-step
+  finiteness check and the recorded rows;
 - series: the energy and conserved-quantity series;
 - csv: writing trajectory.csv;
 - report: building the report dict;
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from consensim import cli
-from consensim.dynamics import (_Compiled, _flatten, scenario_fingerprint, simulate,
+from consensim.dynamics import (_Compiled, _flatten, _integrate, scenario_fingerprint, simulate,
                                 validate_scenario)
 from consensim.scenario_io import parse_scenario
 
@@ -45,14 +46,6 @@ def best_s(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def integrate(comp: _Compiled, y: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            y = comp.rk4(step * dt, y, dt)
-            np.isfinite(y).all()
-    return y
 
 
 def main() -> None:
@@ -78,7 +71,7 @@ def main() -> None:
             "validate": lambda: validate_scenario(scenario),
             "compile": lambda: _Compiled(scenario),
             "fingerprint": lambda: scenario_fingerprint(scenario),
-            "integrate": lambda: integrate(comp, y0, iset.dt, n_steps),
+            "integrate": lambda: _integrate(comp, y0, iset),
             "series": lambda: cli.run_series(traj, scenario),
             "csv": lambda: cli.write_trajectory_csv(traj, scenario, csv_path, series),
             "report": lambda: cli.build_report(traj, scenario, str(path), series),

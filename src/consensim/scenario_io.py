@@ -37,6 +37,7 @@ serializing the result back yields a semantically identical scenario.
 from __future__ import annotations
 
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -92,6 +93,11 @@ def _number(value, where) -> float:
 def _integer(value, where) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{_at(where)}: expected an integer, got {value!r}")
+    # Every integer of the schema is a count or an index, which no list or
+    # array can take past sys.maxsize; one of more than 4300 digits would
+    # not even format into a later error message.
+    if not -sys.maxsize <= value <= sys.maxsize:
+        raise ParseError(f"{_at(where)}: integer out of range")
     return value
 
 

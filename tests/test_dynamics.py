@@ -318,14 +318,50 @@ def test_trajectory_is_frozen_and_builds_samples_on_demand(leader):
     assert traj.validation == validate_scenario(scenario)
 
 
+def leader_scenario_2d():
+    """Three agents of unequal mass in 2-D tracking a leader: cosine gains
+    everywhere, sine velocity feedback, cubic coupling, -0.0 velocities,
+    every third step recorded."""
+    n = 3
+    return Scenario(
+        mode=Mode.LEADER,
+        masses=(0.5, 1.0, 2.0),
+        topology=build_topology(n, [(1, 2, 0.7), (2, 3, 1.3)], leader_links=[(1, 0.8), (3, 1.2)]),
+        protocol=ProtocolSpec(
+            velocity=VelocityShape(kind="sine_perturbed", omega=0.4),
+            coupling=CouplingShape(kind="linear_plus_cubic"),
+            gains=tuple(GainProfile(kind="cosine", b0=1.0 + 0.1 * i, amplitude=0.3 - 0.1 * i)
+                        for i in range(n)),
+            leader_velocity=VelocityShape(kind="sine_perturbed", omega=0.2),
+            leader_gain=GainProfile(kind="cosine", b0=0.9, amplitude=0.2),
+        ),
+        initial=SystemState(t=0.0, p=[[0.3, -0.2], [-0.4, 0.1], [0.2, 0.6]],
+                            q=[[0.1, -0.0], [-0.3, 0.2], [0.0, -0.1]],
+                            leader=LeaderState(np.array([0.5, -0.25]), np.array([0.1, -0.0]))),
+        integrator=IntegratorSettings(dt=1e-2, t_end=0.3, record_every=3),
+    )
+
+
 def test_single_step_agrees_with_simulate():
-    scenario = leaderless_scenario(
+    # A chain of public rk4_step calls, each compiling the scenario afresh
+    # and starting at simulate's time grid point, must give simulate's samples
+    # bit for bit, signs of zero included. A run advances one state buffer in
+    # place and copies a row out only when it records, so a stale work
+    # buffer, a recorded row that aliases the state, or gains carried over
+    # from another step would each break the equality.
+    leaderless = leaderless_scenario(
         n=2, q0=[0.4, -0.4],
-        integrator=IntegratorSettings(dt=1e-2, t_end=1e-2, record_every=1))
-    stepped = rk4_step(scenario.initial, scenario)
-    traj = simulate(scenario)
-    np.testing.assert_array_equal(traj.samples[1].p, stepped.p)
-    np.testing.assert_array_equal(traj.samples[1].q, stepped.q)
+        integrator=IntegratorSettings(dt=1e-2, t_end=0.2, record_every=1))
+    for scenario in (leaderless, leader_scenario_2d()):
+        traj = simulate(scenario)
+        dt, every = scenario.integrator.dt, scenario.integrator.record_every
+        state = scenario.initial
+        for step in range(1, (len(traj.t) - 1) * every + 1):
+            state = rk4_step(dataclasses.replace(state, t=(step - 1) * dt), scenario)
+            if step % every == 0:
+                got, want = _flatten(state), _flatten(traj.samples[step // every])
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_tracking_errors_and_no_leader_guard():

@@ -278,8 +278,9 @@ def leader_dict(n_dims=1):
 
 
 # One bad element at a nonzero index in each list the parser walks element by
-# element, then unhashable kinds, integers too large for a float and a
-# non-list of leader links, each with the full message it must produce.
+# element, then unhashable kinds, integers too large for a float, a non-list
+# of leader links and integers past any count or index (too long to format),
+# each with the full message it must produce.
 BAD_ELEMENTS = [
     (1, ("masses", 3), "x", "scenario.masses[3]: expected a number, got 'x'"),
     (1, ("topology", "edges", 2), [1, 2],
@@ -334,6 +335,14 @@ BAD_ELEMENTS = [
      "scenario.initial.leader.p[0]: integer too large for a float"),
     (1, ("topology", "leader_links"), 5, "scenario.topology.leader_links: expected a list"),
     (1, ("topology", "leader_links"), None, "scenario.topology.leader_links: expected a list"),
+    (1, ("n_agents",), 10**5000, "scenario.n_agents: integer out of range"),
+    (1, ("n_agents",), -10**5000, "scenario.n_agents: integer out of range"),
+    (1, ("n_dims",), 10**5000, "scenario.n_dims: integer out of range"),
+    (1, ("n_dims",), -10**5000, "scenario.n_dims: integer out of range"),
+    (1, ("integrator", "record_every"), -10**5000,
+     "scenario.integrator.record_every: integer out of range"),
+    (1, ("topology", "edges", 1, 0), 10**5000,
+     "scenario.topology.edges[1][0]: integer out of range"),
 ]
 
 
