@@ -23,7 +23,8 @@ from consensim.cli import write_outputs
 
 def run_one(name: str, out_root: Path, plots: bool) -> dict:
     path = bundled_scenario_path(name)
-    scenario = parse_scenario(path)
+    # simulate validates the scenario, so parsing does not validate it again.
+    scenario = parse_scenario(path, validate=False)
     return write_outputs(simulate(scenario), scenario, path, out_root / name, plots)
 
 

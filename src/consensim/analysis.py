@@ -288,8 +288,9 @@ def lyapunov_series(
     traj: Trajectory,
     scenario: Scenario,
     leader_weight: float | None = None,
-) -> list[tuple[float, float]]:
-    """Energy at every sample of the trajectory, as (t, value) pairs.
+) -> np.ndarray:
+    """Energy at every sample of the trajectory, an (S,) array aligned with
+    ``traj.t``.
 
     Leaderless scenarios use the leaderless energy with the scenario's
     masses; leader scenarios use the tracking energy with the scenario's
@@ -314,29 +315,27 @@ def lyapunov_series(
                                     traj.leader_q[block], topo, spec, leader_weight, g_lo, s_lo)
     _, n, d = P.shape
     size = max(1, _SERIES_BLOCK // (max(n, len(topo.edges)) * d))
-    values = np.concatenate([energies(slice(k, k + size)) for k in range(0, len(P), size)])
-    return list(zip(traj.t.tolist(), values.tolist()))
+    return np.concatenate([energies(slice(k, k + size)) for k in range(0, len(P), size)])
 
 
-def conserved_series(traj: Trajectory, scenario: Scenario) -> list[tuple[float, np.ndarray]]:
-    """Conserved quantity at every sample; hypotheses checked once here."""
+def conserved_series(traj: Trajectory, scenario: Scenario) -> np.ndarray:
+    """Conserved quantity at every sample, an (S, d) array aligned with
+    ``traj.t``; hypotheses checked once here."""
     if scenario.mode is not Mode.LEADERLESS:
         raise HypothesisViolated("conserved quantity is a leaderless construction")
     if not scenario.protocol.velocity.is_linear:
         raise HypothesisViolated("conservation needs linear velocity feedback")
     b = _constant_gain_values(scenario.protocol.gains)
     m = np.asarray(scenario.masses, dtype=float)
-    values = np.sum(b[:, None] * traj.p + m[:, None] * traj.q, axis=1)
-    return list(zip(traj.t.tolist(), values))
+    return np.sum(b[:, None] * traj.p + m[:, None] * traj.q, axis=1)
 
 
 def conservation_drift(traj: Trajectory, scenario: Scenario,
-                       series: list[tuple[float, np.ndarray]] | None = None) -> float:
+                       series: np.ndarray | None = None) -> float:
     """Largest relative excursion of the conserved quantity over the run:
     max_t |value(t) - value(0)|_inf / (1 + |value(0)|_inf). ``series`` is
     the run's :func:`conserved_series` when the caller already has it."""
     if series is None:
         series = conserved_series(traj, scenario)
-    values = np.array([value for _, value in series])
-    scale = 1.0 + float(np.abs(values[0]).max())
-    return float(np.abs(values - values[0]).max()) / scale
+    scale = 1.0 + float(np.abs(series[0]).max())
+    return float(np.abs(series - series[0]).max()) / scale

@@ -48,14 +48,14 @@ def resolve_scenario_path(ref: str) -> Path:
 
 @dataclasses.dataclass(frozen=True)
 class RunSeries:
-    """The energy and conserved-quantity series of one run, computed once and
-    shared by the CSV and the report. A series the scenario's hypotheses rule
-    out is None, with the reason beside it."""
+    """The energy (S,) and conserved-quantity (S, d) series of one run,
+    computed once and shared by the CSV and the report. A series the
+    scenario's hypotheses rule out is None, with the reason beside it."""
 
     leader_weight: float | None
-    energy: list | None
+    energy: np.ndarray | None
     energy_reason: str | None
-    conserved: list | None
+    conserved: np.ndarray | None
     conserved_reason: str | None
 
 
@@ -95,10 +95,10 @@ def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path, series: Run
         print(f"warning: energy column omitted: {series.energy_reason}", file=sys.stderr)
     else:
         header.append("V")
-        columns.append(np.array([v for _, v in energy])[:, None])
+        columns.append(energy[:, None])
     if conserved is not None:
         header += [f"alpha_{l + 1}" for l in range(dims)]
-        columns.append(np.array([v for _, v in conserved]))
+        columns.append(conserved)
     table = np.hstack(columns)
     # "%.17g" % v is format(v, ".17g") for every double: one format call per
     # row. Rows become Python floats one at a time, so the table never does.
@@ -110,8 +110,6 @@ def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path, series: Run
 def _jsonable(value):
     if isinstance(value, np.ndarray):
         return [float(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     return value
 
 
@@ -124,7 +122,7 @@ def build_report(traj: Trajectory, scenario: Scenario, scenario_path: str,
 
     lyap: dict = {"available": False, "leader_weight": None, "reason": series.energy_reason}
     if series.energy is not None:
-        values = np.array([v for _, v in series.energy])
+        values = series.energy
         steps = np.diff(values)
         slack = MONOTONE_SLACK * (1.0 + values[:-1])
         lyap = {

@@ -200,7 +200,8 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     Blocking: structural consistency (shapes, masses, integrator grid),
     strict positivity of every gain profile, and the graph hypothesis for
     the mode (connected when leaderless, leader-reaches-all when tracking).
-    Advisory: sampled shape checks and unit masses in leader mode.
+    Advisory: the shape checks, decided exactly, and unit masses in leader
+    mode.
     """
     errors: list[str] = []
     warnings: list[str] = []

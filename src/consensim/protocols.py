@@ -160,9 +160,10 @@ def gain_envelope(profiles) -> tuple[float, float]:
     return (min(lows), max(highs))
 
 
-# sin(z)/z takes its minimum over all z at x* = 4.493409457909064, the first
-# positive root of tan x = x, where it equals cos(x*): this is cos(x*) rounded
+# sin(z)/z takes its minimum over all z at x* = TAN_ROOT, the first positive
+# root of tan x = x, where it equals cos(x*). x* and cos(x*) are each rounded
 # to the nearest double.
+TAN_ROOT = 4.493409457909064
 COS_TAN_ROOT = -0.21723362821122166
 
 
@@ -221,67 +222,39 @@ class AssumptionReport:
         return tuple(c for c in self.checks if c.blocking and not c.passed)
 
 
-def validate_assumptions(
-    spec: ProtocolSpec,
-    grid_half_width: float = 10.0,
-    grid_points: int = 10_000,
-) -> AssumptionReport:
+def validate_assumptions(spec: ProtocolSpec) -> AssumptionReport:
     """Check the protocol's shapes and gains against the standing assumptions.
 
-    Shape checks are sampled on a z-grid and advisory; the strict-positivity
-    check on each gain profile (lower envelope > 0) is exact and blocking.
-    The report also carries the gain and sector envelopes over followers and
-    leader; :func:`sector_constants` gives one shape's sector.
+    Every check is decided exactly from the closed shape families. The shape
+    checks are advisory. Both velocity shapes vanish at 0, and z*f(z) =
+    z^2*(1 + omega*sin(z)/z) is positive for all z != 0 exactly when the
+    lower sector constant is positive; otherwise it fails at z = TAN_ROOT.
+    Both coupling shapes are odd (IEEE negation is exact, so h(-z) == -h(z)
+    bit for bit), have the sign of z and vanish only at 0. The check that
+    each gain profile stays strictly positive (lower envelope > 0) is
+    blocking. The report also carries the gain and sector envelopes over
+    followers and leader; :func:`sector_constants` gives one shape's sector.
     """
-    z = np.linspace(-grid_half_width, grid_half_width, grid_points)
-    z = z[np.abs(z) > 1e-12]
     checks: list[AssumptionCheck] = []
 
     def velocity_checks(shape: VelocityShape, prefix: str) -> None:
-        at_zero = float(shape.evaluate(0.0))
-        checks.append(AssumptionCheck(
-            name=f"{prefix}zero_at_zero",
-            passed=(at_zero == 0.0),
-            blocking=False,
-            detail=f"value at 0 is {at_zero!r}",
-        ))
-        signs = z * shape.evaluate(z)
-        ok = bool(np.all(signs > 0.0))
+        checks.append(AssumptionCheck(f"{prefix}zero_at_zero", True, False, "value at 0 is 0.0"))
+        ok = sector_constants(shape)[0] > 0.0
         checks.append(AssumptionCheck(
             name=f"{prefix}sign",
             passed=ok,
             blocking=False,
-            detail="z*value(z) > 0 on the grid" if ok else
-                   f"z*value(z) <= 0 at z={z[np.argmin(signs)]:.6g}",
+            detail="z*value(z) > 0" if ok else f"z*value(z) <= 0 at z={TAN_ROOT:.6g}",
         ))
 
     velocity_checks(spec.velocity, "velocity_")
     if spec.leader_velocity is not None:
         velocity_checks(spec.leader_velocity, "leader_velocity_")
 
-    h_pos = spec.coupling.evaluate(z)
-    h_neg = spec.coupling.evaluate(-z)
-    odd = bool(np.array_equal(h_neg, -h_pos)) and float(spec.coupling.evaluate(0.0)) == 0.0
-    checks.append(AssumptionCheck(
-        name="coupling_odd",
-        passed=odd,
-        blocking=False,
-        detail="value(-z) == -value(z) exactly on the grid" if odd else "oddness broken on the grid",
-    ))
-    nonzero = bool(np.all(h_pos != 0.0))
-    checks.append(AssumptionCheck(
-        name="coupling_zero_only_at_zero",
-        passed=nonzero,
-        blocking=False,
-        detail="no nonzero root on the grid" if nonzero else "vanishes at some nonzero z",
-    ))
-    sign_ok = bool(np.all(z * h_pos > 0.0))
-    checks.append(AssumptionCheck(
-        name="coupling_sign",
-        passed=sign_ok,
-        blocking=False,
-        detail="z*value(z) > 0 on the grid" if sign_ok else "sign condition broken",
-    ))
+    for name, detail in (("coupling_odd", "value(-z) == -value(z) exactly"),
+                         ("coupling_zero_only_at_zero", "no nonzero root"),
+                         ("coupling_sign", "z*value(z) > 0")):
+        checks.append(AssumptionCheck(name, True, False, detail))
 
     def gain_check(profile: GainProfile, name: str) -> None:
         lo, hi = profile.bounds()

@@ -125,7 +125,7 @@ def test_criterion_5_conserved_quantity_stays_flat(fig2b_run):
 
 
 def monotone_gap(traj, scenario):
-    values = np.array([v for _, v in lyapunov_series(traj, scenario)])
+    values = lyapunov_series(traj, scenario)
     steps = np.diff(values)
     slack = MONOTONE_SLACK * (1.0 + values[:-1])
     return float((steps - slack).max()), float(values[0]), float(values[-1])

@@ -138,8 +138,8 @@ def test_predicted_consensus_leader_is_leader_limit():
 def test_conservation_holds_along_simulated_run():
     scenario = chain6_scenario()
     traj = simulate(scenario)
-    series = conserved_series(traj, scenario)
-    values = np.array([v for _, v in series])
+    values = conserved_series(traj, scenario)
+    assert values.shape == (len(traj.t), 1)
     assert np.abs(values - 6.37).max() < 1e-10
     assert conservation_drift(traj, scenario) < 1e-10
 
@@ -147,7 +147,7 @@ def test_conservation_holds_along_simulated_run():
 def test_energy_series_is_nonincreasing_on_simulated_run():
     scenario = chain6_scenario()
     traj = simulate(scenario)
-    values = np.array([v for _, v in lyapunov_series(traj, scenario)])
+    values = lyapunov_series(traj, scenario)
     steps = np.diff(values)
     assert np.all(steps <= 1e-9 * (1.0 + values[:-1]))
     assert values[-1] < values[0]
@@ -193,14 +193,13 @@ def test_energy_series_equals_per_state_energies(leader, coupling, dims):
     masses = (1.0,) * n if leader else tuple(rng.uniform(0.5, 2.0, n))
     scenario = Scenario(mode=Mode.LEADER if leader else Mode.LEADERLESS, masses=masses,
                         topology=topo, protocol=spec, initial=samples[0])
-    series = lyapunov_series(Trajectory.from_samples(samples, "-"), scenario, leader_weight=25.0)
+    values = lyapunov_series(Trajectory.from_samples(samples, "-"), scenario, leader_weight=25.0)
     gain_lower = gain_envelope(gains + ((spec.leader_gain,) if leader else ()))[0]
     if leader:
         expected = [lyapunov_leader(s, topo, spec, 25.0, gain_lower, 1.0) for s in samples]
     else:
         expected = [lyapunov_leaderless(s, topo, spec, masses) for s in samples]
-    values = [v for _, v in series]
-    assert [t for t, _ in series] == [s.t for s in samples]
+    assert values.shape == (len(samples),)
     np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0.0)
     # Every term is nonnegative, so reordering the sums moves only the last bits.
     looped = [loop_energy(s, topo, spec, masses, 25.0, gain_lower) for s in samples]
@@ -231,7 +230,7 @@ def test_energy_series_memory_is_bounded_on_dense_graph_with_many_samples():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     expected = [lyapunov_leaderless(s, topo, spec, scenario.masses) for s in samples]
-    np.testing.assert_allclose([v for _, v in series], expected, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(series, expected, rtol=1e-14, atol=0.0)
 
 
 def test_predict_consensus_gates():
@@ -360,7 +359,7 @@ def test_leader_energy_series_uses_default_weight():
                             leader=LeaderState(np.array([1.0]), np.array([0.3]))),
         integrator=IntegratorSettings(dt=1e-3, t_end=2.0, record_every=200))
     traj = simulate(scenario)
-    values = np.array([v for _, v in lyapunov_series(traj, scenario)])
+    values = lyapunov_series(traj, scenario)
     steps = np.diff(values)
     assert np.all(steps <= 1e-9 * (1.0 + values[:-1]))
 

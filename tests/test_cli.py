@@ -306,14 +306,13 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
         leader=consensim.dynamics.LeaderState(values(d), values(d))) for k in range(40)]
     traj = consensim.dynamics.Trajectory.from_samples(samples, "")
     series = consensim.cli.RunSeries(
-        leader_weight=None, energy=[(s.t, float(v)) for s, v in zip(samples, values(40))],
-        energy_reason=None, conserved=[(s.t, values(d)) for s in samples], conserved_reason=None)
+        leader_weight=None, energy=values(40), energy_reason=None,
+        conserved=values((40, d)), conserved_reason=None)
     path = tmp_path / "trajectory.csv"
     consensim.cli.write_trajectory_csv(traj, scenario, path, series)
 
     rows = path.read_text().splitlines()[1:]
     assert len(rows) == len(samples)
-    for row, s, (_, energy), (_, conserved) in zip(rows, samples, series.energy,
-                                                   series.conserved):
+    for row, s, energy, conserved in zip(rows, samples, series.energy, series.conserved):
         fields = [s.t, *s.p.ravel(), *s.q.ravel(), *s.leader.p, *s.leader.q, energy, *conserved]
         assert row == ",".join(format(float(v), ".17g") for v in fields)

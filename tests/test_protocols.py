@@ -212,19 +212,40 @@ def test_validate_assumptions_flags_gain_floor_violation():
     assert failing[0].name == "gain_1_positive_floor"
 
 
-def test_validate_assumptions_covers_leader_shapes():
+# The lower sector constant 1 + omega*COS_TAN_ROOT crosses 0 at this omega.
+SIGN_THRESHOLD = -1.0 / COS_TAN_ROOT
+
+
+@pytest.mark.parametrize("as_leader", [True, False], ids=["leader", "follower"])
+@pytest.mark.parametrize("omega", [
+    0.5,
+    # Just past the threshold: a 10 000-point grid on [-10, 10] misses the
+    # narrow dip of z*f(z) below 0 near TAN_ROOT.
+    4.603338850582638,
+    SIGN_THRESHOLD * (1.0 - 1e-9),
+    SIGN_THRESHOLD * (1.0 + 1e-9),
+], ids=["omega0.5", "grid_band", "below_threshold", "above_threshold"])
+def test_validate_assumptions_covers_leader_shapes(omega, as_leader):
+    shape = sine_shape(omega)
     spec = ProtocolSpec(
-        velocity=VelocityShape(),
+        velocity=VelocityShape() if as_leader else shape,
         coupling=CouplingShape(),
         gains=(GainProfile(b0=0.5),),
-        leader_velocity=sine_shape(),
+        leader_velocity=shape if as_leader else VelocityShape(),
         leader_gain=GainProfile(b0=0.6),
     )
     report = validate_assumptions(spec)
-    assert report.all_passed
-    # Combined sector widens to cover the leader's nonlinear shape.
-    assert sector_constants(spec.velocity) == (1.0, 1.0)
-    assert report.sector == pytest.approx(SECTOR_HALF, abs=1e-12)
+    checks = {c.name: c for c in report.checks}
+    sign = checks["leader_velocity_sign" if as_leader else "velocity_sign"]
+    positive = sector_constants(shape)[0] > 0.0
+    # z*f(z) > 0 and a positive sector floor are the same fact.
+    assert sign.passed == positive == checks["velocity_sector_positive"].passed
+    assert report.all_passed == positive
+    if not positive:
+        assert sign.detail == "z*value(z) <= 0 at z=4.49341"
+    # Combined sector widens to cover the nonlinear shape, leader or follower.
+    assert report.sector == pytest.approx((1.0 + omega * math.cos(TAN_ROOT), 1.0 + omega),
+                                          abs=1e-12)
     assert report.gain_bounds == (0.5, 0.6)
 
 
