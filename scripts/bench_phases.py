@@ -15,6 +15,9 @@ Each phase is the call that ``consensim run --no-plots`` makes for it:
 - json: dumping the report as report.json writes it;
 - run: the whole command, end to end, as a reference.
 
+The header line carries the scenario's fingerprint, so two checkouts can be
+compared for a moved digest with one command each.
+
 Times are the best of several repeats, so they approach the unloaded speed
 of the machine; each phase runs on the outputs of the ones before it. Run
 from the repository root with a file path or a bundled name:
@@ -84,7 +87,7 @@ def main() -> None:
           f"{platform.machine()} {platform.system()}")
     print(f"{path.name}: {scenario.n_agents} agents, {scenario.n_dims} dims, "
           f"{len(scenario.topology.edges)} edges, {n_steps} steps, {len(traj.t)} samples; "
-          f"best of {k}")
+          f"fingerprint {traj.scenario_fingerprint}; best of {k}")
     for name, seconds in times.items():
         print(f"{name:>12} {seconds * 1e3:10.2f} ms")
 

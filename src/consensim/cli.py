@@ -27,8 +27,7 @@ import numpy as np
 
 from .analysis import (conservation_drift, conserved_series, default_tracking_weight,
                        detect_consensus, lyapunov_series, predict_consensus)
-from .dynamics import (IntegratorSettings, Mode, Scenario, Trajectory, simulate,
-                       validate_scenario)
+from .dynamics import Mode, Scenario, Trajectory, simulate, validate_scenario
 from .errors import HypothesisViolated, NonFiniteState, ParseError, ValidationFailed
 from .scenario_io import bundled_scenario_path, list_bundled, parse_scenario
 
@@ -306,13 +305,11 @@ def cmd_run(args) -> int:
     # simulate validates the scenario that actually runs, overrides included.
     path = resolve_scenario_path(args.scenario)
     scenario = parse_scenario(path, validate=False)
-    if args.dt is not None or args.t_end is not None:
-        settings = scenario.integrator
-        settings = IntegratorSettings(
-            dt=args.dt if args.dt is not None else settings.dt,
-            t_end=args.t_end if args.t_end is not None else settings.t_end,
-            record_every=settings.record_every)
-        scenario = dataclasses.replace(scenario, integrator=settings)
+    overrides = {key: value for key, value in (("dt", args.dt), ("t_end", args.t_end))
+                 if value is not None}
+    if overrides:
+        scenario = dataclasses.replace(
+            scenario, integrator=dataclasses.replace(scenario.integrator, **overrides))
 
     trajectory = simulate(scenario)
     out_dir = Path(args.out)

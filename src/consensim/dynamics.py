@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -23,8 +24,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, NoLeader, NonFiniteState, ValidationFailed
 from .graph import Topology, is_connected, leader_reaches_all
-from .protocols import (AssumptionReport, GainProfile, ProtocolSpec, VelocityShape,
-                        validate_assumptions)
+from .protocols import AssumptionReport, ProtocolSpec, VelocityShape, validate_assumptions
 
 
 class Mode(str, Enum):
@@ -107,6 +107,11 @@ class IntegratorSettings:
     t_end: float = 50.0
     record_every: int = 100
 
+    def __post_init__(self):
+        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "t_end", float(self.t_end))
+        object.__setattr__(self, "record_every", operator.index(self.record_every))
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -127,6 +132,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        object.__setattr__(self, "pos_tol", float(self.pos_tol))
+        object.__setattr__(self, "vel_tol", float(self.vel_tol))
 
     @property
     def n_agents(self) -> int:
@@ -180,14 +187,6 @@ class Trajectory:
     leader_q: np.ndarray | None
     scenario_fingerprint: str
     validation: ScenarioValidation | None = None
-
-    @classmethod
-    def from_samples(cls, samples, scenario_fingerprint: str) -> Trajectory:
-        """Trajectory of a sequence of SystemStates, all with or all without a leader."""
-        t = np.array([s.t for s in samples])
-        buf = np.stack([_flatten(s) for s in samples])
-        t.flags.writeable = buf.flags.writeable = False
-        return cls(t, *_split(buf, samples[0].n_agents, samples[0].n_dims), scenario_fingerprint)
 
     @property
     def samples(self) -> Sequence[SystemState]:
@@ -515,69 +514,62 @@ def scenario_fingerprint(scenario: Scenario) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _sequence(items) -> list:
-    # A list of plain floats or plain JSON scalars is encoded in one pass.
-    types = set(map(type, items))
-    if types == {float}:
-        return list(map(float.__repr__, items))
-    if types <= _AS_IS:
-        return list(items)
-    return [_canonical(v) for v in items]
+def _reprs(values) -> list:
+    return list(map(float.__repr__, values))
 
 
-def _array(arr: np.ndarray):
+def _array(arr: np.ndarray) -> list:
     # A float array's reprs, nested the way tolist() nests its values.
-    if arr.dtype != np.float64:
-        return _canonical(arr.tolist())
-    reprs = list(map(float.__repr__, arr.ravel().tolist()))
-    return np.array(reprs, dtype=object).reshape(arr.shape).tolist()
+    return np.array(_reprs(arr.ravel().tolist()), dtype=object).reshape(arr.shape).tolist()
 
 
 def _rows(rows) -> list:
-    # A table of tuples, encoded one column at a time.
-    return list(map(list, zip(*map(_sequence, zip(*rows)))))
+    # (index..., weight) tuples, encoded one column at a time.
+    *indices, weights = list(zip(*rows)) or [()]
+    return list(map(list, zip(*indices, _reprs(weights))))
 
 
-def _fields(obj) -> dict:
-    return {k: _canonical(getattr(obj, k)) for k in obj.__dataclass_fields__}
+def _velocity(shape: VelocityShape | None) -> dict | None:
+    return None if shape is None else {"kind": shape.kind.value,
+                                       "omega": float.__repr__(shape.omega)}
 
 
-# Encoders by exact type. The Topology and GainProfile builders rely on what
-# their constructors guarantee: normalized edge tuples and float parameters.
-_AS_IS = {type(None), bool, int, str}
-_ENCODERS = {
-    **dict.fromkeys(_AS_IS, lambda obj: obj),
-    float: repr,
-    tuple: _sequence,
-    list: _sequence,
-    np.ndarray: _array,
-    Enum: lambda member: member.value,
-    LeaderState: lambda s: {"p": _canonical(s.p), "q": _canonical(s.q)},
-    Topology: lambda topo: {"n_agents": _canonical(topo.n_agents), "edges": _rows(topo.edges),
-                            "leader_links": _rows(topo.leader_links)},
-    GainProfile: lambda g: {"kind": g.kind.value, "b0": float.__repr__(g.b0),
-                            "amplitude": float.__repr__(g.amplitude)},
-}
+def _gains(profiles) -> list:
+    # Gain profiles, encoded one column at a time.
+    kinds = map(operator.attrgetter("kind.value"), profiles)
+    b0s = _reprs(map(operator.attrgetter("b0"), profiles))
+    amplitudes = _reprs(map(operator.attrgetter("amplitude"), profiles))
+    return [{"kind": k, "b0": b0, "amplitude": a} for k, b0, a in zip(kinds, b0s, amplitudes)]
 
 
-def _encoder_for(cls: type):
-    # A type with no encoder of its own: an enum goes by its value even when
-    # it also subclasses str, a dataclass by its fields, anything else by its
-    # nearest base that has an encoder.
-    if issubclass(cls, Enum):
-        return _ENCODERS[Enum]
-    if is_dataclass(cls):
-        return _fields
-    for base in cls.__mro__:
-        if base in _ENCODERS:
-            return _ENCODERS[base]
-    raise TypeError(f"cannot fingerprint {cls!r}")
-
-
-def _canonical(obj):
-    """JSON-ready form of a scenario part: floats as their repr, enums as
-    their value, arrays as nested lists, dataclasses as dicts of fields."""
-    return (_ENCODERS.get(type(obj)) or _encoder_for(type(obj)))(obj)
+def _canonical(scenario: Scenario) -> dict:
+    """JSON-ready form of every field of the scenario: floats as their repr,
+    enums as their value, arrays as nested lists. Construction makes every
+    value a plain Python or float64 one, so no field needs a type check."""
+    topo, spec, state, iset = (scenario.topology, scenario.protocol, scenario.initial,
+                               scenario.integrator)
+    leader = state.leader
+    return {
+        "mode": scenario.mode.value,
+        "masses": _reprs(scenario.masses),
+        "topology": {"n_agents": topo.n_agents, "edges": _rows(topo.edges),
+                     "leader_links": _rows(topo.leader_links)},
+        "protocol": {
+            "velocity": _velocity(spec.velocity),
+            "coupling": {"kind": spec.coupling.kind.value},
+            "gains": _gains(spec.gains),
+            "leader_velocity": _velocity(spec.leader_velocity),
+            "leader_gain": None if spec.leader_gain is None else _gains((spec.leader_gain,))[0],
+        },
+        "initial": {"t": float.__repr__(state.t), "p": _array(state.p), "q": _array(state.q),
+                    "leader": None if leader is None else {"p": _array(leader.p),
+                                                           "q": _array(leader.q)}},
+        "integrator": {"dt": float.__repr__(iset.dt), "t_end": float.__repr__(iset.t_end),
+                       "record_every": iset.record_every},
+        "pos_tol": float.__repr__(scenario.pos_tol),
+        "vel_tol": float.__repr__(scenario.vel_tol),
+        "description": scenario.description,
+    }
 
 
 def simulate(scenario: Scenario) -> Trajectory:

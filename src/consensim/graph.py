@@ -82,15 +82,16 @@ def build_topology(
         IndexOutOfRange, SelfLoop, NonPositiveWeight, DuplicateEdge on the
         corresponding malformed input; TopologyError for a bad n_agents.
     """
-    if not isinstance(n_agents, int) or n_agents < 1:
+    if isinstance(n_agents, bool) or not isinstance(n_agents, (int, np.integer)) or n_agents < 1:
         raise TopologyError(f"n_agents must be an integer >= 1, got {n_agents!r}")
+    n_agents = int(n_agents)
 
     seen: set[tuple[int, int]] = set()
     norm_edges: list[tuple[int, int, float]] = []
     for entry in edges:
         i, j, w = entry
-        _check_index(i, n_agents, "edge endpoint")
-        _check_index(j, n_agents, "edge endpoint")
+        i = _index(i, n_agents, "edge endpoint")
+        j = _index(j, n_agents, "edge endpoint")
         if i == j:
             raise SelfLoop(f"edge ({i}, {j}) connects agent {i} to itself")
         w = float(w)
@@ -106,7 +107,7 @@ def build_topology(
     norm_links: list[tuple[int, float]] = []
     for entry in leader_links:
         i, w = entry
-        _check_index(i, n_agents, "leader link target")
+        i = _index(i, n_agents, "leader link target")
         w = float(w)
         if not math.isfinite(w) or w <= 0.0:
             raise NonPositiveWeight(f"leader link to agent {i} has weight {w}, must be finite and > 0")
@@ -124,11 +125,13 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _check_index(i, n_agents: int, what: str) -> None:
+def _index(i, n_agents: int, what: str) -> int:
+    """The 1-based agent index ``i`` as a plain int, checked against 1..n_agents."""
     if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
         raise IndexOutOfRange(f"{what} {i!r} is not an integer")
     if not 1 <= i <= n_agents:
         raise IndexOutOfRange(f"{what} {i} outside 1..{n_agents}")
+    return int(i)
 
 
 def laplacian(topo: Topology) -> np.ndarray:

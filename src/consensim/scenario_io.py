@@ -321,10 +321,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     out["mode"] = scenario.mode.value
     out["n_agents"] = scenario.n_agents
     out["n_dims"] = n_dims
-    out["masses"] = [float(m) for m in scenario.masses]
-    topology: dict = {"edges": [[i + 1, j + 1, float(w)] for i, j, w in topo.edges]}
+    out["masses"] = list(scenario.masses)
+    topology: dict = {"edges": [[i + 1, j + 1, w] for i, j, w in topo.edges]}
     if topo.leader_links:
-        topology["leader_links"] = [[i + 1, float(w)] for i, w in topo.leader_links]
+        topology["leader_links"] = [[i + 1, w] for i, w in topo.leader_links]
     out["topology"] = topology
     spec = scenario.protocol
     protocol = {

@@ -153,6 +153,15 @@ def test_energy_series_is_nonincreasing_on_simulated_run():
     assert values[-1] < values[0]
 
 
+def trajectory_of(samples, fingerprint):
+    """Trajectory holding the given SystemStates, all with or all without a leader."""
+    leaders = [s.leader for s in samples if s.leader is not None]
+    return Trajectory(np.array([s.t for s in samples]), np.stack([s.p for s in samples]),
+                      np.stack([s.q for s in samples]),
+                      np.stack([lead.p for lead in leaders]) if leaders else None,
+                      np.stack([lead.q for lead in leaders]) if leaders else None, fingerprint)
+
+
 def loop_energy(state, topo, spec, masses, leader_weight, bk):
     """Per-edge loop reference of both energies (leader terms when the state
     has a leader, with unit masses)."""
@@ -193,7 +202,7 @@ def test_energy_series_equals_per_state_energies(leader, coupling, dims):
     masses = (1.0,) * n if leader else tuple(rng.uniform(0.5, 2.0, n))
     scenario = Scenario(mode=Mode.LEADER if leader else Mode.LEADERLESS, masses=masses,
                         topology=topo, protocol=spec, initial=samples[0])
-    values = lyapunov_series(Trajectory.from_samples(samples, "-"), scenario, leader_weight=25.0)
+    values = lyapunov_series(trajectory_of(samples, "-"), scenario, leader_weight=25.0)
     gain_lower = gain_envelope(gains + ((spec.leader_gain,) if leader else ()))[0]
     if leader:
         expected = [lyapunov_leader(s, topo, spec, 25.0, gain_lower, 1.0) for s in samples]
@@ -220,7 +229,7 @@ def test_energy_series_memory_is_bounded_on_dense_graph_with_many_samples():
     topo = build_topology(n, edges)
     scenario = Scenario(mode=Mode.LEADERLESS, masses=(1.0,) * n, topology=topo,
                         protocol=spec, initial=samples[0])
-    traj = Trajectory.from_samples(samples, "-")
+    traj = trajectory_of(samples, "-")
     topo.edge_arrays
     tracemalloc.start()
     try:
@@ -262,7 +271,7 @@ def synthetic_trajectory(spread_speed_pairs, leader=None):
             q=[speed, -speed],
             leader=None if leader is None else LeaderState(np.array([leader]),
                                                            np.array([0.0]))))
-    return Trajectory.from_samples(samples, "synthetic")
+    return trajectory_of(samples, "synthetic")
 
 
 def test_detect_consensus_trailing_run():

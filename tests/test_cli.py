@@ -304,7 +304,10 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     samples = [consensim.dynamics.SystemState(
         t=0.25 * k, p=values((n, d)), q=values((n, d)),
         leader=consensim.dynamics.LeaderState(values(d), values(d))) for k in range(40)]
-    traj = consensim.dynamics.Trajectory.from_samples(samples, "")
+    traj = consensim.dynamics.Trajectory(
+        np.array([s.t for s in samples]), np.stack([s.p for s in samples]),
+        np.stack([s.q for s in samples]), np.stack([s.leader.p for s in samples]),
+        np.stack([s.leader.q for s in samples]), "")
     series = consensim.cli.RunSeries(
         leader_weight=None, energy=values(40), energy_reason=None,
         conserved=values((40, d)), conserved_reason=None)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderState,
                        Mode, NoLeader, NonFiniteState, ProtocolSpec, Scenario,
-                       SystemState, VelocityShape, build_topology, bundled_scenario_path,
+                       SystemState, Topology, TopologyError, VelocityShape, build_topology,
+                       bundled_scenario_path,
                        leader_closed_form, leader_closed_form_for, parse_scenario, rhs,
                        rk4_step, scenario_fingerprint, simulate, tracking_errors,
                        validate_scenario)
@@ -416,6 +417,122 @@ def test_fingerprint_is_stable_and_content_sensitive():
     moved = dataclasses.replace(
         base, initial=SystemState(t=0.0, p=base.initial.p + 1e-9, q=base.initial.q))
     assert scenario_fingerprint(moved) != scenario_fingerprint(base)
+
+    # The payload lists its fields by hand, so one changed value per field of
+    # every class in it must move the digest. A field added to a class later
+    # fails the key check until this table, and the payload, cover it.
+    base, variants = one_change_per_field()
+    digest = scenario_fingerprint(base)
+    for cls, table in variants.items():
+        names = (LeaderState._fields if cls is LeaderState
+                 else [f.name for f in dataclasses.fields(cls)])
+        assert set(table) == set(names), cls.__name__
+        for name, variant in table.items():
+            assert scenario_fingerprint(variant) != digest, f"{cls.__name__}.{name}"
+
+
+def one_change_per_field():
+    """A leader scenario and, per class of the fingerprint payload, one
+    variant per field that changes only that field (or, for a nested one,
+    one value inside it)."""
+    base = leader_scenario_3d()
+    base = dataclasses.replace(
+        base, protocol=dataclasses.replace(base.protocol, leader_gain=GainProfile(b0=0.9)))
+    spec, topo, state, iset = base.protocol, base.topology, base.initial, base.integrator
+    edges = [(i + 1, j + 1, w) for i, j, w in topo.edges]
+    links = [(i + 1, w) for i, w in topo.leader_links]
+
+    def scenario(**changes):
+        return dataclasses.replace(base, **changes)
+
+    def protocol(**changes):
+        return scenario(protocol=dataclasses.replace(spec, **changes))
+
+    def initial(**changes):
+        return scenario(initial=dataclasses.replace(state, **changes))
+
+    def integrator(**changes):
+        return scenario(integrator=dataclasses.replace(iset, **changes))
+
+    return base, {
+        Scenario: {
+            "mode": scenario(mode=Mode.LEADERLESS),
+            "masses": scenario(masses=(1.0, 1.0, 1.0, 2.0)),
+            "topology": scenario(topology=build_topology(4, edges[::-1], links)),
+            "protocol": protocol(gains=spec.gains[::-1]),
+            "initial": initial(p=state.p[::-1]),
+            "integrator": integrator(t_end=3.0),
+            "pos_tol": scenario(pos_tol=2e-3),
+            "vel_tol": scenario(vel_tol=2e-3),
+            "description": scenario(description="changed"),
+        },
+        ProtocolSpec: {
+            "velocity": protocol(velocity=VelocityShape()),
+            "coupling": protocol(coupling=CouplingShape()),
+            "gains": protocol(gains=spec.gains[1:] + spec.gains[:1]),
+            "leader_velocity": protocol(leader_velocity=VelocityShape("sine_perturbed", 0.3)),
+            "leader_gain": protocol(leader_gain=GainProfile("cosine", 1.1, 0.1)),
+        },
+        VelocityShape: {
+            "kind": protocol(leader_velocity=VelocityShape("sine_perturbed", 0.0)),
+            "omega": protocol(velocity=VelocityShape("sine_perturbed", 0.5)),
+        },
+        CouplingShape: {
+            "kind": protocol(coupling=CouplingShape("linear")),
+        },
+        GainProfile: {
+            "kind": protocol(leader_gain=GainProfile("cosine", 0.9)),
+            "b0": protocol(leader_gain=GainProfile(b0=1.0)),
+            "amplitude": protocol(
+                gains=(dataclasses.replace(spec.gains[0], amplitude=0.2),) + spec.gains[1:]),
+        },
+        SystemState: {
+            "t": initial(t=1.0),
+            "p": initial(p=state.p + 1e-9),
+            "q": initial(q=state.q + 1e-9),
+            "leader": initial(leader=LeaderState(state.leader.q, state.leader.p)),
+        },
+        LeaderState: {
+            "p": initial(leader=LeaderState(state.leader.p + 1e-9, state.leader.q)),
+            "q": initial(leader=LeaderState(state.leader.p, state.leader.q + 1e-9)),
+        },
+        IntegratorSettings: {
+            "dt": integrator(dt=2e-2),
+            "t_end": integrator(t_end=2.0),
+            "record_every": integrator(record_every=5),
+        },
+        Topology: {
+            "n_agents": scenario(topology=build_topology(5, edges, links)),
+            "edges": scenario(topology=build_topology(4, edges[:-1], links)),
+            "leader_links": scenario(topology=build_topology(4, edges, links[:1])),
+        },
+    }
+
+
+def test_numpy_scalars_and_int_horizon_run_like_plain_floats():
+    # Constructors normalize numpy scalars and an int horizon to plain
+    # values, so such a scenario runs and hashes like its plain-float twin.
+    plain = dataclasses.replace(
+        parse_scenario(bundled_scenario_path("fig3b")),
+        integrator=IntegratorSettings(dt=0.001, t_end=1.0, record_every=100))
+    topo = plain.topology
+    typed = dataclasses.replace(
+        plain,
+        topology=build_topology(
+            np.int64(topo.n_agents),
+            [(np.int64(i + 1), np.int32(j + 1), w) for i, j, w in topo.edges],
+            [(np.int64(i + 1), w) for i, w in topo.leader_links]),
+        integrator=IntegratorSettings(dt=np.float64(0.001), t_end=1, record_every=np.int64(100)),
+        pos_tol=np.float64(1e-3), vel_tol=np.float64(1e-3))
+    typed_run, plain_run = simulate(typed), simulate(plain)
+    assert typed_run.scenario_fingerprint == plain_run.scenario_fingerprint
+    for name in ("t", "p", "q", "leader_p", "leader_q"):
+        np.testing.assert_array_equal(getattr(typed_run, name), getattr(plain_run, name))
+
+    with pytest.raises(TypeError):
+        IntegratorSettings(record_every=2.5)
+    with pytest.raises(TopologyError):
+        build_topology(True, [])
 
 
 def leader_scenario_3d():
