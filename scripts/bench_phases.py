@@ -5,6 +5,8 @@ Each phase is the call that ``consensim run --no-plots`` makes for it:
 
 - parse: read and parse the file (no rule check);
 - validate: every blocking and advisory rule;
+- reach: the graph search behind validation's question (connected, or
+  leader reaches all), which the topology otherwise caches after one run;
 - compile: lowering the scenario to the kernel's arrays;
 - fingerprint: the scenario's content hash;
 - integrate: the run's RK4 loop as ``simulate`` runs it, with the per-step
@@ -12,8 +14,10 @@ Each phase is the call that ``consensim run --no-plots`` makes for it:
 - series: the energy and conserved-quantity series;
 - csv: writing trajectory.csv;
 - report: building the report dict;
-- json: dumping the report as report.json writes it;
-- run: the whole command, end to end, as a reference.
+- json: rendering the report's text with the writer report.json uses;
+- run: the whole command, end to end, as a reference. Its line also gives
+  the cyclic garbage collector's collections and time per run, taken with
+  ``gc.callbacks``.
 
 The header line carries the scenario's fingerprint, so two checkouts can be
 compared for a moved digest with one command each.
@@ -27,8 +31,8 @@ from the repository root with a file path or a bundled name:
 
 import argparse
 import contextlib
+import gc
 import io
-import json
 import platform
 import tempfile
 import time
@@ -37,8 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from consensim import cli
-from consensim.dynamics import (_Compiled, _flatten, _integrate, scenario_fingerprint, simulate,
-                                validate_scenario)
+from consensim.dynamics import (Mode, _Compiled, _flatten, _integrate, scenario_fingerprint,
+                                simulate, validate_scenario)
+from consensim.graph import _reaches_all
 from consensim.scenario_io import parse_scenario
 
 
@@ -49,6 +54,27 @@ def best_s(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+class GcClock:
+    """Counts the collector's runs and their time while installed."""
+
+    def __init__(self):
+        self.collections, self.seconds, self._start = 0, 0.0, 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.collections += 1
+            self.seconds += time.perf_counter() - self._start
+
+    def __enter__(self):
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
 
 
 def main() -> None:
@@ -66,22 +92,27 @@ def main() -> None:
     y0, n_steps = _flatten(scenario.initial), round(iset.t_end / iset.dt)
     series = cli.run_series(traj, scenario)
     report = cli.build_report(traj, scenario, str(path), series)
+    topo = scenario.topology
+    sources = [i for i, _ in topo.leader_links] if scenario.mode is Mode.LEADER else [0]
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         csv_path = Path(tmp) / "trajectory.csv"
         phases = {
             "parse": lambda: parse_scenario(path, validate=False),
             "validate": lambda: validate_scenario(scenario),
+            "reach": lambda: _reaches_all(topo, sources),
             "compile": lambda: _Compiled(scenario),
             "fingerprint": lambda: scenario_fingerprint(scenario),
             "integrate": lambda: _integrate(comp, y0, iset),
             "series": lambda: cli.run_series(traj, scenario),
             "csv": lambda: cli.write_trajectory_csv(traj, scenario, csv_path, series),
             "report": lambda: cli.build_report(traj, scenario, str(path), series),
-            "json": lambda: json.dumps(report, indent=2, sort_keys=True),
-            "run": lambda: cli.main(["run", str(path), "--out", tmp, "--no-plots"]),
+            "json": lambda: cli.report_json(report),
         }
         times = {name: best_s(fn, k) for name, fn in phases.items()}
+        with GcClock() as clock:
+            times["run"] = best_s(lambda: cli.main(["run", str(path), "--out", tmp, "--no-plots"]),
+                                  k)
 
     print(f"numpy {np.__version__}, Python {platform.python_version()}, "
           f"{platform.machine()} {platform.system()}")
@@ -90,6 +121,8 @@ def main() -> None:
           f"fingerprint {traj.scenario_fingerprint}; best of {k}")
     for name, seconds in times.items():
         print(f"{name:>12} {seconds * 1e3:10.2f} ms")
+    print(f"{'run gc':>12} {clock.seconds / k * 1e3:10.2f} ms, "
+          f"{clock.collections / k:.1f} collections per run")
 
 
 if __name__ == "__main__":

@@ -127,6 +127,12 @@ def default_tracking_weight(scenario: Scenario) -> float:
     return 1.01 * tracking_gain_lower_bound(scenario.n_agents, g_lo, g_hi, s_lo, s_hi)
 
 
+def _positive_gains(b: np.ndarray) -> np.ndarray:
+    if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
+        raise HypothesisViolated("gains must be finite and > 0")
+    return b
+
+
 def _constant_gain_values(gains) -> np.ndarray:
     values = []
     for g in gains:
@@ -136,10 +142,28 @@ def _constant_gain_values(gains) -> np.ndarray:
             values.append(g.b0)
         else:
             values.append(float(g))
-    arr = np.array(values)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise HypothesisViolated("gains must be finite and > 0")
-    return arr
+    return _positive_gains(np.array(values))
+
+
+def _spec_gain_values(spec: ProtocolSpec) -> np.ndarray:
+    """The followers' gains, which must be constant, read from the spec's
+    gain columns; raises as :func:`_constant_gain_values` does."""
+    b0, amplitude = spec.gain_columns
+    if amplitude.any():
+        raise HypothesisViolated("conserved quantity needs constant gains")
+    return _positive_gains(b0)
+
+
+def _conserved(p: np.ndarray, q: np.ndarray, masses, b: np.ndarray) -> np.ndarray:
+    # Sum over the agent axis of (..., N, d) positions and velocities.
+    m = np.asarray(masses, dtype=float)
+    return np.sum(b[:, None] * p + m[:, None] * q, axis=-2)
+
+
+def _leaderless_limit(initial: SystemState, masses, b: np.ndarray) -> np.ndarray:
+    if initial.leader is not None:
+        raise HypothesisViolated("conserved quantity is a leaderless construction")
+    return _conserved(initial.p, initial.q, masses, b) / float(np.sum(b))
 
 
 def conserved_quantity(state: SystemState, masses, gains) -> np.ndarray:
@@ -149,9 +173,7 @@ def conserved_quantity(state: SystemState, masses, gains) -> np.ndarray:
     constant) or plain positive numbers."""
     if state.leader is not None:
         raise HypothesisViolated("conserved quantity is a leaderless construction")
-    b = _constant_gain_values(gains)
-    m = np.asarray(masses, dtype=float)
-    return np.sum(b[:, None] * state.p + m[:, None] * state.q, axis=0)
+    return _conserved(state.p, state.q, masses, _constant_gain_values(gains))
 
 
 def predicted_consensus_leaderless(initial: SystemState, masses, gains) -> np.ndarray:
@@ -159,8 +181,7 @@ def predicted_consensus_leaderless(initial: SystemState, masses, gains) -> np.nd
     velocity feedback, constant gains, and a connected graph: the conserved
     quantity at t=0 divided by the total gain. Connectivity is the caller's
     obligation."""
-    b = _constant_gain_values(gains)
-    return conserved_quantity(initial, masses, gains) / float(np.sum(b))
+    return _leaderless_limit(initial, masses, _constant_gain_values(gains))
 
 
 def predicted_consensus_leader(leader_p0, leader_q0, gain_value: float) -> np.ndarray:
@@ -199,11 +220,11 @@ def predict_consensus(scenario: Scenario) -> Prediction:
     if scenario.mode is Mode.LEADERLESS:
         if not spec.velocity.is_linear:
             return Prediction(None, "nonlinear velocity feedback has no closed-form consensus value")
-        if not all(g.is_constant for g in spec.gains):
+        if spec.gain_columns[1].any():
             return Prediction(None, "time-varying gains have no closed-form consensus value")
         if not is_connected(scenario.topology):
             return Prediction(None, "graph not connected")
-        value = predicted_consensus_leaderless(scenario.initial, scenario.masses, spec.gains)
+        value = _leaderless_limit(scenario.initial, scenario.masses, _spec_gain_values(spec))
         return Prediction(value, None)
     if not spec.leader_velocity.is_linear:
         return Prediction(None, "nonlinear leader velocity feedback has no closed-form target")
@@ -325,9 +346,7 @@ def conserved_series(traj: Trajectory, scenario: Scenario) -> np.ndarray:
         raise HypothesisViolated("conserved quantity is a leaderless construction")
     if not scenario.protocol.velocity.is_linear:
         raise HypothesisViolated("conservation needs linear velocity feedback")
-    b = _constant_gain_values(scenario.protocol.gains)
-    m = np.asarray(scenario.masses, dtype=float)
-    return np.sum(b[:, None] * traj.p + m[:, None] * traj.q, axis=1)
+    return _conserved(traj.p, traj.q, scenario.masses, _spec_gain_values(scenario.protocol))
 
 
 def conservation_drift(traj: Trajectory, scenario: Scenario,

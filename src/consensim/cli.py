@@ -20,7 +20,9 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +188,39 @@ def build_report(traj: Trajectory, scenario: Scenario, scenario_path: str,
     }
 
 
+# One assumption check as json.dumps(indent=2, sort_keys=True) lays it out
+# at its depth in the report, and the line its list takes when empty.
+_CHECK = ('        {{\n          "blocking": {},\n          "detail": {},\n'
+          '          "name": {},\n          "passed": {}\n        }}')
+_EMPTY_CHECKS = '\n      "checks": []'
+_JSON_BOOLS = ("false", "true")
+
+
+def report_json(report: dict) -> str:
+    """The text of report.json: ``json.dumps(report, indent=2,
+    sort_keys=True)`` and a newline.
+
+    That call always takes the pure-Python encoder, which is slow on the
+    thousands of assumption checks of a large scenario. So the report is
+    dumped with an empty check list, and the checks (never none: there is
+    one per gain), rendered from one template, are spliced in where it
+    stands. The splice point is a line break, which json.dumps writes only
+    between items (never inside a string), followed by the indented
+    ``"checks"`` key; no other key of the report is named so, so the point
+    occurs exactly once."""
+    validation = report["validation"]
+    assumptions = validation["assumptions"]
+    shell = {**report, "validation": {**validation,
+                                      "assumptions": {**assumptions, "checks": []}}}
+    head, tail = json.dumps(shell, indent=2, sort_keys=True).split(_EMPTY_CHECKS)
+    rows = map(operator.itemgetter("blocking", "detail", "name", "passed"),
+               assumptions["checks"])
+    items = ",\n".join([_CHECK.format(_JSON_BOOLS[blocking], encode_basestring_ascii(detail),
+                                       encode_basestring_ascii(name), _JSON_BOOLS[passed])
+                        for blocking, detail, name, passed in rows])
+    return f"{head}{_EMPTY_CHECKS[:-1]}\n{items}\n      ]{tail}\n"
+
+
 PLOT_WIDTH, PLOT_MIN_HEIGHT = 700, 420
 _MARGIN_LEFT, _MARGIN_TOP, _MARGIN_BOTTOM, _LEGEND_WIDTH = 64, 16, 44, 120
 _LEGEND_ROW = 14
@@ -295,7 +330,7 @@ def write_outputs(traj: Trajectory, scenario: Scenario, scenario_path, out_dir: 
     series = run_series(traj, scenario)
     write_trajectory_csv(traj, scenario, out_dir / "trajectory.csv", series)
     report = build_report(traj, scenario, str(scenario_path), series)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (out_dir / "report.json").write_text(report_json(report))
     if plots:
         write_plots(traj, scenario, out_dir)
     return report

@@ -12,19 +12,21 @@ scenario produces bitwise-identical trajectories on a given platform.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
 
+from ._real import real
 from .errors import HypothesisViolated, NoLeader, NonFiniteState, ValidationFailed
 from .graph import Topology, is_connected, leader_reaches_all
-from .protocols import AssumptionReport, ProtocolSpec, VelocityShape, validate_assumptions
+from .protocols import (AssumptionReport, GainKind, ProtocolSpec, VelocityShape,
+                        validate_assumptions)
 
 
 class Mode(str, Enum):
@@ -108,8 +110,10 @@ class IntegratorSettings:
     record_every: int = 100
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t_end", float(self.t_end))
+        object.__setattr__(self, "dt", real(self.dt, "dt"))
+        object.__setattr__(self, "t_end", real(self.t_end, "t_end"))
+        if isinstance(self.record_every, bool):
+            raise TypeError(f"record_every must be an integer, got {self.record_every!r}")
         object.__setattr__(self, "record_every", operator.index(self.record_every))
 
 
@@ -131,9 +135,12 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
-        object.__setattr__(self, "pos_tol", float(self.pos_tol))
-        object.__setattr__(self, "vel_tol", float(self.vel_tol))
+        masses = tuple(self.masses)
+        if not {float}.issuperset(map(type, masses)):  # one type pass for the common case
+            masses = tuple(real(m, f"masses[{k}]") for k, m in enumerate(masses))
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "pos_tol", real(self.pos_tol, "pos_tol"))
+        object.__setattr__(self, "vel_tol", real(self.vel_tol, "vel_tol"))
 
     @property
     def n_agents(self) -> int:
@@ -210,7 +217,8 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
 
     if len(scenario.masses) != n:
         errors.append(f"masses length {len(scenario.masses)} != n_agents {n}")
-    if any(not math.isfinite(m) or m <= 0.0 for m in scenario.masses):
+    masses = np.array(scenario.masses)
+    if not (np.isfinite(masses).all() and (masses > 0.0).all()):
         errors.append("masses must be finite and > 0")
     if len(scenario.protocol.gains) != n:
         errors.append(f"gains length {len(scenario.protocol.gains)} != n_agents {n}")
@@ -232,7 +240,7 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
             errors.append("leader mode requires at least one leader link")
         elif not leader_reaches_all(topo):
             errors.append("leader has no path to every agent")
-        if any(m != 1.0 for m in scenario.masses):
+        if (masses != 1.0).any():
             warnings.append(
                 "tracking analysis assumes unit masses; results hold only empirically otherwise")
     else:
@@ -346,9 +354,12 @@ class _Compiled:
         self.slots = self.gather[self.n_edges * d:]
         self.w = np.repeat(np.concatenate([edge_w, edge_w, link_w]), d)
 
-        profiles = spec.gains + ((spec.leader_gain,) if has_leader else ())
-        self.gain_base = np.repeat([g.b0 for g in profiles], d)
-        self.gain_ripple = np.repeat([g.amplitude for g in profiles], d)
+        b0, amplitude = spec.gain_columns
+        if has_leader:
+            b0 = np.append(b0, spec.leader_gain.b0)
+            amplitude = np.append(amplitude, spec.leader_gain.amplitude)
+        self.gain_base = np.repeat(b0, d)
+        self.gain_ripple = np.repeat(amplitude, d)
         # With no ripple, b0 + 0·cos t is b0 bit for bit (for any b0 but -0.0,
         # which no valid gain has), so one vector serves every t.
         self.constant_gain = None if self.gain_ripple.any() else -self.gain_base
@@ -510,66 +521,84 @@ def rk4_step(state: SystemState, scenario: Scenario) -> SystemState:
 
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Content hash (sha256 hex) of the scenario, stable across processes."""
-    payload = json.dumps(_canonical(scenario), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return hashlib.sha256(_canonical(scenario).encode()).hexdigest()
 
 
 def _reprs(values) -> list:
     return list(map(float.__repr__, values))
 
 
-def _array(arr: np.ndarray) -> list:
-    # A float array's reprs, nested the way tolist() nests its values.
-    return np.array(_reprs(arr.ravel().tolist()), dtype=object).reshape(arr.shape).tolist()
+def _strings(items: list) -> str:
+    # JSON text of a list of strings that need no escaping, such as float reprs.
+    return '["' + '","'.join(items) + '"]' if items else "[]"
 
 
-def _rows(rows) -> list:
-    # (index..., weight) tuples, encoded one column at a time.
-    *indices, weights = list(zip(*rows)) or [()]
-    return list(map(list, zip(*indices, _reprs(weights))))
+def _array(arr: np.ndarray) -> str:
+    # A 1-D or 2-D float array's reprs, nested the way tolist() nests its values.
+    if arr.ndim == 1:
+        return _strings(_reprs(arr.tolist()))
+    columns = [_reprs(column) for column in arr.T.tolist()]
+    row = "[" + ",".join(['"{}"'] * len(columns)) + "]"
+    return "[" + ",".join(map(row.format, *columns) if columns else ["[]"] * len(arr)) + "]"
 
 
-def _velocity(shape: VelocityShape | None) -> dict | None:
-    return None if shape is None else {"kind": shape.kind.value,
-                                       "omega": float.__repr__(shape.omega)}
+def _rows(rows, row: str) -> str:
+    # (index..., weight) tuples, encoded one column at a time into ``row``.
+    if not rows:
+        return "[]"
+    *indices, weights = zip(*rows)
+    return "[" + ",".join(map(row.format, *indices, _reprs(weights))) + "]"
 
 
-def _gains(profiles) -> list:
+def _velocity(shape: VelocityShape | None) -> str:
+    if shape is None:
+        return "null"
+    return f'{{"kind":"{shape.kind.value}","omega":"{shape.omega!r}"}}'
+
+
+_GAIN_KIND_VALUES = {kind: kind.value for kind in GainKind}
+
+
+def _gains(profiles) -> str:
     # Gain profiles, encoded one column at a time.
-    kinds = map(operator.attrgetter("kind.value"), profiles)
+    kinds = map(_GAIN_KIND_VALUES.__getitem__, map(operator.attrgetter("kind"), profiles))
     b0s = _reprs(map(operator.attrgetter("b0"), profiles))
     amplitudes = _reprs(map(operator.attrgetter("amplitude"), profiles))
-    return [{"kind": k, "b0": b0, "amplitude": a} for k, b0, a in zip(kinds, b0s, amplitudes)]
+    gain = '{{"amplitude":"{}","b0":"{}","kind":"{}"}}'
+    return "[" + ",".join(map(gain.format, amplitudes, b0s, kinds)) + "]"
 
 
-def _canonical(scenario: Scenario) -> dict:
-    """JSON-ready form of every field of the scenario: floats as their repr,
-    enums as their value, arrays as nested lists. Construction makes every
-    value a plain Python or float64 one, so no field needs a type check."""
+def _canonical(scenario: Scenario) -> str:
+    """Canonical JSON text of every field of the scenario: floats as the
+    strings of their repr, enums as their value, arrays as nested lists,
+    keys sorted and no whitespace, as ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` writes it. The schema is fixed, so the text is
+    written directly in that key order; construction makes every value a
+    plain Python or float64 one, so no field needs a type check."""
     topo, spec, state, iset = (scenario.topology, scenario.protocol, scenario.initial,
                                scenario.integrator)
     leader = state.leader
-    return {
-        "mode": scenario.mode.value,
-        "masses": _reprs(scenario.masses),
-        "topology": {"n_agents": topo.n_agents, "edges": _rows(topo.edges),
-                     "leader_links": _rows(topo.leader_links)},
-        "protocol": {
-            "velocity": _velocity(spec.velocity),
-            "coupling": {"kind": spec.coupling.kind.value},
-            "gains": _gains(spec.gains),
-            "leader_velocity": _velocity(spec.leader_velocity),
-            "leader_gain": None if spec.leader_gain is None else _gains((spec.leader_gain,))[0],
-        },
-        "initial": {"t": float.__repr__(state.t), "p": _array(state.p), "q": _array(state.q),
-                    "leader": None if leader is None else {"p": _array(leader.p),
-                                                           "q": _array(leader.q)}},
-        "integrator": {"dt": float.__repr__(iset.dt), "t_end": float.__repr__(iset.t_end),
-                       "record_every": iset.record_every},
-        "pos_tol": float.__repr__(scenario.pos_tol),
-        "vel_tol": float.__repr__(scenario.vel_tol),
-        "description": scenario.description,
-    }
+    return "".join([
+        '{"description":', encode_basestring_ascii(scenario.description),
+        ',"initial":{"leader":',
+        "null" if leader is None else f'{{"p":{_array(leader.p)},"q":{_array(leader.q)}}}',
+        ',"p":', _array(state.p), ',"q":', _array(state.q), f',"t":"{state.t!r}"}}',
+        f',"integrator":{{"dt":"{iset.dt!r}","record_every":{iset.record_every},'
+        f'"t_end":"{iset.t_end!r}"}}',
+        ',"masses":', _strings(_reprs(scenario.masses)),
+        f',"mode":"{scenario.mode.value}"',
+        f',"pos_tol":"{scenario.pos_tol!r}"',
+        f',"protocol":{{"coupling":{{"kind":"{spec.coupling.kind.value}"}}',
+        ',"gains":', _gains(spec.gains),
+        ',"leader_gain":',
+        "null" if spec.leader_gain is None else _gains((spec.leader_gain,))[1:-1],
+        ',"leader_velocity":', _velocity(spec.leader_velocity),
+        ',"velocity":', _velocity(spec.velocity), "}",
+        ',"topology":{"edges":', _rows(topo.edges, '[{},{},"{}"]'),
+        ',"leader_links":', _rows(topo.leader_links, '[{},"{}"]'),
+        f',"n_agents":{topo.n_agents}}}',
+        f',"vel_tol":"{scenario.vel_tol!r}"}}',
+    ])
 
 
 def simulate(scenario: Scenario) -> Trajectory:

@@ -8,12 +8,13 @@ indices, converted at that boundary.
 from __future__ import annotations
 
 import math
-from collections import deque
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._real import is_real_type
 from .errors import DuplicateEdge, IndexOutOfRange, NonPositiveWeight, SelfLoop, TopologyError
 
 
@@ -30,15 +31,6 @@ class Topology:
     n_agents: int
     edges: tuple[tuple[int, int, float], ...]
     leader_links: tuple[tuple[int, float], ...] = ()
-
-    @cached_property
-    def neighbor_map(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """For each agent, the (neighbor, weight) pairs, both directions."""
-        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n_agents)]
-        for i, j, w in self.edges:
-            nbrs[i].append((j, w))
-            nbrs[j].append((i, w))
-        return tuple(tuple(entry) for entry in nbrs)
 
     @cached_property
     def connected(self) -> bool:
@@ -86,37 +78,76 @@ def build_topology(
         raise TopologyError(f"n_agents must be an integer >= 1, got {n_agents!r}")
     n_agents = int(n_agents)
 
-    seen: set[tuple[int, int]] = set()
-    norm_edges: list[tuple[int, int, float]] = []
-    for entry in edges:
-        i, j, w = entry
-        i = _index(i, n_agents, "edge endpoint")
-        j = _index(j, n_agents, "edge endpoint")
-        if i == j:
-            raise SelfLoop(f"edge ({i}, {j}) connects agent {i} to itself")
-        w = float(w)
-        if not math.isfinite(w) or w <= 0.0:
-            raise NonPositiveWeight(f"edge ({i}, {j}) has weight {w}, must be finite and > 0")
-        a, b = (i - 1, j - 1) if i < j else (j - 1, i - 1)
-        if (a, b) in seen:
-            raise DuplicateEdge(f"unordered pair ({a + 1}, {b + 1}) listed more than once")
-        seen.add((a, b))
-        norm_edges.append((a, b, w))
+    edges = list(edges)
+    columns = _edge_columns(edges, n_agents)
+    if columns is None:
+        _raise_first_bad_edge(edges, n_agents)
+    a, b, weights = columns
 
     seen_leader: set[int] = set()
     norm_links: list[tuple[int, float]] = []
     for entry in leader_links:
         i, w = entry
         i = _index(i, n_agents, "leader link target")
-        w = float(w)
-        if not math.isfinite(w) or w <= 0.0:
-            raise NonPositiveWeight(f"leader link to agent {i} has weight {w}, must be finite and > 0")
+        w = _weight(w, f"leader link to agent {i}")
         if i - 1 in seen_leader:
             raise DuplicateEdge(f"leader link to agent {i} listed more than once")
         seen_leader.add(i - 1)
         norm_links.append((i - 1, w))
 
-    return Topology(n_agents=n_agents, edges=tuple(norm_edges), leader_links=tuple(norm_links))
+    topo = Topology(n_agents=n_agents, edges=tuple(zip(a.tolist(), b.tolist(), weights.tolist())),
+                    leader_links=tuple(norm_links))
+    # The checks already hold the arrays that edge_arrays would build from
+    # the edges, so the cached property starts filled.
+    vars(topo)["edge_arrays"] = _frozen(a, b, weights)
+    return topo
+
+
+def _edge_columns(edges: list, n_agents: int):
+    """The 0-based (a, b, weight) arrays, a < b, of 1-based (i, j, weight)
+    triples, with every rule checked on whole columns; None when any edge
+    breaks one."""
+    try:
+        i, j, w = zip(*[(i, j, w) for i, j, w in edges]) if edges else ((), (), ())
+    except (TypeError, ValueError):  # an entry that is not an (i, j, weight) triple
+        return None
+    ends = i + j
+    if not (all(map(_is_index_type, set(map(type, ends))))
+            and all(map(is_real_type, set(map(type, w))))):
+        return None
+    if ends and not 1 <= min(ends) <= max(ends) <= n_agents:
+        return None
+    try:
+        w = np.array(w, dtype=float)
+    except OverflowError:
+        return None
+    if any(map(operator.eq, i, j)) or not (np.isfinite(w).all() and (w > 0.0).all()):
+        return None
+    # Pairs are compared through builtins over the index columns: numpy's
+    # minimum and sort kernels would add their code pages to every small
+    # run's memory, to save about a millisecond on 5000 edges.
+    low, high = list(map(min, i, j)), list(map(max, i, j))
+    if len(set(zip(low, high))) < len(low):
+        return None
+    a, b = np.array(low, dtype=np.intp) - 1, np.array(high, dtype=np.intp) - 1
+    return a, b, w
+
+
+def _raise_first_bad_edge(edges: list, n_agents: int) -> None:
+    """Raise the error of the first edge, in list order, that breaks a rule;
+    the whole-column checks of :func:`_edge_columns` say only that one does."""
+    seen: set[tuple[int, int]] = set()
+    for entry in edges:
+        i, j, w = entry
+        i = _index(i, n_agents, "edge endpoint")
+        j = _index(j, n_agents, "edge endpoint")
+        if i == j:
+            raise SelfLoop(f"edge ({i}, {j}) connects agent {i} to itself")
+        _weight(w, f"edge ({i}, {j})")
+        a, b = (i - 1, j - 1) if i < j else (j - 1, i - 1)
+        if (a, b) in seen:
+            raise DuplicateEdge(f"unordered pair ({a + 1}, {b + 1}) listed more than once")
+        seen.add((a, b))
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -125,13 +156,27 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _is_index_type(cls: type) -> bool:
+    return issubclass(cls, (int, np.integer)) and not issubclass(cls, bool)
+
+
 def _index(i, n_agents: int, what: str) -> int:
     """The 1-based agent index ``i`` as a plain int, checked against 1..n_agents."""
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+    if not _is_index_type(type(i)):
         raise IndexOutOfRange(f"{what} {i!r} is not an integer")
     if not 1 <= i <= n_agents:
         raise IndexOutOfRange(f"{what} {i} outside 1..{n_agents}")
     return int(i)
+
+
+def _weight(w, what: str) -> float:
+    """The weight ``w`` as a float, checked to be a real number, finite and > 0."""
+    if not is_real_type(type(w)):
+        raise NonPositiveWeight(f"{what} has weight {w!r}, which is not a number")
+    w = float(w)
+    if not math.isfinite(w) or w <= 0.0:
+        raise NonPositiveWeight(f"{what} has weight {w}, must be finite and > 0")
+    return w
 
 
 def laplacian(topo: Topology) -> np.ndarray:
@@ -150,7 +195,7 @@ def laplacian(topo: Topology) -> np.ndarray:
 def is_connected(topo: Topology) -> bool:
     """Whether the agent graph (ignoring the leader) is connected.
 
-    Breadth-first search from agent 0, run once per topology; a single
+    Graph search from agent 0, run once per topology; a single
     agent with no edges counts as connected.
     """
     return topo.connected
@@ -166,18 +211,26 @@ def leader_reaches_all(topo: Topology) -> bool:
 
 
 def _reaches_all(topo: Topology, sources) -> bool:
-    """Whether a breadth-first search from ``sources`` reaches every agent."""
-    nbrs = topo.neighbor_map
-    seen = [False] * topo.n_agents
-    frontier = deque()
-    for i in sources:
-        if not seen[i]:
-            seen[i] = True
-            frontier.append(i)
-    while frontier:
-        i = frontier.popleft()
-        for j, _ in nbrs[i]:
-            if not seen[j]:
-                seen[j] = True
-                frontier.append(j)
+    """Whether a search from ``sources`` reaches every agent. The adjacency
+    is built in CSR form: both directions of every edge sorted by their
+    first end, so agent k's neighbors are ``neighbors[starts[k]:starts[k + 1]]``."""
+    n = topo.n_agents
+    i, j, _ = topo.edge_arrays
+    ends = np.concatenate([i, j])
+    # Any order serves the search. The stable sort's code is smaller than
+    # the default SIMD sort's, so a small run maps fewer pages of numpy.
+    neighbors = np.concatenate([j, i])[np.argsort(ends, kind="stable")].tolist()
+    starts = [0] + np.cumsum(np.bincount(ends, minlength=n)).tolist()
+    seen = [False] * n
+    stack = []
+    for k in sources:
+        if not seen[k]:
+            seen[k] = True
+            stack.append(k)
+    while stack:
+        k = stack.pop()
+        for m in neighbors[starts[k]:starts[k + 1]]:
+            if not seen[m]:
+                seen[m] = True
+                stack.append(m)
     return all(seen)

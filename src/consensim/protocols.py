@@ -15,8 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
+
+from ._real import real
 
 
 class VelocityKind(str, Enum):
@@ -45,8 +49,10 @@ class VelocityShape:
     omega: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", VelocityKind(self.kind))
-        object.__setattr__(self, "omega", float(self.omega))
+        if type(self.kind) is not VelocityKind:
+            object.__setattr__(self, "kind", VelocityKind(self.kind))
+        if type(self.omega) is not float:
+            object.__setattr__(self, "omega", real(self.omega, "omega"))
         if not math.isfinite(self.omega) or self.omega < 0.0:
             raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
         if self.kind is VelocityKind.LINEAR and self.omega != 0.0:
@@ -71,7 +77,8 @@ class CouplingShape:
     kind: CouplingKind = CouplingKind.LINEAR
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", CouplingKind(self.kind))
+        if type(self.kind) is not CouplingKind:
+            object.__setattr__(self, "kind", CouplingKind(self.kind))
 
     @property
     def is_linear(self) -> bool:
@@ -93,7 +100,7 @@ class CouplingShape:
         return half_sq + 0.25 * (x * x) * (x * x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GainProfile:
     """Velocity-feedback gain of one agent as a function of time.
 
@@ -107,9 +114,13 @@ class GainProfile:
     amplitude: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", GainKind(self.kind))
-        object.__setattr__(self, "b0", float(self.b0))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        # One profile per agent: values that are already plain are kept as given.
+        if type(self.kind) is not GainKind:
+            object.__setattr__(self, "kind", GainKind(self.kind))
+        if type(self.b0) is not float:
+            object.__setattr__(self, "b0", real(self.b0, "b0"))
+        if type(self.amplitude) is not float:
+            object.__setattr__(self, "amplitude", real(self.amplitude, "amplitude"))
         if not math.isfinite(self.b0) or not math.isfinite(self.amplitude):
             raise ValueError("gain parameters must be finite")
         if self.kind is GainKind.CONSTANT and self.amplitude != 0.0:
@@ -153,6 +164,15 @@ class ProtocolSpec:
     def has_leader(self) -> bool:
         return self.leader_gain is not None
 
+    @cached_property
+    def gain_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The followers' gain parameters as read-only arrays (b0, amplitude),
+        one entry per agent, in the order of ``gains``."""
+        b0 = np.array([g.b0 for g in self.gains])
+        amplitude = np.array([g.amplitude for g in self.gains])
+        b0.flags.writeable = amplitude.flags.writeable = False
+        return b0, amplitude
+
 
 def gain_envelope(profiles) -> tuple[float, float]:
     """Tightest (lower, upper) bounds covering every profile in `profiles`."""
@@ -180,18 +200,32 @@ def sector_constants(shape: VelocityShape) -> tuple[float, float]:
     return (1.0 + shape.omega * COS_TAN_ROOT, 1.0 + shape.omega)
 
 
+def _gain_bounds(spec: ProtocolSpec) -> tuple[list[float], list[float]]:
+    """Lower and upper envelope of every gain profile, followers then leader."""
+    b0, amplitude = spec.gain_columns
+    ripple = np.abs(amplitude)
+    lows, highs = (b0 - ripple).tolist(), (b0 + ripple).tolist()
+    if spec.leader_gain is not None:
+        low, high = spec.leader_gain.bounds()
+        lows.append(low)
+        highs.append(high)
+    return lows, highs
+
+
+def _sector_envelope(spec: ProtocolSpec) -> tuple[float, float]:
+    shapes = [spec.velocity] + ([spec.leader_velocity] if spec.has_leader else [])
+    lows, highs = zip(*(sector_constants(s) for s in shapes))
+    return min(lows), max(highs)
+
+
 def protocol_envelopes(spec: ProtocolSpec) -> tuple[tuple[float, float], tuple[float, float]]:
     """Global (gain, sector) envelopes over the followers and the leader: the
     bounds the tracking energy and its weight are stated in."""
-    profiles, shapes = list(spec.gains), [spec.velocity]
-    if spec.has_leader:
-        profiles.append(spec.leader_gain)
-        shapes.append(spec.leader_velocity)
-    lows, highs = zip(*(sector_constants(s) for s in shapes))
-    return gain_envelope(profiles), (min(lows), max(highs))
+    lows, highs = _gain_bounds(spec)
+    return (min(lows), max(highs)), _sector_envelope(spec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssumptionCheck:
     name: str
     passed: bool
@@ -256,21 +290,15 @@ def validate_assumptions(spec: ProtocolSpec) -> AssumptionReport:
                          ("coupling_sign", "z*value(z) > 0")):
         checks.append(AssumptionCheck(name, True, False, detail))
 
-    def gain_check(profile: GainProfile, name: str) -> None:
-        lo, hi = profile.bounds()
-        checks.append(AssumptionCheck(
-            name=name,
-            passed=bool(lo > 0.0),
-            blocking=True,
-            detail=f"envelope [{lo:.6g}, {hi:.6g}]",
-        ))
-
-    for idx, profile in enumerate(spec.gains):
-        gain_check(profile, f"gain_{idx + 1}_positive_floor")
+    # One check per gain profile, built from the envelope columns.
+    lows, highs = _gain_bounds(spec)
+    names = [f"gain_{k}_positive_floor" for k in range(1, len(spec.gains) + 1)]
     if spec.leader_gain is not None:
-        gain_check(spec.leader_gain, "leader_gain_positive_floor")
+        names.append("leader_gain_positive_floor")
+    checks += map(AssumptionCheck, names, [low > 0.0 for low in lows], repeat(True),
+                  ["envelope [%.6g, %.6g]" % bounds for bounds in zip(lows, highs)])
 
-    gain_bounds, sector = protocol_envelopes(spec)
+    gain_bounds, sector = (min(lows), max(highs)), _sector_envelope(spec)
     checks.append(AssumptionCheck(
         name="velocity_sector_positive",
         passed=bool(sector[0] > 0.0),

@@ -47,7 +47,7 @@ from .dynamics import (IntegratorSettings, LeaderState, Mode, Scenario, SystemSt
                        validate_scenario)
 from .errors import ParseError, TopologyError, ValidationFailed
 from .graph import Topology, build_topology
-from .protocols import CouplingShape, GainProfile, ProtocolSpec, VelocityShape
+from .protocols import CouplingShape, GainKind, GainProfile, ProtocolSpec, VelocityShape
 
 _VELOCITY_KEYS = {"linear": {"kind"}, "sine_perturbed": {"kind", "omega"}}
 _GAIN_KEYS = {"constant": {"kind", "b0"}, "cosine": {"kind", "b0", "amplitude"}}
@@ -113,6 +113,35 @@ def _coordinate(value, n_dims: int, where) -> list[float]:
     raise ParseError(f"{_at(where)}: expected a number or a list of numbers")
 
 
+# The types json.loads gives numbers; other number types take the
+# element-by-element path, which converts them the same way.
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _numbers(values: list, where) -> list[float]:
+    """Every element of ``values`` as a float. One type pass and a bulk
+    conversion; when that fails, element by element, so the first bad
+    element raises with its own path."""
+    if _PLAIN_NUMBERS.issuperset(map(type, values)):
+        try:
+            return list(map(float, values))
+        except OverflowError:
+            pass
+    return [_number(v, (where, k)) for k, v in enumerate(values)]
+
+
+def _coordinates(block: list, n_dims: int, where) -> np.ndarray:
+    """The (len(block), n_dims) array of a list of coordinates; in bulk
+    when they are all plain numbers (n_dims=1), otherwise coordinate by
+    coordinate."""
+    if n_dims == 1 and _PLAIN_NUMBERS.issuperset(map(type, block)):
+        try:
+            return np.array(list(map(float, block)))[:, None]
+        except OverflowError:
+            pass
+    return np.array([_coordinate(v, n_dims, (where, k)) for k, v in enumerate(block)])
+
+
 def _list(value, where) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{_at(where)}: expected a list")
@@ -152,16 +181,56 @@ def _parse_gain(obj, where) -> GainProfile:
                        _number(_get(obj, "amplitude", where), (where, "amplitude")))
 
 
+_GAIN_KINDS = {"constant": GainKind.CONSTANT, "cosine": GainKind.COSINE}
+
+
+def _parse_gains(raw: list, where) -> tuple[GainProfile, ...]:
+    """The gain profiles of a list of gain objects. In bulk when every entry
+    is an object of a known kind with exactly its keys and plain numbers;
+    otherwise gain by gain, so the first bad entry raises as it always has.
+    In bulk a non-finite parameter still raises from its own GainProfile,
+    in list order."""
+    try:
+        kinds = [_GAIN_KINDS[g["kind"]] for g in raw]
+        b0s = [g["b0"] for g in raw]
+        amplitudes = [g.get("amplitude", 0.0) for g in raw]
+        if ({dict}.issuperset(map(type, raw))
+                and all(len(g) == 2 if k is GainKind.CONSTANT else len(g) == 3 and "amplitude" in g
+                        for g, k in zip(raw, kinds))
+                and _PLAIN_NUMBERS.issuperset(map(type, b0s))
+                and _PLAIN_NUMBERS.issuperset(map(type, amplitudes))):
+            return tuple(map(GainProfile, kinds, map(float, b0s), map(float, amplitudes)))
+    except (TypeError, KeyError, OverflowError):  # not an object, no kind or b0, a huge integer
+        pass
+    return tuple(_parse_gain(g, (where, k)) for k, g in enumerate(raw))
+
+
+def _plain_edges(raw: list) -> list | None:
+    """The (i, j, weight) triples of a list of edges when every entry is a
+    list of two plain integers and a plain number, from one type pass over
+    each column; None otherwise."""
+    if not ({list}.issuperset(map(type, raw)) and {3}.issuperset(map(len, raw))):
+        return None
+    if not raw:
+        return []
+    i, j, w = zip(*raw)
+    ends = i + j
+    if not ({int}.issuperset(map(type, ends)) and _PLAIN_NUMBERS.issuperset(map(type, w))
+            and -sys.maxsize <= min(ends) and max(ends) <= sys.maxsize):
+        return None
+    try:
+        return list(zip(i, j, map(float, w)))
+    except OverflowError:
+        return None
+
+
 def _parse_topology(obj, path: str) -> tuple[list, list]:
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, {"edges", "leader_links"}, path)
-    edges = []
-    for k, entry in enumerate(_list(_get(obj, "edges", path), (path, "edges"))):
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(f"{path}.edges[{k}]: expected [i, j, weight]")
-        i, j, w = entry
-        where = ((path, "edges"), k)
-        edges.append((_integer(i, (where, 0)), _integer(j, (where, 1)), _number(w, (where, 2))))
+    raw = _list(_get(obj, "edges", path), (path, "edges"))
+    edges = _plain_edges(raw)
+    if edges is None:
+        edges = [_edge(entry, path, k) for k, entry in enumerate(raw)]
     links = []
     for k, entry in enumerate(_list(obj.get("leader_links", []), (path, "leader_links"))):
         if not isinstance(entry, list) or len(entry) != 2:
@@ -170,6 +239,14 @@ def _parse_topology(obj, path: str) -> tuple[list, list]:
         where = ((path, "leader_links"), k)
         links.append((_integer(i, (where, 0)), _number(w, (where, 1))))
     return edges, links
+
+
+def _edge(entry, path: str, k: int) -> tuple[int, int, float]:
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise ParseError(f"{path}.edges[{k}]: expected [i, j, weight]")
+    i, j, w = entry
+    where = ((path, "edges"), k)
+    return _integer(i, (where, 0)), _integer(j, (where, 1)), _number(w, (where, 2))
 
 
 def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
@@ -202,7 +279,7 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
     masses_raw = _get(data, "masses", "scenario")
     if not isinstance(masses_raw, list) or len(masses_raw) != n_agents:
         raise ParseError(f"scenario.masses: expected a list of {n_agents} numbers")
-    masses = tuple(_number(m, ("scenario.masses", k)) for k, m in enumerate(masses_raw))
+    masses = _numbers(masses_raw, "scenario.masses")
 
     edges, links = _parse_topology(_get(data, "topology", "scenario"), "scenario.topology")
 
@@ -220,8 +297,7 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
         block = _get(init_raw, key, "scenario.initial")
         if not isinstance(block, list) or len(block) != n_agents:
             raise ParseError(f"scenario.initial.{key}: expected a list of {n_agents} coordinates")
-        return np.array([_coordinate(v, n_dims, (("scenario.initial", key), k))
-                         for k, v in enumerate(block)])
+        return _coordinates(block, n_dims, ("scenario.initial", key))
 
     positions = agent_block("p")
     velocities = agent_block("q")
@@ -257,8 +333,7 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
                                      "scenario.protocol.velocity"),
             coupling=_parse_coupling(_get(proto_raw, "coupling", "scenario.protocol"),
                                      "scenario.protocol.coupling"),
-            gains=tuple(_parse_gain(g, ("scenario.protocol.gains", k))
-                        for k, g in enumerate(gains_raw)),
+            gains=_parse_gains(gains_raw, "scenario.protocol.gains"),
             leader_velocity=_parse_velocity(proto_raw["leader_velocity"],
                                             "scenario.protocol.leader_velocity")
             if "leader_velocity" in proto_raw else None,

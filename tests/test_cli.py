@@ -319,3 +319,66 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     for row, s, energy, conserved in zip(rows, samples, series.energy, series.conserved):
         fields = [s.t, *s.p.ravel(), *s.q.ravel(), *s.leader.p, *s.leader.q, energy, *conserved]
         assert row == ",".join(format(float(v), ".17g") for v in fields)
+
+
+def leader_ring_dict(n=300):
+    """A 2-D leader ring of n agents with a cosine gain each."""
+    rng = np.random.default_rng(n)
+
+    def coordinates(size):
+        return rng.uniform(-1.0, 1.0, (size, 2)).tolist()
+
+    return {
+        "description": f"leader ring of {n} agents, cosine gains",
+        "mode": "leader", "n_agents": n, "n_dims": 2, "masses": [1.0] * n,
+        "topology": {"edges": [[k, k % n + 1, float(w)]
+                               for k, w in enumerate(rng.uniform(0.5, 1.5, n), start=1)],
+                     "leader_links": [[1, 1.0], [n // 2, 0.5]]},
+        "protocol": {"velocity": {"kind": "sine_perturbed", "omega": 0.5},
+                     "coupling": {"kind": "linear_plus_cubic"},
+                     "gains": [{"kind": "cosine", "b0": b, "amplitude": a}
+                               for b, a in zip(rng.uniform(0.5, 1.5, n).tolist(),
+                                               rng.uniform(-0.3, 0.3, n).tolist())],
+                     "leader_velocity": {"kind": "linear"},
+                     "leader_gain": {"kind": "cosine", "b0": 0.6, "amplitude": 0.1}},
+        "initial": {"p": coordinates(n), "q": coordinates(n),
+                    "leader": {"p": [1.0, 2.0], "q": [0.3, -0.1]}},
+        "integrator": {"dt": 0.01, "t_end": 0.5, "record_every": 10},
+    }
+
+
+# A description that holds the splice point's text, an empty check list,
+# quotes, backslashes, control characters and non-ASCII text.
+TRICKY_DESCRIPTION = ('\n      "checks": [],\n"checks": [{"name": "x"}] \\" \\\\n \t '
+                      "café 中文 \U0001f600  ")
+
+
+@pytest.mark.parametrize("case", ["fig2a", "fig2b", "fig3a", "fig3b", "leader_ring",
+                                  "strong_sine", "tricky_description"])
+def test_report_json_is_the_sorted_indented_dump(tmp_path, case):
+    if case == "leader_ring":
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(leader_ring_dict()))
+    elif case == "strong_sine":
+        path = write_pair_scenario(tmp_path / "sine.json", t_end=1.0,
+                                   velocity={"kind": "sine_perturbed", "omega": 5.0})
+    elif case == "tricky_description":
+        path = tmp_path / "tricky.json"
+        data = leader_ring_dict(5)
+        data["description"] = TRICKY_DESCRIPTION
+        path.write_text(json.dumps(data))
+    else:
+        path = bundled_scenario_path(case)
+    scenario = parse_scenario(path)
+    if case.startswith("fig"):
+        scenario = dataclasses.replace(
+            scenario, integrator=dataclasses.replace(scenario.integrator, t_end=1.0))
+    report = consensim.cli.write_outputs(consensim.dynamics.simulate(scenario), scenario, path,
+                                         tmp_path / "out", plots=False)
+    text = (tmp_path / "out" / "report.json").read_text()
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    checks = report["validation"]["assumptions"]["checks"]
+    assert len(checks) == scenario.n_agents + (9 if scenario.protocol.has_leader else 6)
+    assert json.loads(text)["scenario"]["description"] == scenario.description
+    if case == "strong_sine":
+        assert not report["validation"]["assumptions"]["all_passed"]

@@ -2,6 +2,7 @@
 order, determinism, equivariance, blow-up handling, and scenario validation."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderState,
-                       Mode, NoLeader, NonFiniteState, ProtocolSpec, Scenario,
+                       Mode, NoLeader, NonFiniteState, NonPositiveWeight, ProtocolSpec, Scenario,
                        SystemState, Topology, TopologyError, VelocityShape, build_topology,
                        bundled_scenario_path,
                        leader_closed_form, leader_closed_form_for, parse_scenario, rhs,
                        rk4_step, scenario_fingerprint, simulate, tracking_errors,
                        validate_scenario)
+import consensim.dynamics
 from consensim.dynamics import _Compiled, _flatten
 from consensim.errors import HypothesisViolated
 
@@ -431,6 +433,61 @@ def test_fingerprint_is_stable_and_content_sensitive():
             assert scenario_fingerprint(variant) != digest, f"{cls.__name__}.{name}"
 
 
+def reference_canonical(scenario):
+    """The canonical text as a dict of every field dumped by json.dumps with
+    sorted keys, the way the fingerprint was first defined."""
+    def reprs(values):
+        return [float.__repr__(float(v)) for v in values]
+
+    def array(arr):
+        return np.array(reprs(arr.ravel()), dtype=object).reshape(arr.shape).tolist()
+
+    def velocity(shape):
+        return None if shape is None else {"kind": shape.kind.value,
+                                           "omega": float.__repr__(shape.omega)}
+
+    def gain(g):
+        return {"kind": g.kind.value, "b0": float.__repr__(g.b0),
+                "amplitude": float.__repr__(g.amplitude)}
+
+    topo, spec, state, iset = (scenario.topology, scenario.protocol, scenario.initial,
+                               scenario.integrator)
+    leader = state.leader
+    payload = {
+        "mode": scenario.mode.value,
+        "masses": reprs(scenario.masses),
+        "topology": {"n_agents": topo.n_agents,
+                     "edges": [[i, j, float.__repr__(w)] for i, j, w in topo.edges],
+                     "leader_links": [[i, float.__repr__(w)] for i, w in topo.leader_links]},
+        "protocol": {"velocity": velocity(spec.velocity),
+                     "coupling": {"kind": spec.coupling.kind.value},
+                     "gains": [gain(g) for g in spec.gains],
+                     "leader_velocity": velocity(spec.leader_velocity),
+                     "leader_gain": None if spec.leader_gain is None else gain(spec.leader_gain)},
+        "initial": {"t": float.__repr__(state.t), "p": array(state.p), "q": array(state.q),
+                    "leader": None if leader is None else {"p": array(leader.p),
+                                                           "q": array(leader.q)}},
+        "integrator": {"dt": float.__repr__(iset.dt), "t_end": float.__repr__(iset.t_end),
+                       "record_every": iset.record_every},
+        "pos_tol": float.__repr__(scenario.pos_tol),
+        "vel_tol": float.__repr__(scenario.vel_tol),
+        "description": scenario.description,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def test_canonical_text_matches_sorted_json_dump_of_every_field():
+    base, variants = one_change_per_field()
+    scenarios = [base, leaderless_scenario(edges=[]), leader_scenario(),
+                 dataclasses.replace(base, description='"checks": [] \\ \u00e9\u4e2d \n'),
+                 dataclasses.replace(base, initial=SystemState(
+                     t=0.0, p=np.zeros((4, 0)), q=np.zeros((4, 0)),
+                     leader=LeaderState(np.zeros(0), np.zeros(0))))]
+    scenarios += [v for table in variants.values() for v in table.values()]
+    for scenario in scenarios:
+        assert consensim.dynamics._canonical(scenario) == reference_canonical(scenario)
+
+
 def one_change_per_field():
     """A leader scenario and, per class of the fingerprint payload, one
     variant per field that changes only that field (or, for a nested one,
@@ -533,6 +590,39 @@ def test_numpy_scalars_and_int_horizon_run_like_plain_floats():
         IntegratorSettings(record_every=2.5)
     with pytest.raises(TopologyError):
         build_topology(True, [])
+
+
+# Each builds one value the plain-value constructors must refuse: float()
+# and operator.index() alone would take the string or the bool.
+REFUSED = {
+    "dt_string": lambda: IntegratorSettings(dt="0.01"),
+    "t_end_string": lambda: IntegratorSettings(t_end="1"),
+    "record_every_bool": lambda: IntegratorSettings(record_every=True),
+    "b0_string": lambda: GainProfile(b0="1.5"),
+    "amplitude_bool": lambda: GainProfile(kind="cosine", b0=1.0, amplitude=True),
+    "omega_string": lambda: VelocityShape(kind="sine_perturbed", omega="0.5"),
+    "mass_string": lambda: leaderless_scenario(masses=(1.0, "2.0", 1.0)),
+    "mass_bool": lambda: leaderless_scenario(masses=(1.0, True, 1.0)),
+    "tolerance_string": lambda: dataclasses.replace(leaderless_scenario(), vel_tol="1e-3"),
+}
+
+
+@pytest.mark.parametrize("build", REFUSED.values(), ids=REFUSED.keys())
+def test_constructors_refuse_strings_and_bools(build):
+    with pytest.raises(TypeError, match="must be a real number|must be an integer"):
+        build()
+
+
+def test_edge_and_link_weights_must_be_numbers():
+    with pytest.raises(NonPositiveWeight, match=r"edge \(1, 2\) has weight '0.5', which is not"):
+        build_topology(2, [(1, 2, "0.5")])
+    with pytest.raises(NonPositiveWeight, match="weight True, which is not a number"):
+        build_topology(2, [(1, 2, True)])
+    with pytest.raises(NonPositiveWeight, match="leader link to agent 1 has weight '1'"):
+        build_topology(2, [(1, 2, 0.5)], leader_links=[(1, "1")])
+    # numpy and Python numbers of every kind still pass.
+    topo = build_topology(3, [(1, 2, np.float32(0.5)), (2, 3, 2)], leader_links=[(1, np.int64(1))])
+    assert topo.edges == ((0, 1, 0.5), (1, 2, 2.0)) and topo.leader_links == ((0, 1.0),)
 
 
 def leader_scenario_3d():

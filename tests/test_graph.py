@@ -1,6 +1,7 @@
 """Topology construction, Laplacian structure, and reachability checks."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ CHAIN6_DEGREES = [0.6, 1.6, 2.4, 3.2, 4.0, 2.2]
 
 def reachable_from(n, adjacency, starts):
     """Frontier-set reachability, deliberately independent of the package's
-    deque-based search."""
+    CSR-based search."""
     seen = set(starts)
     frontier = set(starts)
     while frontier:
@@ -54,13 +55,6 @@ def test_builds_and_normalizes_indices():
     assert topo.n_agents == 3
     assert topo.edges == ((0, 1, 0.5), (1, 2, 1.5))
     assert topo.leader_links == ()
-
-
-def test_neighbor_map_is_symmetric_view():
-    topo = build_topology(3, [(1, 2, 0.5), (2, 3, 1.5)])
-    assert topo.neighbor_map[0] == ((1, 0.5),)
-    assert set(topo.neighbor_map[1]) == {(0, 0.5), (2, 1.5)}
-    assert topo.neighbor_map[2] == ((1, 1.5),)
 
 
 def test_rejects_out_of_range_indices():
@@ -184,6 +178,89 @@ def test_reachability_matches_oracle_randomized(topo):
     linked = [i for i, _ in topo.leader_links]
     assert is_connected(topo) == oracle_connected(topo.n_agents, pairs)
     assert leader_reaches_all(topo) == oracle_leader_reaches(topo.n_agents, pairs, linked)
+
+
+def reference_index(i, n_agents, what):
+    if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+        raise IndexOutOfRange(f"{what} {i!r} is not an integer")
+    if not 1 <= i <= n_agents:
+        raise IndexOutOfRange(f"{what} {i} outside 1..{n_agents}")
+    return int(i)
+
+
+def reference_build_topology(n_agents, edges):
+    """Plain per-edge reference of build_topology's edge rules, one edge at a
+    time in list order: the normalized edges, or the first edge's error."""
+    seen = set()
+    norm_edges = []
+    for entry in edges:
+        i, j, w = entry
+        i = reference_index(i, n_agents, "edge endpoint")
+        j = reference_index(j, n_agents, "edge endpoint")
+        if i == j:
+            raise SelfLoop(f"edge ({i}, {j}) connects agent {i} to itself")
+        w = float(w)
+        if not math.isfinite(w) or w <= 0.0:
+            raise NonPositiveWeight(f"edge ({i}, {j}) has weight {w}, must be finite and > 0")
+        a, b = (i - 1, j - 1) if i < j else (j - 1, i - 1)
+        if (a, b) in seen:
+            raise DuplicateEdge(f"unordered pair ({a + 1}, {b + 1}) listed more than once")
+        seen.add((a, b))
+        norm_edges.append((a, b, w))
+    return tuple(norm_edges)
+
+
+def outcome(build, n_agents, edges):
+    try:
+        result = build(n_agents, edges)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return "ok", getattr(result, "edges", result)
+
+
+BAD_INDICES = [0, -3, 7, 10**30, 2**63, True, False, np.int64(0), 2.0, "1"]
+BAD_WEIGHTS = [0.0, -0.0, -1.5, float("nan"), float("inf"), -float("inf")]
+NOT_TRIPLES = [5, None, "ab", [1, 2], [1, 2, 1.0, 4], ()]
+
+
+@st.composite
+def faulty_edge_lists(draw, n=6):
+    """A valid edge list over n agents with one to three faults injected at
+    any position: a bad index, a self-loop, a bad weight, a duplicate in
+    either orientation, or an entry that is not an (i, j, weight) triple."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=10))
+    edges = [[i, j, draw(st.floats(min_value=0.1, max_value=5.0))] for i, j in chosen]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=len(edges) - 1))
+        kind = draw(st.sampled_from(["index", "self_loop", "weight", "duplicate", "reversed",
+                                     "not_a_triple"]))
+        entry = edges[k]
+        if kind == "not_a_triple" or not (isinstance(entry, list) and len(entry) == 3):
+            edges[k] = draw(st.sampled_from(NOT_TRIPLES))
+        elif kind == "index":
+            entry[draw(st.integers(min_value=0, max_value=1))] = draw(st.sampled_from(BAD_INDICES))
+        elif kind == "self_loop":
+            entry[1] = entry[0]
+        elif kind == "weight":
+            entry[2] = draw(st.sampled_from(BAD_WEIGHTS))
+        else:
+            twin = entry[:2] if kind == "duplicate" else entry[1::-1]
+            edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), twin + [1.0])
+    return edges
+
+
+@given(faulty_edge_lists())
+@settings(max_examples=300, deadline=None)
+def test_bulk_edge_checks_raise_what_the_per_edge_reference_raises(edges):
+    assert outcome(build_topology, 6, edges) == outcome(reference_build_topology, 6, edges)
+
+
+@given(random_topology())
+def test_valid_edge_lists_build_what_the_per_edge_reference_builds(topo):
+    edges = [(i + 1, j + 1, w) for i, j, w in topo.edges][::-1]
+    assert build_topology(topo.n_agents, edges).edges == reference_build_topology(
+        topo.n_agents, edges)
 
 
 def test_each_reachability_question_is_searched_once_per_topology(monkeypatch):

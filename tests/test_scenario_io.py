@@ -346,11 +346,54 @@ BAD_ELEMENTS = [
 ]
 
 
-@pytest.mark.parametrize("n_dims,where,value,message", BAD_ELEMENTS,
-                         ids=[".".join(map(str, case[1])) for case in BAD_ELEMENTS])
-def test_bad_element_message_names_its_path(n_dims, where, value, message):
-    data = leader_dict(n_dims)
-    assert parse_scenario_dict(leader_dict(n_dims)).n_agents == 4
+def long_leader_dict(n=5000):
+    """A leader ring of n agents: every list the parser checks in bulk (masses,
+    edges, gains, coordinates) has n entries."""
+    data = leader_dict()
+    data.update(n_agents=n, masses=[1.0] * n)
+    data["topology"]["edges"] = [[k, k % n + 1, 1.0] for k in range(1, n + 1)]
+    data["protocol"]["gains"] = [{"kind": "cosine", "b0": 1.0, "amplitude": 0.1}
+                                 for _ in range(n)]
+    data["initial"].update(p=[1e-4 * k for k in range(n)], q=[0.0] * n)
+    return data
+
+
+# The same messages for a bad last element of 5000-long lists, which the
+# parser first checks in bulk.
+BAD_LAST_ELEMENTS = [
+    (("masses", 4999), "x", "scenario.masses[4999]: expected a number, got 'x'"),
+    (("masses", 4999), 10**400, "scenario.masses[4999]: integer too large for a float"),
+    (("topology", "edges", 4999), [1, 2],
+     "scenario.topology.edges[4999]: expected [i, j, weight]"),
+    (("topology", "edges", 4999, 0), True,
+     "scenario.topology.edges[4999][0]: expected an integer, got True"),
+    (("topology", "edges", 4999, 1), 10**5000,
+     "scenario.topology.edges[4999][1]: integer out of range"),
+    (("topology", "edges", 4999, 2), "w",
+     "scenario.topology.edges[4999][2]: expected a number, got 'w'"),
+    (("protocol", "gains", 4999), [],
+     "scenario.protocol.gains[4999]: expected an object, got list"),
+    (("protocol", "gains", 4999, "kind"), "constant",
+     "scenario.protocol.gains[4999]: unknown key(s) ['amplitude']"),
+    (("protocol", "gains", 4999, "b0"), None,
+     "scenario.protocol.gains[4999].b0: expected a number, got None"),
+    (("protocol", "gains", 4999, "amplitude"), 10**400,
+     "scenario.protocol.gains[4999].amplitude: integer too large for a float"),
+    (("initial", "p", 4999), "x",
+     "scenario.initial.p[4999]: expected a number or a list of numbers"),
+    (("initial", "q", 4999), [0.0, 0.0], "scenario.initial.q[4999]: expected 1 components, got 2"),
+]
+CASES = ([(4, n_dims, where, value, message) for n_dims, where, value, message in BAD_ELEMENTS]
+         + [(5000, 1, where, value, message) for where, value, message in BAD_LAST_ELEMENTS])
+
+
+@pytest.mark.parametrize("n_agents,n_dims,where,value,message", CASES,
+                         ids=[".".join(map(str, case[2])) for case in CASES])
+def test_bad_element_message_names_its_path(n_agents, n_dims, where, value, message):
+    def make():
+        return leader_dict(n_dims) if n_agents == 4 else long_leader_dict(n_agents)
+    data = make()
+    assert parse_scenario_dict(make()).n_agents == n_agents
     node = data
     for key in where[:-1]:
         node = node[key]
