@@ -18,17 +18,16 @@ from .errors import (ConsensimError, DuplicateEdge, HypothesisViolated,
                      ValidationFailed)
 from .graph import (Topology, build_topology, is_connected, laplacian,
                     leader_reaches_all)
-from .protocols import (AssumptionCheck, AssumptionReport, CouplingKind,
-                        CouplingShape, GainKind, GainProfile, ProtocolSpec,
-                        VelocityKind, VelocityShape, gain_envelope, sector_constants,
-                        validate_assumptions)
+from .protocols import (AssumptionReport, CouplingKind, CouplingShape, GainKind,
+                        GainProfile, ProtocolSpec, VelocityKind, VelocityShape,
+                        gain_envelope, sector_constants, validate_assumptions)
 from .scenario_io import (bundled_scenario_path, list_bundled, parse_scenario,
                           parse_scenario_dict, scenario_to_dict, write_scenario)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionCheck", "AssumptionReport", "ConsensimError", "ConsensusReport",
+    "AssumptionReport", "ConsensimError", "ConsensusReport",
     "CouplingKind", "CouplingShape", "DuplicateEdge", "GainKind", "GainProfile",
     "HypothesisViolated", "IndexOutOfRange", "IntegratorSettings", "InvalidBounds",
     "LeaderState", "Mode", "NoLeader", "NonFiniteState", "NonPositiveWeight",

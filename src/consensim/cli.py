@@ -79,10 +79,14 @@ def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path, series: Run
     state when present, the energy value, and the conserved quantity when
     the scenario admits one."""
     n, dims = scenario.n_agents, scenario.n_dims
+    suffixes = [f"_{l}" for l in range(1, dims + 1)] if dims > 1 else [""]
 
     def cols(prefix: str, who) -> list[str]:
-        return [f"{prefix}_{w}" + (f"_{l + 1}" if dims > 1 else "")
-                for w in who for l in range(dims)]
+        # Agent-major order, one comprehension per dimension suffix.
+        names = [""] * (len(who) * dims)
+        for l, suffix in enumerate(suffixes):
+            names[l::dims] = [f"{prefix}_{w}{suffix}" for w in who]
+        return names
 
     header = ["t"] + cols("p", range(1, n + 1)) + cols("q", range(1, n + 1))
     samples = len(traj.t)
@@ -165,8 +169,9 @@ def build_report(traj: Trajectory, scenario: Scenario, scenario_path: str,
             "warnings": list(validation.warnings),
             "assumptions": {
                 "all_passed": assumptions.all_passed,
-                "checks": [{"name": c.name, "passed": c.passed, "blocking": c.blocking,
-                            "detail": c.detail} for c in assumptions.checks],
+                "checks": [{"name": n, "passed": p, "blocking": b, "detail": d}
+                           for n, p, b, d in zip(assumptions.names, assumptions.passed,
+                                                 assumptions.blocking, assumptions.details)],
                 "sector": [float(v) for v in assumptions.sector],
                 "gain_bounds": [float(v) for v in assumptions.gain_bounds],
             },

@@ -271,11 +271,13 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
         errors.append("consensus tolerances must be > 0")
 
     assumptions = validate_assumptions(scenario.protocol)
-    for check in assumptions.blocking_failures:
-        errors.append(f"assumption check failed: {check.name} ({check.detail})")
-    for check in assumptions.checks:
-        if not check.blocking and not check.passed:
-            warnings.append(f"advisory assumption check failed: {check.name} ({check.detail})")
+    if not assumptions.all_passed:
+        for name, passed, blocking, detail in zip(assumptions.names, assumptions.passed,
+                                                  assumptions.blocking, assumptions.details):
+            if blocking and not passed:
+                errors.append(f"assumption check failed: {name} ({detail})")
+            elif not passed:
+                warnings.append(f"advisory assumption check failed: {name} ({detail})")
 
     return ScenarioValidation(tuple(errors), tuple(warnings), assumptions)
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -173,6 +172,16 @@ class ProtocolSpec:
         b0.flags.writeable = amplitude.flags.writeable = False
         return b0, amplitude
 
+    @cached_property
+    def envelopes(self) -> tuple[tuple[float, ...], tuple[float, ...],
+                                 tuple[float, float], tuple[float, float]]:
+        """(lows, highs, gain, sector): the lower and upper envelope of every
+        gain profile, followers then leader, and the global gain and sector
+        envelopes over the followers and the leader. The assumption checks,
+        the tracking weight and the tracking energy all read this one copy."""
+        lows, highs = _gain_bounds(self)
+        return tuple(lows), tuple(highs), (min(lows), max(highs)), _sector_envelope(self)
+
 
 def gain_envelope(profiles) -> tuple[float, float]:
     """Tightest (lower, upper) bounds covering every profile in `profiles`."""
@@ -221,16 +230,7 @@ def _sector_envelope(spec: ProtocolSpec) -> tuple[float, float]:
 def protocol_envelopes(spec: ProtocolSpec) -> tuple[tuple[float, float], tuple[float, float]]:
     """Global (gain, sector) envelopes over the followers and the leader: the
     bounds the tracking energy and its weight are stated in."""
-    lows, highs = _gain_bounds(spec)
-    return (min(lows), max(highs)), _sector_envelope(spec)
-
-
-@dataclass(frozen=True, slots=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    blocking: bool
-    detail: str
+    return spec.envelopes[2:]
 
 
 @dataclass(frozen=True)
@@ -239,21 +239,22 @@ class AssumptionReport:
     velocity shapes vanish only at zero with positive sign, coupling shapes
     are odd with positive sign, gains stay strictly positive.
 
-    ``sector`` and ``gain_bounds`` are the combined envelopes over followers
-    and leader; they feed the tracking energy machinery.
+    Check k is entry k of the four parallel tuples ``names``, ``passed``,
+    ``blocking`` and ``details``. ``sector`` and ``gain_bounds`` are the
+    combined envelopes over followers and leader; they feed the tracking
+    energy machinery.
     """
 
-    checks: tuple[AssumptionCheck, ...]
+    names: tuple[str, ...]
+    passed: tuple[bool, ...]
+    blocking: tuple[bool, ...]
+    details: tuple[str, ...]
     sector: tuple[float, float]
     gain_bounds: tuple[float, float]
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def blocking_failures(self) -> tuple[AssumptionCheck, ...]:
-        return tuple(c for c in self.checks if c.blocking and not c.passed)
+        return all(self.passed)
 
 
 def validate_assumptions(spec: ProtocolSpec) -> AssumptionReport:
@@ -269,41 +270,32 @@ def validate_assumptions(spec: ProtocolSpec) -> AssumptionReport:
     blocking. The report also carries the gain and sector envelopes over
     followers and leader; :func:`sector_constants` gives one shape's sector.
     """
-    checks: list[AssumptionCheck] = []
-
-    def velocity_checks(shape: VelocityShape, prefix: str) -> None:
-        checks.append(AssumptionCheck(f"{prefix}zero_at_zero", True, False, "value at 0 is 0.0"))
-        ok = sector_constants(shape)[0] > 0.0
-        checks.append(AssumptionCheck(
-            name=f"{prefix}sign",
-            passed=ok,
-            blocking=False,
-            detail="z*value(z) > 0" if ok else f"z*value(z) <= 0 at z={TAN_ROOT:.6g}",
-        ))
-
-    velocity_checks(spec.velocity, "velocity_")
+    names, passed, details = [], [], []
+    shapes = [("velocity_", spec.velocity)]
     if spec.leader_velocity is not None:
-        velocity_checks(spec.leader_velocity, "leader_velocity_")
+        shapes.append(("leader_velocity_", spec.leader_velocity))
+    for prefix, shape in shapes:
+        ok = sector_constants(shape)[0] > 0.0
+        names += [f"{prefix}zero_at_zero", f"{prefix}sign"]
+        passed += [True, ok]
+        details += ["value at 0 is 0.0",
+                    "z*value(z) > 0" if ok else f"z*value(z) <= 0 at z={TAN_ROOT:.6g}"]
+    names += ["coupling_odd", "coupling_zero_only_at_zero", "coupling_sign"]
+    passed += [True, True, True]
+    details += ["value(-z) == -value(z) exactly", "no nonzero root", "z*value(z) > 0"]
+    n_shape_checks = len(names)
 
-    for name, detail in (("coupling_odd", "value(-z) == -value(z) exactly"),
-                         ("coupling_zero_only_at_zero", "no nonzero root"),
-                         ("coupling_sign", "z*value(z) > 0")):
-        checks.append(AssumptionCheck(name, True, False, detail))
-
-    # One check per gain profile, built from the envelope columns.
-    lows, highs = _gain_bounds(spec)
-    names = [f"gain_{k}_positive_floor" for k in range(1, len(spec.gains) + 1)]
+    # One blocking check per gain profile, built from the envelope columns.
+    lows, highs, gain_bounds, sector = spec.envelopes
+    names += [f"gain_{k}_positive_floor" for k in range(1, len(spec.gains) + 1)]
     if spec.leader_gain is not None:
         names.append("leader_gain_positive_floor")
-    checks += map(AssumptionCheck, names, [low > 0.0 for low in lows], repeat(True),
-                  ["envelope [%.6g, %.6g]" % bounds for bounds in zip(lows, highs)])
+    passed += [low > 0.0 for low in lows]
+    details += ["envelope [%.6g, %.6g]" % bounds for bounds in zip(lows, highs)]
 
-    gain_bounds, sector = (min(lows), max(highs)), _sector_envelope(spec)
-    checks.append(AssumptionCheck(
-        name="velocity_sector_positive",
-        passed=bool(sector[0] > 0.0),
-        blocking=False,
-        detail=f"sector [{sector[0]:.6g}, {sector[1]:.6g}]",
-    ))
-
-    return AssumptionReport(checks=tuple(checks), sector=sector, gain_bounds=gain_bounds)
+    names.append("velocity_sector_positive")
+    passed.append(bool(sector[0] > 0.0))
+    details.append(f"sector [{sector[0]:.6g}, {sector[1]:.6g}]")
+    blocking = (False,) * n_shape_checks + (True,) * len(lows) + (False,)
+    return AssumptionReport(names=tuple(names), passed=tuple(passed), blocking=blocking,
+                            details=tuple(details), sector=sector, gain_bounds=gain_bounds)

@@ -15,6 +15,7 @@ import consensim.analysis
 import consensim.cli
 import consensim.dynamics
 import consensim.graph
+import consensim.protocols
 import consensim.scenario_io
 from consensim import (bundled_scenario_path, parse_scenario, scenario_fingerprint,
                        validate_scenario)
@@ -110,6 +111,33 @@ def test_validate_reports_blocking_rules(tmp_path, capsys):
     assert "gain bounds: [1, 1]" in stdout
 
 
+def test_validate_pins_assumption_messages_and_their_order(tmp_path, capsys):
+    # Gains 1 and 3 dip below zero (blocking); omega = 5 pushes the velocity
+    # sector below zero, which fails the advisory sign and sector checks.
+    scenario = write_pair_scenario(tmp_path / "pair.json",
+                                   velocity={"kind": "sine_perturbed", "omega": 5.0})
+    data = json.loads(scenario.read_text())
+    data.update(n_agents=3, masses=[1.0] * 3, initial={"p": [0.0, 1.0, 2.0], "q": [0.0] * 3})
+    data["topology"]["edges"] = [[1, 2, 2.0], [2, 3, 1.0]]
+    data["protocol"]["gains"] = [{"kind": "cosine", "b0": 0.2, "amplitude": 0.3},
+                                 {"kind": "constant", "b0": 1.0},
+                                 {"kind": "cosine", "b0": 0.1, "amplitude": -0.4}]
+    scenario.write_text(json.dumps(data))
+    errors = ["assumption check failed: gain_1_positive_floor (envelope [-0.1, 0.5])",
+              "assumption check failed: gain_3_positive_floor (envelope [-0.3, 0.5])"]
+    warnings = ["advisory assumption check failed: velocity_sign (z*value(z) <= 0 at z=4.49341)",
+                "advisory assumption check failed: velocity_sector_positive "
+                "(sector [-0.0861681, 6])"]
+    result = validate_scenario(parse_scenario(scenario, validate=False))
+    assert list(result.errors) == errors
+    assert list(result.warnings) == warnings
+
+    assert main(["validate", str(scenario)]) == 1
+    assert capsys.readouterr().out.splitlines() == (
+        [f"error: {m}" for m in errors] + [f"warning: {m}" for m in warnings]
+        + ["sector: [-0.0861681, 6]", "gain bounds: [-0.3, 1]", "invalid"])
+
+
 def test_predict_bundled_value_and_inapplicable(capsys):
     assert main(["predict", "fig2b"]) == 0
     assert capsys.readouterr().out.strip() == "1.516667"
@@ -135,12 +163,13 @@ def test_report_checks_are_the_assumption_checks_as_dicts(tmp_path, scenario):
         tmp_path / "sine.json", t_end=1.0, velocity={"kind": "sine_perturbed", "omega": 5.0}))
     out = tmp_path / "out"
     assert main(["run", ref, "--out", str(out), "--no-plots", "--t-end", "1.0"]) == 0
-    checks = validate_scenario(parse_scenario(consensim.cli.resolve_scenario_path(ref),
-                                              validate=False)).assumptions.checks
+    a = validate_scenario(parse_scenario(consensim.cli.resolve_scenario_path(ref),
+                                         validate=False)).assumptions
+    checks = list(zip(a.names, a.passed, a.blocking, a.details))
     report = json.loads((out / "report.json").read_text())
     assert report["validation"]["assumptions"]["checks"] == [
-        dataclasses.asdict(c) for c in checks]
-    failed_advisory = [c.name for c in checks if not c.passed and not c.blocking]
+        {"name": n, "passed": p, "blocking": b, "detail": d} for n, p, b, d in checks]
+    failed_advisory = [n for n, p, b, _ in checks if not p and not b]
     assert failed_advisory == ([] if scenario == "fig3b"
                                else ["velocity_sign", "velocity_sector_positive"])
 
@@ -203,6 +232,22 @@ def test_run_validates_once_and_computes_each_series_once(tmp_path, monkeypatch,
     assert counts["lyapunov_series"] == 1
     assert counts["conserved_series"] == 1
     assert counts["default_tracking_weight"] == (1 if scenario == "fig3b" else 0)
+
+
+def test_leader_run_computes_the_envelopes_once(tmp_path, monkeypatch):
+    # Validation, the tracking weight and the tracking energy all read the
+    # gain and sector envelopes of the same protocol.
+    counts = dict.fromkeys(("_gain_bounds", "_sector_envelope"), 0)
+    for name in counts:
+        original = getattr(consensim.protocols, name)
+
+        def counted(spec, _name=name, _fn=original):
+            counts[_name] += 1
+            return _fn(spec)
+        monkeypatch.setattr(consensim.protocols, name, counted)
+    assert main(["run", "fig3b", "--out", str(tmp_path / "out"), "--no-plots",
+                 "--t-end", "1.0"]) == 0
+    assert counts == {"_gain_bounds": 1, "_sector_envelope": 1}
 
 
 @pytest.mark.parametrize("scenario", ["pair", "fig3b"])

@@ -192,10 +192,11 @@ def all_pass_spec():
 def test_validate_assumptions_all_pass():
     report = validate_assumptions(all_pass_spec())
     assert report.all_passed
-    assert report.blocking_failures == ()
+    assert [n for n, ok, b in zip(report.names, report.passed, report.blocking)
+            if b and not ok] == []
     assert report.sector == pytest.approx(SECTOR_HALF, abs=1e-12)
     assert report.gain_bounds == pytest.approx((0.2, 0.55), abs=1e-15)
-    names = {c.name for c in report.checks}
+    names = set(report.names)
     assert "coupling_odd" in names and "velocity_sector_positive" in names
 
 
@@ -207,9 +208,10 @@ def test_validate_assumptions_flags_gain_floor_violation():
     )
     report = validate_assumptions(spec)
     assert not report.all_passed
-    failing = report.blocking_failures
+    failing = [n for n, ok, b in zip(report.names, report.passed, report.blocking)
+               if b and not ok]
     assert len(failing) == 1
-    assert failing[0].name == "gain_1_positive_floor"
+    assert failing[0] == "gain_1_positive_floor"
 
 
 # The lower sector constant 1 + omega*COS_TAN_ROOT crosses 0 at this omega.
@@ -235,14 +237,15 @@ def test_validate_assumptions_covers_leader_shapes(omega, as_leader):
         leader_gain=GainProfile(b0=0.6),
     )
     report = validate_assumptions(spec)
-    checks = {c.name: c for c in report.checks}
-    sign = checks["leader_velocity_sign" if as_leader else "velocity_sign"]
+    passed = dict(zip(report.names, report.passed))
+    details = dict(zip(report.names, report.details))
+    sign = "leader_velocity_sign" if as_leader else "velocity_sign"
     positive = sector_constants(shape)[0] > 0.0
     # z*f(z) > 0 and a positive sector floor are the same fact.
-    assert sign.passed == positive == checks["velocity_sector_positive"].passed
+    assert passed[sign] == positive == passed["velocity_sector_positive"]
     assert report.all_passed == positive
     if not positive:
-        assert sign.detail == "z*value(z) <= 0 at z=4.49341"
+        assert details[sign] == "z*value(z) <= 0 at z=4.49341"
     # Combined sector widens to cover the nonlinear shape, leader or follower.
     assert report.sector == pytest.approx((1.0 + omega * math.cos(TAN_ROOT), 1.0 + omega),
                                           abs=1e-12)
