@@ -4,13 +4,15 @@
 Each phase is the call that ``consensim run --no-plots`` makes for it:
 
 - parse: read and parse the file (no rule check);
-- validate: every blocking and advisory rule;
+- validate: every blocking and advisory rule, each repeat on a fresh
+  protocol spec built outside the timed call, so no repeat reads the gain
+  columns or envelopes cached by the one before, as no run does;
 - reach: the graph search behind validation's question (connected, or
   leader reaches all), which the topology otherwise caches after one run;
 - compile: lowering the scenario to the kernel's arrays;
 - fingerprint: the scenario's content hash;
-- integrate: the run's RK4 loop as ``simulate`` runs it, with the per-step
-  finiteness check and the recorded rows;
+- integrate: the run's RK4 loop as ``simulate`` runs it, with the gain
+  schedule, the per-sample finiteness check and the recorded rows;
 - series: the energy and conserved-quantity series;
 - csv: writing trajectory.csv;
 - report: building the report dict;
@@ -31,6 +33,7 @@ from the repository root with a file path or a bundled name:
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import platform
@@ -47,11 +50,14 @@ from consensim.graph import _reaches_all
 from consensim.scenario_io import parse_scenario
 
 
-def best_s(fn, repeats: int) -> float:
+def best_s(fn, repeats: int, make_args=tuple) -> float:
+    """Best time of ``fn(*make_args())`` over the repeats, each repeat's
+    arguments made outside its timed call."""
     best = float("inf")
     for _ in range(repeats):
+        args = make_args()
         start = time.perf_counter()
-        fn()
+        fn(*args)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -93,13 +99,17 @@ def main() -> None:
     series = cli.run_series(traj, scenario)
     report = cli.build_report(traj, scenario, str(path), series)
     topo = scenario.topology
+
+    def fresh_scenario() -> tuple:
+        return (dataclasses.replace(scenario, protocol=dataclasses.replace(scenario.protocol)),)
+
     sources = [i for i, _ in topo.leader_links] if scenario.mode is Mode.LEADER else [0]
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         csv_path = Path(tmp) / "trajectory.csv"
         phases = {
             "parse": lambda: parse_scenario(path, validate=False),
-            "validate": lambda: validate_scenario(scenario),
+            "validate": validate_scenario,
             "reach": lambda: _reaches_all(topo, sources),
             "compile": lambda: _Compiled(scenario),
             "fingerprint": lambda: scenario_fingerprint(scenario),
@@ -109,7 +119,8 @@ def main() -> None:
             "report": lambda: cli.build_report(traj, scenario, str(path), series),
             "json": lambda: cli.report_json(report),
         }
-        times = {name: best_s(fn, k) for name, fn in phases.items()}
+        arguments = {"validate": fresh_scenario}
+        times = {name: best_s(fn, k, arguments.get(name, tuple)) for name, fn in phases.items()}
         with GcClock() as clock:
             times["run"] = best_s(lambda: cli.main(["run", str(path), "--out", tmp, "--no-plots"]),
                                   k)

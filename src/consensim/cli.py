@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -399,7 +400,10 @@ def cmd_validate(args) -> int:
     return 0 if result.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and never changes it, and every parse starts from its defaults."""
     parser = argparse.ArgumentParser(
         prog="consensim",
         description="Simulate and analyze second-order consensus scenarios.")

@@ -12,9 +12,10 @@ scenario produces bitwise-identical trajectories on a given platform.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -302,6 +303,12 @@ def _omega(shape: VelocityShape) -> float:
     return 0.0 if shape.is_linear else shape.omega
 
 
+# Floats in the per-compile gain schedule: the stage cosines and feedback
+# factors of a block of K steps take 3·K·(M·d + 1) of them, with K >= 1.
+# Constant gains take none, and their blocks are this many steps long.
+_SCHEDULE_FLOATS = 8192
+
+
 class _Compiled:
     """Scenario lowered to flat numpy arrays and work buffers for the
     integration hot path.
@@ -326,12 +333,20 @@ class _Compiled:
 
     RK4 runs in work buffers allocated here, once per compile: 12·M·d floats
     for the four stages, 2·E·d for the gathered positions (E directed
-    edges), E·d more with cubic coupling and 3·M·d more with cosine gains;
-    0.72 MB for a 5000-agent cubic ring. Each stage is one row [P, Q, A]
-    of a (4, 3·M·d) buffer: its state z = [P, Q] and its derivative
-    k = [Q, A] are views of the row, so no stage copies velocities or
-    concatenates.
+    edges), E·d more with cubic coupling, and with cosine gains one gain
+    schedule of at most 8192 floats, or of 3·(M·d + 1) when a single step
+    needs more; 0.72 MB for a 5000-agent cubic ring. Each stage is one row
+    [P, Q, A] of a (4, 3·M·d) buffer: its state z = [P, Q] and its
+    derivative k = [Q, A] are views of the row, so no stage copies
+    velocities or concatenates.
     ``state``, stage 1's z, is advanced in place.
+
+    The gain schedule holds the feedback factors of a block of ``block``
+    steps, computed once per block, so a step does only stage arithmetic.
+    Constant gains need no buffer: their schedule is one read-only
+    broadcast view of their factors, 8192 steps long, that every block
+    slices. ``accel`` and ``step`` are closures over the arrays, stage views
+    and constants they read, bound once here.
     """
 
     def __init__(self, scenario: Scenario):
@@ -339,6 +354,7 @@ class _Compiled:
         spec = scenario.protocol
         self.n = n = topo.n_agents
         self.dims = d = scenario.initial.n_dims
+        self.dt = scenario.integrator.dt
         has_leader = scenario.mode is Mode.LEADER
         self.rows = n + has_leader
         b = self.rows * d
@@ -365,6 +381,15 @@ class _Compiled:
         # With no ripple, b0 + 0·cos t is b0 bit for bit (for any b0 but -0.0,
         # which no valid gain has), so one vector serves every t.
         self.constant_gain = None if self.gain_ripple.any() else -self.gain_base
+        if self.constant_gain is None:
+            # One buffer: a block's stage cosines, then its factor table.
+            self.block = max(1, _SCHEDULE_FLOATS // (3 * (b + 1)))
+            schedule = np.empty(3 * self.block * (b + 1))
+            self.cosines = schedule[:3 * self.block]
+            self.schedule = schedule[3 * self.block:].reshape(self.block, 3, b)
+        else:
+            self.block = _SCHEDULE_FLOATS
+            self.schedule = np.broadcast_to(self.constant_gain, (self.block, 3, b))
         masses = np.ones(self.rows)
         masses[:n] = scenario.masses
         # x·1.0 is x bit for bit, so unit masses skip the inverse-mass product.
@@ -379,13 +404,12 @@ class _Compiled:
         self.pair = np.empty(2 * e)
         self.diff, self.src_p = self.pair[:e], self.pair[e:]
         self.cube = np.empty(e) if not spec.coupling.is_linear else None
-        if self.constant_gain is None:
-            self.cosines = np.empty((3, 1))
-            self.gain_rows = np.empty((3, b))
         # Per stage: z = [P, Q], k = [Q, A], Q, A, and A's agent rows.
         self.stages = [(row[:2 * b], row[b:], row[b:2 * b], row[2 * b:], row[2 * b:2 * b + n * d])
                        for row in np.empty((4, 3 * b))]
         self.state = self.stages[0][0]
+        self.accel = self._bind_accel()
+        self.step = self._bind_step()
 
     def first_non_finite(self, y: np.ndarray) -> str:
         """Where the first non-finite entry of state vector y sits, with the
@@ -401,87 +425,130 @@ class _Compiled:
             return f"leader {parts[k // d]}, coordinate {k % d + 1}"
         return f"agent {k % (n * d) // d + 1} {parts[k // (n * d)]}, coordinate {k % d + 1}"
 
-    def gains(self, *times: float) -> Sequence[np.ndarray]:
-        """Per-component feedback factors -(b0 + a·cos t), shape (M·d,), one
-        per time given (at most three), in buffers the next call overwrites."""
+    def gains(self, starts: Sequence[float]) -> np.ndarray:
+        """Per-component feedback factors -(b0 + a·cos t) of the steps that
+        start at the given times, shape (K, 3, M·d): one row each for t,
+        t + dt/2 and t + dt, for at most ``block`` steps. Cosine gains fill
+        the schedule buffer, which the next call overwrites; constant gains
+        give a slice of their read-only view."""
+        k = len(starts)
+        table = self.schedule[:k]
         if self.constant_gain is not None:
-            return (self.constant_gain,) * len(times)
-        k = len(times)
-        cosines, rows = self.cosines[:k], self.gain_rows[:k]
-        cosines[:, 0] = [math.cos(t) for t in times]
-        np.multiply(self.gain_ripple, cosines, rows)
-        np.add(self.gain_base, rows, rows)
-        return np.negative(rows, rows)
+            return table
+        dt = self.dt
+        half = 0.5 * dt
+        cosines = self.cosines[:3 * k]
+        cosines[:] = [math.cos(x) for t in starts for x in (t, t + half, t + dt)]
+        np.multiply(self.gain_ripple, cosines.reshape(k, 3, 1), table)
+        np.add(self.gain_base, table, table)
+        return np.negative(table, table)
 
-    def accel(self, stage: tuple, gain: np.ndarray) -> None:
-        """Write the acceleration of a stage's state z = [P, Q] into its A.
+    def _bind_accel(self):
+        """accel(stage, gain) writes the acceleration of a stage's state
+        z = [P, Q] into its A, reading arrays bound here once.
 
         Each ufunc writes into a work buffer (positional ``out``, the
         cheapest call form) and keeps the operand order of the expression
         it computes: A = (gain·(Q + ω·sin Q) + coupling)·(1/m)."""
-        z, _, q, a, a_agents = stage
-        if self.omega is None:
-            np.multiply(gain, q, a)
-        else:
-            np.sin(q, a)
-            np.multiply(self.omega, a, a)
-            np.add(q, a, a)
-            np.multiply(gain, a, a)
-        if self.n_edges:
-            diff, cube = self.diff, self.cube
-            # Any index mode gives the same values; "clip" is the one that
-            # writes into ``out`` without an internal copy.
-            z.take(self.gather, None, self.pair, "clip")
-            np.subtract(diff, self.src_p, diff)
-            if cube is not None:
-                np.multiply(diff, diff, cube)
-                np.multiply(cube, diff, cube)
-                np.add(diff, cube, diff)
-            np.multiply(self.w, diff, diff)
-            # Only agent rows receive forces: adding an empty slot's +0.0 to
-            # the leader row would turn a -0.0 derivative into +0.0.
-            np.add(a_agents, np.bincount(self.slots, diff, len(a_agents)), a_agents)
-        if self.inv_mass is not None:
-            np.multiply(a, self.inv_mass, a)
+        multiply, add, subtract, sin, bincount = np.multiply, np.add, np.subtract, np.sin, np.bincount
+        omega, inv_mass, w, cube = self.omega, self.inv_mass, self.w, self.cube
+        gather, slots, pair, diff, src_p = self.gather, self.slots, self.pair, self.diff, self.src_p
+        has_edges, agent_components = self.n_edges > 0, self.n * self.dims
+
+        def accel(stage: tuple, gain: np.ndarray) -> None:
+            z, _, q, a, a_agents = stage
+            if omega is None:
+                multiply(gain, q, a)
+            else:
+                sin(q, a)
+                multiply(omega, a, a)
+                add(q, a, a)
+                multiply(gain, a, a)
+            if has_edges:
+                # Any index mode gives the same values; "clip" is the one that
+                # writes into ``out`` without an internal copy.
+                z.take(gather, None, pair, "clip")
+                subtract(diff, src_p, diff)
+                if cube is not None:
+                    multiply(diff, diff, cube)
+                    multiply(cube, diff, cube)
+                    add(diff, cube, diff)
+                multiply(w, diff, diff)
+                # Only agent rows receive forces: adding an empty slot's +0.0 to
+                # the leader row would turn a -0.0 derivative into +0.0.
+                add(a_agents, bincount(slots, diff, agent_components), a_agents)
+            if inv_mass is not None:
+                multiply(a, inv_mass, a)
+
+        return accel
+
+    def _bind_step(self):
+        """step(g1, mid, g4) advances ``state`` in place by one classical RK4
+        step of length dt, given the feedback factors at the step's start,
+        midpoint and end: y + dt/6·(k1 + 2·(k2 + k3) + k4), each sum in the
+        order written."""
+        multiply, add = np.multiply, np.add
+        accel, state, dt = self.accel, self.state, self.dt
+        half, sixth = 0.5 * dt, dt / 6.0
+        s1, s2, s3, s4 = self.stages
+        k1, (z2, k2), (z3, k3), (z4, k4) = s1[1], s2[:2], s3[:2], s4[:2]
+
+        def step(g1: np.ndarray, mid: np.ndarray, g4: np.ndarray) -> None:
+            accel(s1, g1)
+            multiply(half, k1, z2)
+            add(state, z2, z2)
+            accel(s2, mid)
+            multiply(half, k2, z3)
+            add(state, z3, z3)
+            accel(s3, mid)
+            multiply(dt, k3, z4)
+            add(state, z4, z4)
+            accel(s4, g4)
+            # Stage 2's row is free once stage 3 has read k2: it takes the sum.
+            add(k2, k3, k2)
+            multiply(2.0, k2, k2)
+            add(k1, k2, k2)
+            add(k2, k4, k2)
+            multiply(sixth, k2, k2)
+            add(state, k2, state)
+
+        return step
+
+    def advance(self, start: int, stop: int) -> Iterator[int]:
+        """Advance ``state`` through steps start + 1 to stop of the run's time
+        grid, step s running from (s - 1)·dt, one schedule block at a time;
+        yields each step's number once ``state`` holds its end."""
+        dt, step, block = self.dt, self.step, self.block
+        for first in range(start, stop, block):
+            last = min(first + block, stop)
+            if self.constant_gain is None:
+                table = self.gains([s * dt for s in range(first, last)])
+            else:
+                table = self.schedule[:last - first]  # no times needed
+            for number, g1, mid, g4 in zip(itertools.count(first + 1),
+                                           table[:, 0], table[:, 1], table[:, 2]):
+                step(g1, mid, g4)
+                yield number
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """Derivative [Q, A] of state vector y at time t, a view of the work
         buffers that the next call overwrites."""
         self.state[:] = y
         stage = self.stages[0]
-        self.accel(stage, self.gains(t)[0])
+        self.accel(stage, self.gains((t,))[0, 0])
         return stage[1]
 
-    def rk4(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-        """One classical RK4 step of length dt from state vector y at time t:
-        y + dt/6·(k1 + 2·(k2 + k3) + k4), each sum in the order written.
+    def rk4(self, t: float, y: np.ndarray) -> np.ndarray:
+        """One classical RK4 step of length dt from state vector y at time t,
+        through a one-step schedule block.
 
         Returns ``state``, which the next call overwrites; passing it back
-        in, as a run does, advances it in place with no copy."""
+        in advances it in place with no copy."""
         state = self.state
         if y is not state:
             state[:] = y
-        s1, s2, s3, s4 = self.stages
-        k1, (z2, k2), (z3, k3), (z4, k4) = s1[1], s2[:2], s3[:2], s4[:2]
-        half = 0.5 * dt
-        g1, mid, g4 = self.gains(t, t + half, t + dt)
-        self.accel(s1, g1)
-        np.multiply(half, k1, z2)
-        np.add(state, z2, z2)
-        self.accel(s2, mid)
-        np.multiply(half, k2, z3)
-        np.add(state, z3, z3)
-        self.accel(s3, mid)
-        np.multiply(dt, k3, z4)
-        np.add(state, z4, z4)
-        self.accel(s4, g4)
-        # Stage 2's row is free once stage 3 has read k2: it takes the sum.
-        np.add(k2, k3, k2)
-        np.multiply(2.0, k2, k2)
-        np.add(k1, k2, k2)
-        np.add(k2, k4, k2)
-        np.multiply(dt / 6.0, k2, k2)
-        np.add(state, k2, state)
+        table = self.gains((t,))
+        self.step(table[0, 0], table[0, 1], table[0, 2])
         return state
 
 
@@ -513,12 +580,11 @@ def rk4_step(state: SystemState, scenario: Scenario) -> SystemState:
     """One classical RK4 step of length scenario.integrator.dt."""
     _check_state_matches(state, scenario)
     comp = _Compiled(scenario)
-    dt = scenario.integrator.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        y = comp.rk4(state.t, _flatten(state), dt)
+        y = comp.rk4(state.t, _flatten(state))
     p, q, leader_p, leader_q = _split(y, comp.n, comp.dims)
     leader = None if leader_p is None else LeaderState(leader_p, leader_q)
-    return SystemState(t=state.t + dt, p=p, q=q, leader=leader)
+    return SystemState(t=state.t + comp.dt, p=p, q=q, leader=leader)
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
@@ -608,9 +674,10 @@ def simulate(scenario: Scenario) -> Trajectory:
 
     The scenario is validated first; a blocking failure raises
     ValidationFailed with every broken rule in the message. The state is
-    checked for finiteness after every step and a blow-up raises
-    NonFiniteState carrying the last good time; its message names the first
-    non-finite agent (1-based) and component.
+    checked for finiteness at every recorded sample; a blow-up is replayed
+    from the sample before it to name its step, and raises NonFiniteState
+    carrying the last good time; its message names the first non-finite
+    agent (1-based) and component.
 
     Returns a Trajectory whose first sample is the initial state and whose
     samples are spaced dt*record_every apart, t_end inclusive, carrying the
@@ -636,20 +703,39 @@ def _integrate(comp: _Compiled, y: np.ndarray, iset: IntegratorSettings) -> np.n
     n_steps, every = round(iset.t_end / iset.dt), iset.record_every
     buf = np.empty((n_steps // every + 1, len(y)))
     buf[0] = y
+    state = comp.state
+    state[:] = y
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            t_prev = (step - 1) * iset.dt
-            y = comp.rk4(t_prev, y, iset.dt)
-            # y·y is finite only if every entry is (one cheap call); when it
-            # overflows, the entries themselves decide.
-            if not math.isfinite(y.dot(y)) and not np.isfinite(y).all():
-                raise NonFiniteState(
-                    f"state became non-finite between t={t_prev:.6g} and t={step * iset.dt:.6g}, "
-                    f"first at {comp.first_non_finite(y)}",
-                    last_good_time=t_prev)
+        for step in comp.advance(0, n_steps):
             if step % every == 0:
-                buf[step // every] = y
+                # A non-finite entry stays non-finite, so one check per sample
+                # sees every blow-up; the replay finds the step it happened in.
+                if not _finite(state):
+                    raise _blow_up(comp, buf[step // every - 1], step - every, step)
+                buf[step // every] = state
     return buf
+
+
+def _finite(y: np.ndarray) -> bool:
+    # y·y is finite only if every entry is (one cheap call); when it
+    # overflows, the entries themselves decide.
+    return math.isfinite(y.dot(y)) or bool(np.isfinite(y).all())
+
+
+def _blow_up(comp: _Compiled, y: np.ndarray, start: int, stop: int) -> NonFiniteState:
+    """Replay steps start + 1 to stop from y, the state after step start,
+    checking every step, and return the NonFiniteState that names the first
+    whose state is not finite. Runs are deterministic, so when the state
+    after step stop is not finite, one of them is."""
+    state = comp.state
+    state[:] = y
+    for step in comp.advance(start, stop):
+        if not _finite(state):
+            t_prev = (step - 1) * comp.dt
+            return NonFiniteState(
+                f"state became non-finite between t={t_prev:.6g} and t={step * comp.dt:.6g}, "
+                f"first at {comp.first_non_finite(state)}",
+                last_good_time=t_prev)
 
 
 def tracking_errors(state: SystemState) -> tuple[np.ndarray, np.ndarray]:

@@ -155,6 +155,25 @@ def test_trajectory_outputs_are_byte_identical(tmp_path):
     assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
 
 
+def test_run_after_an_override_run_gets_its_own_defaults(tmp_path, capsys):
+    # The parser is built once per process; a run with overrides must leave
+    # nothing behind for the next run.
+    scenario = write_pair_scenario(tmp_path / "pair.json", t_end=5.0)
+
+    def run(name, *options):
+        out = tmp_path / name
+        code = main(["run", str(scenario), "--out", str(out), "--no-plots", *options])
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        return code, stdout, [(out / f).read_bytes() for f in ("trajectory.csv", "report.json")]
+
+    consensim.cli.build_parser.cache_clear()
+    fresh = run("fresh")
+    assert fresh[0] == 0
+    overridden = run("overridden", "--dt", "0.005", "--t-end", "0.2", "--require-consensus")
+    assert overridden[0] == 3 and overridden[2] != fresh[2]
+    assert run("plain") == fresh
+
+
 @pytest.mark.parametrize("scenario", ["fig3b", "strong_sine"])
 def test_report_checks_are_the_assumption_checks_as_dicts(tmp_path, scenario):
     # omega = 5 pushes the velocity sector below zero: the sector and sign

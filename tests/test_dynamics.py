@@ -169,6 +169,34 @@ def test_blow_up_names_first_non_finite_agent_and_component(leader):
     assert str(excinfo.value).endswith(f"first at {expected}")
 
 
+def damping_blow_up(scale):
+    """Two weakly coupled agents whose cosine damping gains, 32 ± 1 at
+    dt = 0.1, lie outside RK4's stability interval, so the velocities grow
+    about 1.8x per step from ±scale until they overflow. 2000 steps are
+    recorded every 50th; the blow-up comes after step 1200, in the second
+    910-step gain schedule block of 2 state components (8192 // (3 * 3))."""
+    return Scenario(
+        mode=Mode.LEADERLESS, masses=(1.0, 1.0), topology=build_topology(2, [(1, 2, 1e-3)]),
+        protocol=ProtocolSpec(velocity=VelocityShape(), coupling=CouplingShape(kind="linear"),
+                              gains=(GainProfile(kind="cosine", b0=32.0, amplitude=1.0),) * 2),
+        initial=SystemState(t=0.0, p=[0.0, 0.0], q=[scale, -scale]),
+        integrator=IntegratorSettings(dt=0.1, t_end=200.0, record_every=50))
+
+
+@pytest.mark.parametrize("scale, between, last_good", [
+    (1e-10, "t=120.7 and t=120.8", 120.7),  # step 1208, mid-interval
+    (4e-21, "t=125 and t=125.1", 125.0),  # step 1251, the first of an interval
+    (1e-20, "t=124.9 and t=125", 124.9),  # step 1250, a recorded one
+], ids=["mid_interval", "first_step_of_interval", "recorded_step"])
+def test_blow_up_is_named_at_its_step(scale, between, last_good):
+    # The messages and times are those of a loop that checks every step.
+    with pytest.raises(NonFiniteState) as excinfo:
+        simulate(damping_blow_up(scale))
+    assert str(excinfo.value) == (f"state became non-finite between {between}, "
+                                  "first at agent 1 velocity, coordinate 1")
+    assert excinfo.value.last_good_time == last_good
+
+
 def reference_rhs(state, scenario):
     """Plain per-edge reference of the closed loop, built from the topology's
     edge and leader-link lists: (q_dot, leader_q_dot or None)."""
@@ -277,11 +305,46 @@ def test_compiled_kernel_memory_is_linear_in_edges():
     tracemalloc.start()
     try:
         comp = _Compiled(scenario)
-        comp.rk4(0.0, _flatten(scenario.initial), scenario.integrator.dt)
+        comp.rk4(0.0, _flatten(scenario.initial))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_cosine_gain_run_memory_is_its_buffers_whatever_the_horizon():
+    # At 5000 agents one step's gain factors exceed the 8192-float schedule
+    # budget, so the schedule holds one step, 3·(M·d + 1) floats: all that
+    # cosine gains add to a compile. The steps then allocate nothing beyond
+    # the recorded rows and one bincount result at a time, however many
+    # steps there are.
+    n = 5000
+    base = leaderless_scenario(n=n, coupling="linear_plus_cubic", p0=np.sin(np.arange(n)),
+                               edges=[(i, i % n + 1, 1.0) for i in range(1, n + 1)])
+    compiled, stepped = {}, {}
+    for amplitude in (0.0, 0.2):
+        for steps in (10, 100):
+            scenario = dataclasses.replace(
+                base,
+                protocol=dataclasses.replace(base.protocol, gains=(GainProfile(
+                    kind="cosine", b0=1.0, amplitude=amplitude),) * n),
+                integrator=IntegratorSettings(dt=1e-2, t_end=steps * 1e-2, record_every=steps))
+            y = _flatten(scenario.initial)
+            tracemalloc.start()
+            try:
+                comp = _Compiled(scenario)
+                compiled[amplitude, steps] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                consensim.dynamics._integrate(comp, y, scenario.integrator)
+                stepped[amplitude, steps] = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+    for steps in (10, 100):
+        assert compiled[0.2, steps] - compiled[0.0, steps] <= 8 * 3 * (n + 1)
+    recorded, forces = 8 * 2 * (2 * n), 8 * n  # the initial and final samples; bincount
+    for peak in stepped.values():
+        assert recorded + forces <= peak < recorded + forces + 4096
 
 
 def test_simulate_sample_grid_and_initial_sample():
@@ -352,10 +415,19 @@ def test_single_step_agrees_with_simulate():
     # place and copies a row out only when it records, so a stale work
     # buffer, a recorded row that aliases the state, or gains carried over
     # from another step would each break the equality.
+    # The long 2-D runs take 700 steps recorded every 7th: with cosine gains
+    # they cross two boundaries of the 303-step gain schedule blocks of 8
+    # state components (8192 // (3 * 9)), neither count dividing the other;
+    # constant gains slice one 8192-step view of their factors.
     leaderless = leaderless_scenario(
         n=2, q0=[0.4, -0.4],
         integrator=IntegratorSettings(dt=1e-2, t_end=0.2, record_every=1))
-    for scenario in (leaderless, leader_scenario_2d()):
+    cosine = dataclasses.replace(leader_scenario_2d(), integrator=IntegratorSettings(
+        dt=1e-2, t_end=7.0, record_every=7))
+    constant = dataclasses.replace(cosine, protocol=dataclasses.replace(
+        cosine.protocol, gains=tuple(GainProfile(b0=g.b0) for g in cosine.protocol.gains),
+        leader_gain=GainProfile(b0=0.9)))
+    for scenario in (leaderless, leader_scenario_2d(), cosine, constant):
         traj = simulate(scenario)
         dt, every = scenario.integrator.dt, scenario.integrator.record_every
         state = scenario.initial
