@@ -2,11 +2,9 @@
 agents under nonlinear velocity/coupling protocols, with optional leader
 tracking."""
 
-from .analysis import (ConsensusReport, Prediction, conservation_drift,
-                       conserved_quantity, conserved_series, default_tracking_weight,
-                       detect_consensus, lyapunov_leader, lyapunov_leaderless,
-                       lyapunov_series, predict_consensus, predicted_consensus_leader,
-                       predicted_consensus_leaderless, tracking_gain_lower_bound)
+from .analysis import (ConsensusReport, Prediction, conservation_drift, conserved_series,
+                       default_tracking_weight, detect_consensus, lyapunov_series,
+                       predict_consensus, tracking_gain_lower_bound)
 from .dynamics import (IntegratorSettings, LeaderState, Mode, Scenario,
                        ScenarioValidation, StateDerivative, SystemState, Trajectory,
                        leader_closed_form, leader_closed_form_for, rhs, rk4_step,
@@ -20,7 +18,7 @@ from .graph import (Topology, build_topology, is_connected, laplacian,
                     leader_reaches_all)
 from .protocols import (AssumptionReport, CouplingKind, CouplingShape, GainKind,
                         GainProfile, ProtocolSpec, VelocityKind, VelocityShape,
-                        gain_envelope, sector_constants, validate_assumptions)
+                        sector_constants, validate_assumptions)
 from .scenario_io import (bundled_scenario_path, list_bundled, parse_scenario,
                           parse_scenario_dict, scenario_to_dict, write_scenario)
 
@@ -34,13 +32,11 @@ __all__ = [
     "ParseError", "Prediction", "ProtocolSpec", "Scenario", "ScenarioValidation",
     "SelfLoop", "StateDerivative", "SystemState", "Topology", "TopologyError",
     "Trajectory", "ValidationFailed", "VelocityKind", "VelocityShape",
-    "build_topology", "bundled_scenario_path", "conservation_drift",
-    "conserved_quantity", "conserved_series", "default_tracking_weight",
-    "detect_consensus", "gain_envelope", "is_connected", "laplacian",
+    "build_topology", "bundled_scenario_path", "conservation_drift", "conserved_series",
+    "default_tracking_weight", "detect_consensus", "is_connected", "laplacian",
     "leader_closed_form", "leader_closed_form_for", "leader_reaches_all",
-    "list_bundled", "lyapunov_leader", "lyapunov_leaderless", "lyapunov_series",
-    "parse_scenario", "parse_scenario_dict", "predict_consensus", "predicted_consensus_leader",
-    "predicted_consensus_leaderless", "rhs", "rk4_step", "scenario_fingerprint",
+    "list_bundled", "lyapunov_series", "parse_scenario", "parse_scenario_dict",
+    "predict_consensus", "rhs", "rk4_step", "scenario_fingerprint",
     "scenario_to_dict", "sector_constants", "simulate", "tracking_errors",
     "tracking_gain_lower_bound", "validate_assumptions", "validate_scenario",
     "write_scenario",

@@ -1,6 +1,15 @@
-"""Consensus analysis: energy bookkeeping along trajectories, the conserved
-quantity and closed-form consensus values available under linear velocity
-feedback with constant gains, and posterior consensus detection.
+"""Consensus analysis. Each paper quantity has one form, gated on the
+scenario's hypotheses and read from the run's arrays:
+
+- ``predict_consensus``: the closed-form consensus value, or why there is
+  none;
+- ``lyapunov_series``: the energy (leaderless) or tracking energy (leader
+  mode) at every sample of a trajectory;
+- ``conserved_series``: the conserved quantity at every sample of a
+  leaderless trajectory.
+
+A single state is a one-sample :class:`Trajectory`. Posterior consensus
+detection and the tracking-weight bound complete the module.
 """
 
 from __future__ import annotations
@@ -10,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Mode, Scenario, SystemState, Trajectory
+from .dynamics import Mode, Scenario, Trajectory
 from .errors import HypothesisViolated, InvalidBounds
 from .graph import Topology, is_connected, leader_reaches_all
-from .protocols import GainProfile, ProtocolSpec, protocol_envelopes
+from .protocols import ProtocolSpec
 
 
 # Floats per edge- or agent-sized temporary in one block of lyapunov_series.
@@ -60,36 +69,6 @@ def _leader_energies(
     return value
 
 
-def lyapunov_leaderless(state: SystemState, topo: Topology, spec: ProtocolSpec, masses) -> float:
-    """Energy of a leaderless state: half the mass-weighted kinetic term plus
-    half the double sum, over ordered neighbor pairs, of the coupling
-    antiderivative of the position differences. The antiderivative is even,
-    so each unordered pair counts once with its full weight."""
-    return float(_leaderless_energies(state.p[None], state.q[None], topo, spec, masses)[0])
-
-
-def lyapunov_leader(
-    state: SystemState,
-    topo: Topology,
-    spec: ProtocolSpec,
-    leader_weight: float,
-    gain_lower: float,
-    sector_lower: float,
-) -> float:
-    """Tracking energy of a leader-mode state, in leader-relative errors.
-
-    ``leader_weight`` multiplies the leader's kinetic term; ``gain_lower``
-    and ``sector_lower`` are the global lower bounds on the gains and the
-    velocity sector that scale the whole expression. Requires unit masses to
-    mean anything; that is the caller's obligation.
-    """
-    if state.leader is None:
-        raise HypothesisViolated("tracking energy needs a leader state")
-    return float(_leader_energies(state.p[None], state.q[None], state.leader.p[None],
-                                  state.leader.q[None], topo, spec, leader_weight,
-                                  gain_lower, sector_lower)[0])
-
-
 def tracking_gain_lower_bound(
     n_agents: int,
     gain_lower: float,
@@ -120,80 +99,28 @@ def default_tracking_weight(scenario: Scenario) -> float:
     guaranteed-monotone lower bound for this scenario's envelopes."""
     if scenario.mode is not Mode.LEADER:
         raise HypothesisViolated("tracking weight applies to leader scenarios only")
-    (g_lo, g_hi), (s_lo, s_hi) = protocol_envelopes(scenario.protocol)
+    _, _, (g_lo, g_hi), (s_lo, s_hi) = scenario.protocol.envelopes
     if g_lo <= 0.0 or s_lo <= 0.0:
         raise HypothesisViolated(
             f"gain/sector envelopes must be positive, got {(g_lo, g_hi)}, {(s_lo, s_hi)}")
     return 1.01 * tracking_gain_lower_bound(scenario.n_agents, g_lo, g_hi, s_lo, s_hi)
 
 
-def _positive_gains(b: np.ndarray) -> np.ndarray:
-    if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
-        raise HypothesisViolated("gains must be finite and > 0")
-    return b
-
-
-def _constant_gain_values(gains) -> np.ndarray:
-    values = []
-    for g in gains:
-        if isinstance(g, GainProfile):
-            if not g.is_constant:
-                raise HypothesisViolated("conserved quantity needs constant gains")
-            values.append(g.b0)
-        else:
-            values.append(float(g))
-    return _positive_gains(np.array(values))
-
-
 def _spec_gain_values(spec: ProtocolSpec) -> np.ndarray:
-    """The followers' gains, which must be constant, read from the spec's
-    gain columns; raises as :func:`_constant_gain_values` does."""
+    """The followers' gains, which must be constant and positive, read from
+    the spec's gain columns."""
     b0, amplitude = spec.gain_columns
     if amplitude.any():
         raise HypothesisViolated("conserved quantity needs constant gains")
-    return _positive_gains(b0)
+    if np.any(b0 <= 0.0) or not np.all(np.isfinite(b0)):
+        raise HypothesisViolated("gains must be finite and > 0")
+    return b0
 
 
 def _conserved(p: np.ndarray, q: np.ndarray, masses, b: np.ndarray) -> np.ndarray:
     # Sum over the agent axis of (..., N, d) positions and velocities.
     m = np.asarray(masses, dtype=float)
     return np.sum(b[:, None] * p + m[:, None] * q, axis=-2)
-
-
-def _leaderless_limit(initial: SystemState, masses, b: np.ndarray) -> np.ndarray:
-    if initial.leader is not None:
-        raise HypothesisViolated("conserved quantity is a leaderless construction")
-    return _conserved(initial.p, initial.q, masses, b) / float(np.sum(b))
-
-
-def conserved_quantity(state: SystemState, masses, gains) -> np.ndarray:
-    """Gain-weighted position plus momentum, summed over agents, per
-    component. Constant along leaderless trajectories with linear velocity
-    feedback and constant gains; ``gains`` may be GainProfiles (must be
-    constant) or plain positive numbers."""
-    if state.leader is not None:
-        raise HypothesisViolated("conserved quantity is a leaderless construction")
-    return _conserved(state.p, state.q, masses, _constant_gain_values(gains))
-
-
-def predicted_consensus_leaderless(initial: SystemState, masses, gains) -> np.ndarray:
-    """Common position every agent approaches (per component) under linear
-    velocity feedback, constant gains, and a connected graph: the conserved
-    quantity at t=0 divided by the total gain. Connectivity is the caller's
-    obligation."""
-    return _leaderless_limit(initial, masses, _constant_gain_values(gains))
-
-
-def predicted_consensus_leader(leader_p0, leader_q0, gain_value: float) -> np.ndarray:
-    """Position every follower approaches under a constant leader gain b and
-    identity leader velocity feedback: p_L(0) + q_L(0)/b, the leader's own
-    limit."""
-    b = float(gain_value)
-    if not (math.isfinite(b) and b > 0.0):
-        raise HypothesisViolated(f"prediction needs a positive constant leader gain, got {b}")
-    p0 = np.atleast_1d(np.asarray(leader_p0, dtype=float))
-    q0 = np.atleast_1d(np.asarray(leader_q0, dtype=float))
-    return p0 + q0 / b
 
 
 @dataclass(frozen=True)
@@ -212,28 +139,43 @@ class Prediction:
 def predict_consensus(scenario: Scenario) -> Prediction:
     """Closed-form consensus value of a scenario, or why none exists.
 
-    Leaderless scenarios need linear velocity feedback, constant gains, and
-    a connected graph; leader scenarios need a constant leader gain, linear
-    leader velocity feedback, and a leader path to every agent.
+    Leaderless scenarios need linear velocity feedback, constant positive
+    gains, and a connected graph; the value is the conserved quantity at
+    t=0 over the total gain, sum(b_i p_i(0) + m_i q_i(0)) / sum(b_i). Leader
+    scenarios need a constant positive leader gain, linear leader velocity
+    feedback, and a leader path to every agent; the value is the leader's
+    own limit p_L(0) + q_L(0)/b_L. Every refusal comes back as the reason.
     """
-    spec = scenario.protocol
+    try:
+        return Prediction(_consensus_value(scenario), None)
+    except HypothesisViolated as exc:
+        return Prediction(None, str(exc))
+
+
+def _consensus_value(scenario: Scenario) -> np.ndarray:
+    # Raises HypothesisViolated, naming the failed hypothesis, on refusal.
+    spec, initial = scenario.protocol, scenario.initial
     if scenario.mode is Mode.LEADERLESS:
         if not spec.velocity.is_linear:
-            return Prediction(None, "nonlinear velocity feedback has no closed-form consensus value")
+            raise HypothesisViolated("nonlinear velocity feedback has no closed-form consensus value")
         if spec.gain_columns[1].any():
-            return Prediction(None, "time-varying gains have no closed-form consensus value")
+            raise HypothesisViolated("time-varying gains have no closed-form consensus value")
         if not is_connected(scenario.topology):
-            return Prediction(None, "graph not connected")
-        value = _leaderless_limit(scenario.initial, scenario.masses, _spec_gain_values(spec))
-        return Prediction(value, None)
+            raise HypothesisViolated("graph not connected")
+        b = _spec_gain_values(spec)
+        if initial.leader is not None:
+            raise HypothesisViolated("conserved quantity is a leaderless construction")
+        return _conserved(initial.p, initial.q, scenario.masses, b) / float(np.sum(b))
     if not spec.leader_velocity.is_linear:
-        return Prediction(None, "nonlinear leader velocity feedback has no closed-form target")
+        raise HypothesisViolated("nonlinear leader velocity feedback has no closed-form target")
     if not spec.leader_gain.is_constant:
-        return Prediction(None, "a time-varying leader gain has no closed-form target")
+        raise HypothesisViolated("a time-varying leader gain has no closed-form target")
     if not leader_reaches_all(scenario.topology):
-        return Prediction(None, "leader does not reach every agent")
-    p0, q0 = scenario.initial.leader
-    return Prediction(predicted_consensus_leader(p0, q0, spec.leader_gain.b0), None)
+        raise HypothesisViolated("leader does not reach every agent")
+    b = spec.leader_gain.b0
+    if not b > 0.0:
+        raise HypothesisViolated(f"prediction needs a positive constant leader gain, got {b}")
+    return initial.leader.p + initial.leader.q / b
 
 
 @dataclass(frozen=True)
@@ -313,9 +255,12 @@ def lyapunov_series(
     """Energy at every sample of the trajectory, an (S,) array aligned with
     ``traj.t``.
 
-    Leaderless scenarios use the leaderless energy with the scenario's
-    masses; leader scenarios use the tracking energy with the scenario's
-    gain/sector envelopes and ``leader_weight`` (default: 1.01 times the
+    Leaderless scenarios use the energy: half the mass-weighted kinetic term
+    plus, per edge, its weight times the coupling antiderivative of the
+    position difference. Leader scenarios use the tracking energy in
+    leader-relative errors (meaningful for unit masses), scaled by the lower
+    gain and sector envelopes of ``ProtocolSpec.envelopes``, with ``leader_weight``
+    on the leader's kinetic term (default: 1.01 times the
     guaranteed-monotone bound). Samples are evaluated in blocks whose edge
     and agent temporaries hold about ``_SERIES_BLOCK`` floats each.
     """
@@ -329,7 +274,7 @@ def lyapunov_series(
             raise HypothesisViolated("tracking energy needs a leader state")
         if leader_weight is None:
             leader_weight = default_tracking_weight(scenario)
-        (g_lo, _), (s_lo, _) = protocol_envelopes(spec)
+        _, _, (g_lo, _), (s_lo, _) = spec.envelopes
 
         def energies(block):
             return _leader_energies(P[block], Q[block], traj.leader_p[block],

@@ -296,29 +296,29 @@ def _svg_chart(times: np.ndarray, lines: list, hlines: np.ndarray, ylabel: str) 
     return "\n".join(out) + "\n"
 
 
-def write_plots(traj: Trajectory, scenario: Scenario, out_dir: Path) -> list[Path]:
+def write_plots(traj: Trajectory, predicted: list[float] | None, out_dir: Path) -> list[Path]:
     """Position and velocity SVGs; any failure is reported, never raised.
 
     Each agent coordinate is one polyline, the leader (if any) a dashed black
-    one, and on the positions plot each closed-form consensus value a dotted
-    horizontal line. Reruns of one scenario write byte-identical files."""
+    one, and on the positions plot each component of ``predicted``, the
+    closed-form consensus value or None, a dotted horizontal line. Reruns of
+    one scenario write byte-identical files."""
     written: list[Path] = []
     try:
-        prediction = predict_consensus(scenario)
+        _, n_agents, n_dims = traj.p.shape
         for data, ldata, stem, ylabel in ((traj.p, traj.leader_p, "positions", "position"),
                                           (traj.q, traj.leader_q, "velocities", "velocity")):
             lines = []
-            for i in range(scenario.n_agents):
-                for l in range(scenario.n_dims):
-                    suffix = f"_{l + 1}" if scenario.n_dims > 1 else ""
+            for i in range(n_agents):
+                for l in range(n_dims):
+                    suffix = f"_{l + 1}" if n_dims > 1 else ""
                     lines.append((f"agent {i + 1}{suffix}", data[:, i, l],
                                   _COLORS[len(lines) % len(_COLORS)], None, 1.2))
             if ldata is not None:
-                lines += [("leader", ldata[:, l], "black", "6,3", 1.6)
-                          for l in range(scenario.n_dims)]
+                lines += [("leader", ldata[:, l], "black", "6,3", 1.6) for l in range(n_dims)]
             hlines = np.empty(0)
-            if stem == "positions" and prediction.available:
-                hlines = np.atleast_1d(prediction.value)
+            if stem == "positions" and predicted is not None:
+                hlines = np.atleast_1d(predicted)
             target = out_dir / f"{stem}.svg"
             target.write_text(_svg_chart(traj.t, lines, hlines, ylabel))
             written.append(target)
@@ -330,15 +330,16 @@ def write_plots(traj: Trajectory, scenario: Scenario, out_dir: Path) -> list[Pat
 def write_outputs(traj: Trajectory, scenario: Scenario, scenario_path, out_dir: Path,
                   plots: bool) -> dict:
     """Write trajectory.csv, report.json and, with ``plots``, the SVGs into
-    out_dir, computing the energy and conserved series once for both files.
-    Returns the report."""
+    out_dir, computing the energy and conserved series once for both files
+    and the prediction once for the report and the plots. Returns the
+    report."""
     out_dir.mkdir(parents=True, exist_ok=True)
     series = run_series(traj, scenario)
     write_trajectory_csv(traj, scenario, out_dir / "trajectory.csv", series)
     report = build_report(traj, scenario, str(scenario_path), series)
     (out_dir / "report.json").write_text(report_json(report))
     if plots:
-        write_plots(traj, scenario, out_dir)
+        write_plots(traj, report["consensus"]["predicted_value"], out_dir)
     return report
 
 

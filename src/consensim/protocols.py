@@ -183,12 +183,6 @@ class ProtocolSpec:
         return tuple(lows), tuple(highs), (min(lows), max(highs)), _sector_envelope(self)
 
 
-def gain_envelope(profiles) -> tuple[float, float]:
-    """Tightest (lower, upper) bounds covering every profile in `profiles`."""
-    lows, highs = zip(*(p.bounds() for p in profiles))
-    return (min(lows), max(highs))
-
-
 # sin(z)/z takes its minimum over all z at x* = TAN_ROOT, the first positive
 # root of tan x = x, where it equals cos(x*). x* and cos(x*) are each rounded
 # to the nearest double.
@@ -225,12 +219,6 @@ def _sector_envelope(spec: ProtocolSpec) -> tuple[float, float]:
     shapes = [spec.velocity] + ([spec.leader_velocity] if spec.has_leader else [])
     lows, highs = zip(*(sector_constants(s) for s in shapes))
     return min(lows), max(highs)
-
-
-def protocol_envelopes(spec: ProtocolSpec) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Global (gain, sector) envelopes over the followers and the leader: the
-    bounds the tracking energy and its weight are stated in."""
-    return spec.envelopes[2:]
 
 
 @dataclass(frozen=True)

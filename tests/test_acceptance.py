@@ -23,7 +23,7 @@ from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderSta
                        build_topology, bundled_scenario_path, conservation_drift,
                        detect_consensus, is_connected, leader_closed_form_for,
                        leader_reaches_all, lyapunov_series, parse_scenario,
-                       predict_consensus, simulate, tracking_errors)
+                       predict_consensus, simulate)
 
 CHAIN_CONSENSUS_VALUE = 1.516667
 TRACKING_LIMIT = 1.5
@@ -73,24 +73,22 @@ def fig3a_run():
 
 def test_criterion_1_chain_settles_on_closed_form_value(fig2b_run):
     scenario, traj = fig2b_run
-    final = traj.samples[-1]
-    pos_err = float(np.abs(final.p - CHAIN_CONSENSUS_VALUE).max())
-    speed = float(np.abs(final.q).max())
+    pos_err = float(np.abs(traj.p[-1] - CHAIN_CONSENSUS_VALUE).max())
+    speed = float(np.abs(traj.q[-1]).max())
     ok = pos_err <= POS_TOL and speed <= VEL_TOL
     report(1, "chain consensus value", ok,
            f"max|p - {CHAIN_CONSENSUS_VALUE}| = {pos_err:.3e} (tol {POS_TOL}), "
-           f"max|q| = {speed:.3e} (tol {VEL_TOL}) at t={final.t:g}")
+           f"max|q| = {speed:.3e} (tol {VEL_TOL}) at t={traj.t[-1]:g}")
 
 
 def test_criterion_2_tracking_with_constant_leader_gain(fig3b_run):
     scenario, traj = fig3b_run
-    final = traj.samples[-1]
-    pos_err = float(np.abs(final.p - TRACKING_LIMIT).max())
-    speed = float(np.abs(final.q).max())
+    pos_err = float(np.abs(traj.p[-1] - TRACKING_LIMIT).max())
+    speed = float(np.abs(traj.q[-1]).max())
     ok = pos_err <= POS_TOL and speed <= VEL_TOL
     report(2, "tracking toward leader limit", ok,
            f"max|p - {TRACKING_LIMIT}| = {pos_err:.3e} (tol {POS_TOL}), "
-           f"max|q| = {speed:.3e} (tol {VEL_TOL}) at t={final.t:g}; "
+           f"max|q| = {speed:.3e} (tol {VEL_TOL}) at t={traj.t[-1]:g}; "
            f"thresholds are first met near t=80, see the bundled t_end=100 run")
 
 
@@ -106,13 +104,12 @@ def test_criterion_3_nonlinear_chain_reaches_consensus(fig2a_run):
 
 def test_criterion_4_tracking_with_time_varying_leader_gain(fig3a_run):
     scenario, traj = fig3a_run
-    p_err, q_err = tracking_errors(traj.samples[-1])
-    pos_err = float(np.abs(p_err).max())
-    vel_err = float(np.abs(q_err).max())
+    pos_err = float(np.abs(traj.p[-1] - traj.leader_p[-1]).max())
+    vel_err = float(np.abs(traj.q[-1] - traj.leader_q[-1]).max())
     ok = pos_err <= POS_TOL and vel_err <= POS_TOL
     report(4, "tracking errors, wavy leader gain", ok,
            f"max|p - p_L| = {pos_err:.3e}, max|q - q_L| = {vel_err:.3e} "
-           f"(tol {POS_TOL}) at t={traj.samples[-1].t:g}; "
+           f"(tol {POS_TOL}) at t={traj.t[-1]:g}; "
            f"thresholds are first met near t=80, see the bundled t_end=100 run")
 
 

@@ -1,8 +1,7 @@
-"""Energy functions, the tracking-weight bound, conserved quantity,
+"""Energy series, the tracking-weight bound, conserved quantity,
 closed-form predictions, and consensus detection."""
 
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -11,13 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderState,
-                       Mode, ProtocolSpec, Scenario, SystemState, Trajectory,
-                       VelocityShape, build_topology, conservation_drift, gain_envelope,
-                       conserved_quantity, conserved_series, detect_consensus,
-                       leader_closed_form, lyapunov_leader, lyapunov_leaderless,
-                       lyapunov_series, predict_consensus, predicted_consensus_leader,
-                       predicted_consensus_leaderless, simulate,
-                       tracking_gain_lower_bound)
+                       Mode, Prediction, ProtocolSpec, Scenario, SystemState, Trajectory,
+                       VelocityShape, build_topology, bundled_scenario_path,
+                       conservation_drift, conserved_series, detect_consensus,
+                       leader_closed_form, lyapunov_series, parse_scenario,
+                       predict_consensus, simulate, tracking_gain_lower_bound)
 from consensim.errors import HypothesisViolated, InvalidBounds
 
 SECTOR_LO = 0.8913831858943891
@@ -31,23 +28,38 @@ def pair_spec(coupling="linear", gains=(1.0, 1.0), leader=False):
                         gains=tuple(GainProfile(b0=g) for g in gains), **kwargs)
 
 
+def trajectory_of(samples, fingerprint):
+    """Trajectory holding the given SystemStates, all with or all without a leader."""
+    leaders = [s.leader for s in samples if s.leader is not None]
+    return Trajectory(np.array([s.t for s in samples]), np.stack([s.p for s in samples]),
+                      np.stack([s.q for s in samples]),
+                      np.stack([lead.p for lead in leaders]) if leaders else None,
+                      np.stack([lead.q for lead in leaders]) if leaders else None, fingerprint)
+
+
+def energy_at(state, topo, spec, masses, mode=Mode.LEADERLESS, leader_weight=None):
+    """lyapunov_series of the one-sample trajectory holding ``state``."""
+    scenario = Scenario(mode=mode, masses=masses, topology=topo, protocol=spec, initial=state)
+    return float(lyapunov_series(trajectory_of([state], "-"), scenario, leader_weight)[0])
+
+
 def test_leaderless_energy_hand_computed():
     # Kinetic 0.5*(2*1 + 1*1) = 1.5; one unit edge at gap 1 adds
     # 0.5*(H(1) + H(-1)) with H(x) = x^2/2, i.e. 0.5.
     topo = build_topology(2, [(1, 2, 1.0)])
     state = SystemState(t=0.0, p=[0.0, 1.0], q=[1.0, 1.0])
-    assert lyapunov_leaderless(state, topo, pair_spec(), (2.0, 1.0)) == pytest.approx(2.0)
+    assert energy_at(state, topo, pair_spec(), (2.0, 1.0)) == pytest.approx(2.0)
     # Quartic term raises the edge contribution to H(1) = 3/4.
     cubic = pair_spec(coupling="linear_plus_cubic")
-    assert lyapunov_leaderless(state, topo, cubic, (2.0, 1.0)) == pytest.approx(2.25)
+    assert energy_at(state, topo, cubic, (2.0, 1.0)) == pytest.approx(2.25)
 
 
 def test_leaderless_energy_zero_only_at_agreement_at_rest():
     topo = build_topology(2, [(1, 2, 1.0)])
     rest = SystemState(t=0.0, p=[3.0, 3.0], q=[0.0, 0.0])
-    assert lyapunov_leaderless(rest, topo, pair_spec(), (1.0, 1.0)) == 0.0
+    assert energy_at(rest, topo, pair_spec(), (1.0, 1.0)) == 0.0
     moving = SystemState(t=0.0, p=[3.0, 3.0], q=[0.0, 1e-3])
-    assert lyapunov_leaderless(moving, topo, pair_spec(), (1.0, 1.0)) > 0.0
+    assert energy_at(moving, topo, pair_spec(), (1.0, 1.0)) > 0.0
 
 
 def test_tracking_energy_hand_computed():
@@ -57,15 +69,16 @@ def test_tracking_energy_hand_computed():
     topo = build_topology(2, [(1, 2, 1.0)], leader_links=[(1, 1.0)])
     state = SystemState(t=0.0, p=[1.0, 2.0], q=[1.0, 1.0],
                         leader=LeaderState(np.array([3.0]), np.array([2.0])))
-    value = lyapunov_leader(state, topo, pair_spec(leader=True),
-                            leader_weight=4.0, gain_lower=1.0, sector_lower=1.0)
+    value = energy_at(state, topo, pair_spec(leader=True), (1.0, 1.0), Mode.LEADER, 4.0)
     assert value == pytest.approx(15.0, abs=1e-14)
 
     with pytest.raises(HypothesisViolated):
-        lyapunov_leader(SystemState(t=0.0, p=[1.0, 2.0], q=[1.0, 1.0]),
-                        topo, pair_spec(leader=True), 4.0, 1.0, 1.0)
+        energy_at(SystemState(t=0.0, p=[1.0, 2.0], q=[1.0, 1.0]),
+                  topo, pair_spec(leader=True), (1.0, 1.0), Mode.LEADER, 4.0)
+    # A gain envelope reaching 0 leaves the tracking energy undefined.
     with pytest.raises(HypothesisViolated):
-        lyapunov_leader(state, topo, pair_spec(leader=True), 4.0, 0.0, 1.0)
+        energy_at(state, topo, pair_spec(gains=(0.0, 1.0), leader=True), (1.0, 1.0),
+                  Mode.LEADER, 4.0)
 
 
 def test_tracking_gain_lower_bound_values():
@@ -112,27 +125,26 @@ def test_conserved_quantity_hand_computed():
     # sum(b_i p_i + m_i q_i) = 0.2*sum(0.2 i^2) + 0.1*sum(0.3 i^2) over
     # i = 1..6 -> (0.04 + 0.03)*91 = 6.37.
     scenario = chain6_scenario()
-    value = conserved_quantity(scenario.initial, scenario.masses, scenario.protocol.gains)
+    value = conserved_series(trajectory_of([scenario.initial], "-"), scenario)[0]
     np.testing.assert_allclose(value, [6.37], rtol=1e-14)
-    predicted = predicted_consensus_leaderless(scenario.initial, scenario.masses,
-                                               scenario.protocol.gains)
+    predicted = predict_consensus(scenario).value
     np.testing.assert_allclose(predicted, [6.37 / 4.2], rtol=1e-14)
 
 
-def test_conserved_quantity_needs_leaderless_state():
-    with pytest.raises(HypothesisViolated):
-        conserved_quantity(
-            SystemState(t=0.0, p=[1.0], q=[0.0],
-                        leader=LeaderState(np.array([0.0]), np.array([0.0]))),
-            (1.0,), (GainProfile(b0=1.0),))
-
-
 def test_predicted_consensus_leader_is_leader_limit():
-    np.testing.assert_allclose(predicted_consensus_leader(1.0, 0.3, 0.6), [1.5],
-                               rtol=1e-15)
+    # Leader gain 0.6, leader starting at p = 1.0 with q = 0.3.
+    protocol = ProtocolSpec(velocity=VelocityShape(), coupling=CouplingShape(),
+                            gains=(GainProfile(b0=0.5),), leader_velocity=VelocityShape(),
+                            leader_gain=GainProfile(b0=0.6))
+    scenario = Scenario(
+        mode=Mode.LEADER, masses=(1.0,), topology=build_topology(1, [], leader_links=[(1, 1.0)]),
+        protocol=protocol,
+        initial=SystemState(t=0.0, p=[0.0], q=[0.0],
+                            leader=LeaderState(np.array([1.0]), np.array([0.3]))))
+    predicted = predict_consensus(scenario).value
+    np.testing.assert_allclose(predicted, [1.5], rtol=1e-15)
     limit_p, _ = leader_closed_form(1.0, 0.3, 0.6, 1e9)
-    np.testing.assert_allclose(predicted_consensus_leader(1.0, 0.3, 0.6), limit_p,
-                               atol=1e-12)
+    np.testing.assert_allclose(predicted, limit_p, atol=1e-12)
 
 
 def test_conservation_holds_along_simulated_run():
@@ -151,15 +163,6 @@ def test_energy_series_is_nonincreasing_on_simulated_run():
     steps = np.diff(values)
     assert np.all(steps <= 1e-9 * (1.0 + values[:-1]))
     assert values[-1] < values[0]
-
-
-def trajectory_of(samples, fingerprint):
-    """Trajectory holding the given SystemStates, all with or all without a leader."""
-    leaders = [s.leader for s in samples if s.leader is not None]
-    return Trajectory(np.array([s.t for s in samples]), np.stack([s.p for s in samples]),
-                      np.stack([s.q for s in samples]),
-                      np.stack([lead.p for lead in leaders]) if leaders else None,
-                      np.stack([lead.q for lead in leaders]) if leaders else None, fingerprint)
 
 
 def loop_energy(state, topo, spec, masses, leader_weight, bk):
@@ -203,13 +206,8 @@ def test_energy_series_equals_per_state_energies(leader, coupling, dims):
     scenario = Scenario(mode=Mode.LEADER if leader else Mode.LEADERLESS, masses=masses,
                         topology=topo, protocol=spec, initial=samples[0])
     values = lyapunov_series(trajectory_of(samples, "-"), scenario, leader_weight=25.0)
-    gain_lower = gain_envelope(gains + ((spec.leader_gain,) if leader else ()))[0]
-    if leader:
-        expected = [lyapunov_leader(s, topo, spec, 25.0, gain_lower, 1.0) for s in samples]
-    else:
-        expected = [lyapunov_leaderless(s, topo, spec, masses) for s in samples]
+    gain_lower = spec.envelopes[2][0]
     assert values.shape == (len(samples),)
-    np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0.0)
     # Every term is nonnegative, so reordering the sums moves only the last bits.
     looped = [loop_energy(s, topo, spec, masses, 25.0, gain_lower) for s in samples]
     np.testing.assert_allclose(values, looped, rtol=1e-14, atol=0.0)
@@ -238,7 +236,7 @@ def test_energy_series_memory_is_bounded_on_dense_graph_with_many_samples():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    expected = [lyapunov_leaderless(s, topo, spec, scenario.masses) for s in samples]
+    expected = [energy_at(s, topo, spec, scenario.masses) for s in samples]
     np.testing.assert_allclose(series, expected, rtol=1e-14, atol=0.0)
 
 
@@ -260,6 +258,32 @@ def test_predict_consensus_gates():
             scenario.protocol,
             gains=(GainProfile(kind="cosine", b0=0.5, amplitude=0.1),) * 6))
     assert "time-varying gains" in predict_consensus(wavy).reason
+
+
+def test_predict_consensus_refuses_nonpositive_follower_gain():
+    scenario = chain6_scenario()
+    gains = (GainProfile(b0=-0.2),) + scenario.protocol.gains[1:]
+    stalled = dataclasses.replace(
+        scenario, protocol=dataclasses.replace(scenario.protocol, gains=gains))
+    assert predict_consensus(stalled) == Prediction(None, "gains must be finite and > 0")
+
+
+def test_predict_consensus_refuses_nonpositive_leader_gain():
+    scenario = parse_scenario(bundled_scenario_path("fig3b"), validate=False)
+    reversed_leader = dataclasses.replace(
+        scenario, protocol=dataclasses.replace(scenario.protocol,
+                                               leader_gain=GainProfile(b0=-0.5)))
+    assert predict_consensus(reversed_leader) == Prediction(
+        None, "prediction needs a positive constant leader gain, got -0.5")
+
+
+def test_predict_consensus_refuses_leaderless_scenario_carrying_a_leader():
+    scenario = chain6_scenario()
+    initial = scenario.initial
+    led = dataclasses.replace(scenario, initial=dataclasses.replace(
+        initial, leader=LeaderState(np.array([0.0]), np.array([0.0]))))
+    assert predict_consensus(led) == Prediction(
+        None, "conserved quantity is a leaderless construction")
 
 
 def synthetic_trajectory(spread_speed_pairs, leader=None):
@@ -299,18 +323,19 @@ def loop_verdict(traj, pos_tol, vel_tol):
     """Plain per-sample reference of detect_consensus: (achieved,
     t_consensus, final_spread, final_speed)."""
     spreads, speeds = [], []
-    for s in traj.samples:
-        if s.leader is None:
-            spreads.append(float((s.p.max(axis=0) - s.p.min(axis=0)).max()))
-            speeds.append(float(np.abs(s.q).max()))
+    for k in range(len(traj.t)):
+        p, q = traj.p[k], traj.q[k]
+        if traj.leader_p is None:
+            spreads.append(float((p.max(axis=0) - p.min(axis=0)).max()))
+            speeds.append(float(np.abs(q).max()))
         else:
-            spreads.append(float(np.abs(s.p - s.leader.p).max()))
-            speeds.append(float(np.abs(s.q - s.leader.q).max()))
+            spreads.append(float(np.abs(p - traj.leader_p[k]).max()))
+            speeds.append(float(np.abs(q - traj.leader_q[k]).max()))
     start = len(spreads)
     while start > 0 and spreads[start - 1] <= pos_tol and speeds[start - 1] <= vel_tol:
         start -= 1
     achieved = start < len(spreads)
-    return achieved, traj.samples[start].t if achieved else None, spreads[-1], speeds[-1]
+    return achieved, float(traj.t[start]) if achieved else None, spreads[-1], speeds[-1]
 
 
 def ok_patterns(n):

@@ -241,16 +241,18 @@ def count_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("scenario", ["pair", "fig3b"])
 def test_run_validates_once_and_computes_each_series_once(tmp_path, monkeypatch, scenario):
+    # With plots on: the plots draw the report's predicted value.
     names = ("validate_scenario", "lyapunov_series", "conserved_series",
-             "default_tracking_weight")
+             "default_tracking_weight", "predict_consensus")
     ref = "fig3b" if scenario == "fig3b" else str(write_pair_scenario(tmp_path / "pair.json"))
     counts = count_calls(monkeypatch, names)
-    assert main(["run", ref, "--out", str(tmp_path / "out"), "--no-plots",
-                 "--t-end", "1.0"]) == 0
+    assert main(["run", ref, "--out", str(tmp_path / "out"), "--t-end", "1.0"]) == 0
+    assert (tmp_path / "out" / "positions.svg").is_file()
     assert counts["validate_scenario"] == 1
     assert counts["lyapunov_series"] == 1
     assert counts["conserved_series"] == 1
     assert counts["default_tracking_weight"] == (1 if scenario == "fig3b" else 0)
+    assert counts["predict_consensus"] == 1
 
 
 def test_leader_run_computes_the_envelopes_once(tmp_path, monkeypatch):
@@ -271,8 +273,8 @@ def test_leader_run_computes_the_envelopes_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("scenario", ["pair", "fig3b"])
 def test_run_with_plots_searches_the_graph_once(tmp_path, monkeypatch, scenario):
-    # Validation, the report's prediction and the plots' prediction all ask
-    # the same reachability question of the same topology.
+    # Validation and the run's one prediction ask the same reachability
+    # question of the same topology.
     searches = []
     search = consensim.graph._reaches_all
     monkeypatch.setattr(consensim.graph, "_reaches_all",

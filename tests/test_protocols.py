@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensim import (CouplingShape, GainProfile, Mode, ProtocolSpec, Scenario, SystemState,
-                       VelocityShape, build_topology, gain_envelope, rhs, sector_constants,
+                       VelocityShape, build_topology, rhs, sector_constants,
                        validate_assumptions)
 from consensim.dynamics import LeaderState
 from consensim.protocols import COS_TAN_ROOT
@@ -111,7 +111,8 @@ def test_gain_profiles():
 
 def test_gain_envelope_covers_all_profiles():
     profiles = [GainProfile(b0=0.2), GainProfile(kind="cosine", b0=1.0, amplitude=0.15)]
-    assert gain_envelope(profiles) == (0.2, 1.15)
+    spec = ProtocolSpec(velocity=VelocityShape(), coupling=CouplingShape(), gains=profiles)
+    assert spec.envelopes[2] == (0.2, 1.15)
 
 
 def test_sector_constants_linear_is_exact():
