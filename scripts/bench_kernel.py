@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """Time the compiled integration kernel on rings of growing size.
 
-For each agent count N this builds two ring profiles (1-D, unit weights),
-each once leaderless and once with agent 1 linked to a leader:
+For each agent count N this builds three ring profiles (1-D, unit
+weights), each once leaderless and once with agent 1 linked to a leader:
 
 - ``cubic``: unit masses, constant unit gains, linear velocity feedback,
   cubic coupling;
 - ``fig2a``: the protocol of the fig2a scenario, repeated around the ring:
   sine-perturbed velocity feedback (omega 0.5), cosine-rippled gains
   0.2k + 0.15 cos t and masses 0.1k for k = 1..6, cubic coupling;
+- ``fig3``: the fig3a shape: the fig2a protocol with unit masses;
 
 and prints for each:
 
 - the peak memory traced while lowering the scenario to its compiled form,
   work buffers and gain schedule included;
+- the numpy calls one RK4 step makes: every ``multiply``, ``add``,
+  ``subtract``, ``sin`` and ``bincount`` call, counted through wrappers
+  that one compile binds in place of numpy's, plus one ``take`` per stage;
 - microseconds per right-hand-side evaluation, as a step makes it;
 - microseconds per RK4 step, taken as ``simulate`` runs them, through the
   run loop: stage arithmetic, the gain schedule computed once per block,
@@ -22,6 +26,9 @@ and prints for each:
   four RHS evaluations, and what lies above it is the stage arithmetic and
   the run loop's own work.
 
+It first prints the numpy calls per RK4 step of the four shipped
+scenarios.
+
 Times are the best of several repeats of a loop sized to about 0.2 s, so
 they approach the unloaded speed of the machine. Run from the repository
 root:
@@ -29,6 +36,7 @@ root:
     PYTHONPATH=src python scripts/bench_kernel.py
 """
 
+import collections
 import platform
 import time
 import tracemalloc
@@ -37,11 +45,12 @@ import numpy as np
 
 from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderState,
                        Mode, ProtocolSpec, Scenario, SystemState, VelocityShape,
-                       build_topology)
+                       build_topology, bundled_scenario_path, parse_scenario)
 from consensim.dynamics import _Compiled, _flatten, _integrate
 
 SIZES = (6, 500, 5000, 50000)
 DT = 1e-3
+COUNTED = ("multiply", "add", "subtract", "sin", "bincount")
 
 
 def ring(n: int, leader: bool, profile: str) -> Scenario:
@@ -51,7 +60,8 @@ def ring(n: int, leader: bool, profile: str) -> Scenario:
         gains = (GainProfile(b0=1.0),) * n
     else:
         velocity = VelocityShape(kind="sine_perturbed", omega=0.5)
-        masses = tuple(0.1 * (1 + i % 6) for i in range(n))
+        masses = (tuple(0.1 * (1 + i % 6) for i in range(n)) if profile == "fig2a"
+                  else (1.0,) * n)
         gains = tuple(GainProfile(kind="cosine", b0=0.2 * (1 + i % 6), amplitude=0.15)
                       for i in range(n))
     extra = ({"leader_velocity": velocity, "leader_gain": gains[0]} if leader else {})
@@ -80,6 +90,31 @@ def best_us(fn, repeats: int = 5, budget_s: float = 0.2) -> float:
     return best * 1e6
 
 
+def calls_per_step(scenario: Scenario) -> int:
+    """The numpy calls one RK4 step of the compiled scenario makes."""
+    counts = collections.Counter()
+    originals = {name: getattr(np, name) for name in COUNTED}
+
+    def counting(name: str):
+        def call(*args):
+            counts[name] += 1
+            return originals[name](*args)
+        return call
+
+    try:
+        for name in COUNTED:
+            setattr(np, name, counting(name))
+        comp = _Compiled(scenario)
+    finally:
+        for name, fn in originals.items():
+            setattr(np, name, fn)
+    comp.state[:] = _flatten(scenario.initial)
+    table = comp.gains((0.0,))
+    counts.clear()
+    comp.step(table[0, 0], table[0, 1], table[0, 2])
+    return sum(counts.values()) + 4 * (comp.n_edges > 0)
+
+
 def probe(scenario: Scenario) -> tuple[float, float, float]:
     tracemalloc.start()
     comp = _Compiled(scenario)
@@ -100,14 +135,20 @@ def probe(scenario: Scenario) -> tuple[float, float, float]:
 def main() -> None:
     print(f"numpy {np.__version__}, Python {platform.python_version()}, "
           f"{platform.machine()} {platform.system()}")
-    print(f"{'N':>8} {'profile':>8} {'leader':>7} {'build peak MB':>14} {'rhs us':>10} "
-          f"{'rk4 step us':>12} {'step/rhs':>9}")
+    shipped = ("fig2a", "fig2b", "fig3a", "fig3b")
+    print("numpy calls per RK4 step: " + ", ".join(
+        f"{name} {calls_per_step(parse_scenario(bundled_scenario_path(name)))}"
+        for name in shipped))
+    print(f"{'N':>8} {'profile':>8} {'leader':>7} {'build peak MB':>14} {'calls/step':>11} "
+          f"{'rhs us':>10} {'rk4 step us':>12} {'step/rhs':>9}")
     for n in SIZES:
-        for profile in ("cubic", "fig2a"):
+        for profile in ("cubic", "fig2a", "fig3"):
             for leader in (False, True):
-                peak_mb, rhs_us, step_us = probe(ring(n, leader, profile))
+                scenario = ring(n, leader, profile)
+                peak_mb, rhs_us, step_us = probe(scenario)
                 print(f"{n:>8} {profile:>8} {'yes' if leader else 'no':>7} {peak_mb:>14.3f} "
-                      f"{rhs_us:>10.1f} {step_us:>12.1f} {step_us / rhs_us:>9.2f}")
+                      f"{calls_per_step(scenario):>11} {rhs_us:>10.1f} {step_us:>12.1f} "
+                      f"{step_us / rhs_us:>9.2f}")
 
 
 if __name__ == "__main__":

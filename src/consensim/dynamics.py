@@ -366,11 +366,7 @@ class _Compiled:
         src = np.concatenate([edge_i, edge_j, link_i])
         nbr = np.concatenate([edge_j, edge_i, np.full(len(link_i), n)])
         self.n_edges = len(src)
-        components = np.arange(d)
-        self.gather = np.concatenate([(nbr[:, None] * d + components).ravel(),
-                                      (src[:, None] * d + components).ravel()])
-        self.slots = self.gather[self.n_edges * d:]
-        self.w = np.repeat(np.concatenate([edge_w, edge_w, link_w]), d)
+        e = self.n_edges * d
 
         b0, amplitude = spec.gain_columns
         if has_leader:
@@ -398,11 +394,20 @@ class _Compiled:
         omega[:n] = _omega(spec.velocity)
         if has_leader:
             omega[n] = _omega(spec.leader_velocity)
-        self.omega = np.repeat(omega, d) if omega.any() else None
+        self.sine = bool(omega.any())
+        self.fold = self.sine and not has_leader and self.inv_mass is not None and e > 0
 
-        e = self.n_edges * d
-        self.pair = np.empty(2 * e)
-        self.diff, self.src_p = self.pair[:e], self.pair[e:]
+        # [w | ω] per edge component, then per state component with sine feedback.
+        w = np.repeat(np.concatenate([edge_w, edge_w, link_w]), d)
+        self.weights = np.concatenate([w, np.repeat(omega, d)]) if self.sine else w
+        components = np.arange(d)
+        index = [(nbr[:, None] * d + components).ravel(), (src[:, None] * d + components).ravel()]
+        if self.fold:
+            index.append(np.arange(n * d))
+        index = np.concatenate(index)
+        self.gather, self.slots = index[:2 * e], index[e:]
+        # [D | PS | S]: neighbor and source components, then sin Q with sine feedback.
+        self.work = np.empty(2 * e + b * self.sine)
         self.cube = np.empty(e) if not spec.coupling.is_linear else None
         # Per stage: z = [P, Q], k = [Q, A], Q, A, and A's agent rows.
         self.stages = [(row[:2 * b], row[b:], row[b:2 * b], row[2 * b:], row[2 * b:2 * b + n * d])
@@ -451,29 +456,41 @@ class _Compiled:
         cheapest call form) and keeps the operand order of the expression
         it computes: A = (gain·(Q + ω·sin Q) + coupling)·(1/m)."""
         multiply, add, subtract, sin, bincount = np.multiply, np.add, np.subtract, np.sin, np.bincount
-        omega, inv_mass, w, cube = self.omega, self.inv_mass, self.w, self.cube
-        gather, slots, pair, diff, src_p = self.gather, self.slots, self.pair, self.diff, self.src_p
-        has_edges, agent_components = self.n_edges > 0, self.n * self.dims
+        inv_mass, weights, cube, gather, slots, fold = (
+            self.inv_mass, self.weights, self.cube, self.gather, self.slots, self.fold)
+        e = self.n_edges * self.dims
+        work = self.work
+        pair, nbr_p, diff, terms = work[:2 * e], work[:e], work[e:2 * e], work[e:]
+        sines = work[2 * e:] if self.sine else None
+        has_edges, agent_components = e > 0, self.n * self.dims
 
         def accel(stage: tuple, gain: np.ndarray) -> None:
             z, _, q, a, a_agents = stage
-            if omega is None:
-                multiply(gain, q, a)
-            else:
-                sin(q, a)
-                multiply(omega, a, a)
-                add(q, a, a)
-                multiply(gain, a, a)
             if has_edges:
                 # Any index mode gives the same values; "clip" is the one that
                 # writes into ``out`` without an internal copy.
                 z.take(gather, None, pair, "clip")
-                subtract(diff, src_p, diff)
+                subtract(nbr_p, diff, diff)
                 if cube is not None:
                     multiply(diff, diff, cube)
                     multiply(cube, diff, cube)
                     add(diff, cube, diff)
-                multiply(w, diff, diff)
+                if sines is None:
+                    multiply(weights, diff, diff)
+            if sines is None:
+                multiply(gain, q, a)
+            else:
+                sin(q, sines)
+                multiply(weights, terms, terms)
+                add(q, sines, sines)
+                if fold:
+                    # Each slot sums its edge terms, then g·v: IEEE addition
+                    # commutes, so this is g·v + Σ bit for bit.
+                    multiply(gain, sines, sines)
+                    multiply(bincount(slots, terms, agent_components), inv_mass, a)
+                    return
+                multiply(gain, sines, a)
+            if has_edges:
                 # Only agent rows receive forces: adding an empty slot's +0.0 to
                 # the leader row would turn a -0.0 derivative into +0.0.
                 add(a_agents, bincount(slots, diff, agent_components), a_agents)
@@ -486,10 +503,11 @@ class _Compiled:
         """step(g1, mid, g4) advances ``state`` in place by one classical RK4
         step of length dt, given the feedback factors at the step's start,
         midpoint and end: y + dt/6·(k1 + 2·(k2 + k3) + k4), each sum in the
-        order written."""
+        order written. The constants are 0-d arrays: a Python float operand
+        costs each call a conversion."""
         multiply, add = np.multiply, np.add
         accel, state, dt = self.accel, self.state, self.dt
-        half, sixth = 0.5 * dt, dt / 6.0
+        half, full, two, sixth = map(np.array, (0.5 * dt, dt, 2.0, dt / 6.0))
         s1, s2, s3, s4 = self.stages
         k1, (z2, k2), (z3, k3), (z4, k4) = s1[1], s2[:2], s3[:2], s4[:2]
 
@@ -501,12 +519,12 @@ class _Compiled:
             multiply(half, k2, z3)
             add(state, z3, z3)
             accel(s3, mid)
-            multiply(dt, k3, z4)
+            multiply(full, k3, z4)
             add(state, z4, z4)
             accel(s4, g4)
             # Stage 2's row is free once stage 3 has read k2: it takes the sum.
             add(k2, k3, k2)
-            multiply(2.0, k2, k2)
+            multiply(two, k2, k2)
             add(k1, k2, k2)
             add(k2, k4, k2)
             multiply(sixth, k2, k2)
@@ -523,10 +541,10 @@ class _Compiled:
             last = min(first + block, stop)
             if self.constant_gain is None:
                 table = self.gains([s * dt for s in range(first, last)])
+                rows = zip(table[:, 0], table[:, 1], table[:, 2])
             else:
-                table = self.schedule[:last - first]  # no times needed
-            for number, g1, mid, g4 in zip(itertools.count(first + 1),
-                                           table[:, 0], table[:, 1], table[:, 2]):
+                rows = itertools.repeat((self.constant_gain,) * 3, last - first)
+            for number, (g1, mid, g4) in zip(itertools.count(first + 1), rows):
                 step(g1, mid, g4)
                 yield number
 

@@ -287,6 +287,44 @@ def test_leader_derivative_keeps_the_sign_of_zero(leader_velocity, q_leader):
     np.testing.assert_array_equal(np.signbit(derivative.leader_p_dot), np.signbit(q_leader))
 
 
+def test_folded_velocity_term_keeps_the_unfolded_sign_bits():
+    # Leaderless with sine feedback and non-unit masses: the kernel sums g·v
+    # into the coupling bincount after the edge terms. Agents 1-4 sit at +0.0
+    # and -0.0 with zero velocities of both signs, so the edge terms and the
+    # velocity terms are zeros of mixed sign.
+    masses, b0, omega, t = [0.5, 2.0, 0.25, 4.0, 1.5], [1.0, 0.7, 1.3, 0.9, 1.1], 0.5, 0.3
+    edges = [(1, 2, 1.0), (2, 3, 0.5), (3, 4, 2.0), (4, 5, 1.5), (1, 5, 0.8)]
+    scenario = leaderless_scenario(
+        n=5, masses=masses, coupling="linear_plus_cubic",
+        velocity=VelocityShape(kind="sine_perturbed", omega=omega),
+        gains=[GainProfile(kind="cosine", b0=b, amplitude=0.2) for b in b0], edges=edges,
+        p0=[0.0, -0.0, 0.0, -0.0, 0.7], q0=[0.0, -0.0, -0.0, 0.0, -0.4])
+    assert _Compiled(scenario).fold
+    state = dataclasses.replace(scenario.initial, t=t)
+    p, q = state.p[:, 0], state.q[:, 0]
+    # The unfolded formula: A = (g·(q + ω·sin q) + Σ)·(1/m), with Σ each
+    # agent's edge terms w·h(p_j - p_i) summed in the kernel's edge order.
+    i, j, w = (np.array(column) for column in zip(*edges))
+    src, nbr, w = np.concatenate([i, j]) - 1, np.concatenate([j, i]) - 1, np.concatenate([w, w])
+    x = p[nbr] - p[src]
+    coupling = np.bincount(src, w * (x + x * x * x), 5)
+    gain = -(np.array(b0) + 0.2 * math.cos(t))
+    expected = (gain * (q + omega * np.sin(q)) + coupling) * (1.0 / np.array(masses))
+    got = rhs(state, scenario).q_dot[:, 0]
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_edge_free_agent_keeps_a_negative_zero_acceleration():
+    # One agent, no edges: A = g·v with no coupling sum, so the -0.0 that a
+    # negative feedback factor makes of q = +0.0 stays -0.0.
+    scenario = leaderless_scenario(n=1, masses=[0.4], edges=[], p0=[0.25], q0=[0.0],
+                                   velocity=VelocityShape(kind="sine_perturbed", omega=0.5))
+    assert not _Compiled(scenario).fold
+    q_dot = rhs(scenario.initial, scenario).q_dot
+    assert q_dot == 0.0 and np.signbit(q_dot).all()
+
+
 def test_non_finite_state_names_agents_before_the_leader():
     scenario = leader_scenario(n=3)
     q = np.array([0.2, np.nan, 0.2])
