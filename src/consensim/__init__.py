@@ -7,9 +7,8 @@ from .analysis import (ConsensusReport, Prediction, conservation_drift, conserve
                        predict_consensus, tracking_gain_lower_bound)
 from .dynamics import (IntegratorSettings, LeaderState, Mode, Scenario,
                        ScenarioValidation, StateDerivative, SystemState, Trajectory,
-                       leader_closed_form, leader_closed_form_for, rhs, rk4_step,
-                       scenario_fingerprint, simulate, tracking_errors,
-                       validate_scenario)
+                       leader_closed_form_for, rhs, rk4_step, scenario_fingerprint,
+                       simulate, validate_scenario)
 from .errors import (ConsensimError, DuplicateEdge, HypothesisViolated,
                      IndexOutOfRange, InvalidBounds, NoLeader, NonFiniteState,
                      NonPositiveWeight, ParseError, SelfLoop, TopologyError,
@@ -34,10 +33,10 @@ __all__ = [
     "Trajectory", "ValidationFailed", "VelocityKind", "VelocityShape",
     "build_topology", "bundled_scenario_path", "conservation_drift", "conserved_series",
     "default_tracking_weight", "detect_consensus", "is_connected", "laplacian",
-    "leader_closed_form", "leader_closed_form_for", "leader_reaches_all",
+    "leader_closed_form_for", "leader_reaches_all",
     "list_bundled", "lyapunov_series", "parse_scenario", "parse_scenario_dict",
     "predict_consensus", "rhs", "rk4_step", "scenario_fingerprint",
-    "scenario_to_dict", "sector_constants", "simulate", "tracking_errors",
+    "scenario_to_dict", "sector_constants", "simulate",
     "tracking_gain_lower_bound", "validate_assumptions", "validate_scenario",
     "write_scenario",
 ]

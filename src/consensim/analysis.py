@@ -166,6 +166,10 @@ def _consensus_value(scenario: Scenario) -> np.ndarray:
         if initial.leader is not None:
             raise HypothesisViolated("conserved quantity is a leaderless construction")
         return _conserved(initial.p, initial.q, scenario.masses, b) / float(np.sum(b))
+    if not spec.has_leader:
+        raise HypothesisViolated("leader mode requires leader_velocity and leader_gain")
+    if initial.leader is None:
+        raise HypothesisViolated("leader mode requires an initial leader state")
     if not spec.leader_velocity.is_linear:
         raise HypothesisViolated("nonlinear leader velocity feedback has no closed-form target")
     if not spec.leader_gain.is_constant:

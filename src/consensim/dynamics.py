@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._real import real
-from .errors import HypothesisViolated, NoLeader, NonFiniteState, ValidationFailed
+from .errors import HypothesisViolated, NonFiniteState, ValidationFailed
 from .graph import Topology, is_connected, leader_reaches_all
 from .protocols import (AssumptionReport, GainKind, ProtocolSpec, VelocityShape,
                         validate_assumptions)
@@ -324,29 +324,41 @@ class _Compiled:
     Each undirected edge is stored once in each direction, and each leader
     link is one directed edge from its agent to the leader row with no
     reverse edge, so the leader feels no agent. One ``take`` along
-    ``gather`` (every edge's neighbor position components, then its source
-    components) fetches both ends of all edges, and one ``np.bincount`` over
-    ``slots`` sums the weighted differences into the agents' components:
-    O(E) work and memory. The coupling is odd bit for bit, so both endpoints
-    of an undirected edge receive exactly opposite forces. Summation order
-    is fixed by the edge order, which keeps runs bitwise reproducible.
+    ``gather`` fills the work buffer [D | PS | S] with every edge's neighbor
+    position components D and source components PS; S holds sin Q with sine
+    feedback. D′ = D - PS is written over PS, so one multiply by
+    ``weights`` = [w | ω] makes [w·D′ | ω·sin Q]. One ``np.bincount`` over
+    ``slots`` (the source components) sums the edge terms into the agents'
+    components: O(E) work and memory. The coupling is odd bit for bit, so
+    both endpoints of an undirected edge receive exactly opposite forces.
+    Summation order is fixed by the edge order: runs are bitwise reproducible.
+
+    Leaderless runs with sine feedback, non-unit masses and edges fold
+    g·(Q + ω·sin Q), written into S, into that bincount (slots go on over
+    every agent component), whose result the inverse-mass multiply turns
+    into A. Each slot adds g·v after its edge terms, which equals g·v + Σ
+    bit for bit as IEEE addition commutes. Other runs add the bincount to
+    A = g·v: with linear feedback the n·d extra entries cost more than the
+    add saves; with unit masses no multiply writes A; a leader row must not
+    pick up an empty slot's +0.0, nor an edge-free run, as that turns a
+    -0.0 derivative into +0.0.
 
     RK4 runs in work buffers allocated here, once per compile: 12·M·d floats
     for the four stages, 2·E·d for the gathered positions (E directed
-    edges), E·d more with cubic coupling, and with cosine gains one gain
-    schedule of at most 8192 floats, or of 3·(M·d + 1) when a single step
-    needs more; 0.72 MB for a 5000-agent cubic ring. Each stage is one row
-    [P, Q, A] of a (4, 3·M·d) buffer: its state z = [P, Q] and its
-    derivative k = [Q, A] are views of the row, so no stage copies
-    velocities or concatenates.
-    ``state``, stage 1's z, is advanced in place.
+    edges), M·d with sine feedback and E·d with cubic coupling, and with
+    cosine gains one gain schedule of at most 8192 floats, or of
+    3·(M·d + 1) when a single step needs more; 0.72 MB for a 5000-agent
+    cubic ring. Each stage is one row [P, Q, A] of a (4, 3·M·d) buffer: its
+    state z = [P, Q] and its derivative k = [Q, A] are views of the row, so
+    no stage copies velocities or concatenates. ``state``, stage 1's z, is
+    advanced in place.
 
     The gain schedule holds the feedback factors of a block of ``block``
     steps, computed once per block, so a step does only stage arithmetic.
-    Constant gains need no buffer: their schedule is one read-only
-    broadcast view of their factors, 8192 steps long, that every block
-    slices. ``accel`` and ``step`` are closures over the arrays, stage views
-    and constants they read, bound once here.
+    Constant gains need no buffer: every step gets the one factor vector,
+    and their schedule, which ``gains`` slices, is a read-only broadcast
+    view of it. ``accel`` and ``step`` are closures over the arrays, stage
+    views and constants they read, bound once here.
     """
 
     def __init__(self, scenario: Scenario):
@@ -458,8 +470,7 @@ class _Compiled:
         multiply, add, subtract, sin, bincount = np.multiply, np.add, np.subtract, np.sin, np.bincount
         inv_mass, weights, cube, gather, slots, fold = (
             self.inv_mass, self.weights, self.cube, self.gather, self.slots, self.fold)
-        e = self.n_edges * self.dims
-        work = self.work
+        work, e = self.work, self.n_edges * self.dims
         pair, nbr_p, diff, terms = work[:2 * e], work[:e], work[e:2 * e], work[e:]
         sines = work[2 * e:] if self.sine else None
         has_edges, agent_components = e > 0, self.n * self.dims
@@ -483,9 +494,7 @@ class _Compiled:
                 sin(q, sines)
                 multiply(weights, terms, terms)
                 add(q, sines, sines)
-                if fold:
-                    # Each slot sums its edge terms, then g·v: IEEE addition
-                    # commutes, so this is g·v + Σ bit for bit.
+                if fold:  # A = (Σ + g·v)·(1/m), g·v + Σ bit for bit
                     multiply(gain, sines, sines)
                     multiply(bincount(slots, terms, agent_components), inv_mass, a)
                     return
@@ -756,36 +765,14 @@ def _blow_up(comp: _Compiled, y: np.ndarray, start: int, stop: int) -> NonFinite
                 last_good_time=t_prev)
 
 
-def tracking_errors(state: SystemState) -> tuple[np.ndarray, np.ndarray]:
-    """Leader-relative errors (p - p_L, q - q_L), each (n_agents, n_dims)."""
-    if state.leader is None:
-        raise NoLeader("tracking errors need a leader state")
-    return (state.p - state.leader.p, state.q - state.leader.q)
-
-
-def leader_closed_form(leader_p0, leader_q0, gain_value: float, t):
-    """Exact leader trajectory for a constant gain b and identity velocity
-    feedback: position p0 + q0/b - (q0/b)*exp(-b t), velocity q0*exp(-b t).
+def leader_closed_form_for(scenario: Scenario, t):
+    """Exact leader trajectory of a scenario, gated on its hypotheses: leader
+    mode, a constant positive leader gain b and identity leader velocity
+    feedback. Position p0 + q0/b - (q0/b)·exp(-b t), velocity q0·exp(-b t).
 
     ``t`` may be a scalar or an array; arrays broadcast against the state
-    dimension. Raises HypothesisViolated when the gain is not positive.
+    dimension. Raises HypothesisViolated when a hypothesis fails.
     """
-    b = float(gain_value)
-    if not (math.isfinite(b) and b > 0.0):
-        raise HypothesisViolated(f"closed form needs a positive constant gain, got {b}")
-    p0 = np.asarray(leader_p0, dtype=float)
-    q0 = np.asarray(leader_q0, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if t.ndim and p0.ndim:
-        t = t[..., None]
-    decay = np.exp(-b * t)
-    drift = q0 / b
-    return (p0 + drift - drift * decay, q0 * decay)
-
-
-def leader_closed_form_for(scenario: Scenario, t):
-    """Closed-form leader trajectory of a scenario, gated on its hypotheses:
-    leader mode, constant leader gain, identity leader velocity feedback."""
     if scenario.mode is not Mode.LEADER or scenario.initial.leader is None:
         raise HypothesisViolated("closed form applies to leader scenarios only")
     spec = scenario.protocol
@@ -793,5 +780,13 @@ def leader_closed_form_for(scenario: Scenario, t):
         raise HypothesisViolated("closed form needs a constant leader gain")
     if not spec.leader_velocity.is_linear:
         raise HypothesisViolated("closed form needs linear leader velocity feedback")
+    b = spec.leader_gain.b0
+    if not (math.isfinite(b) and b > 0.0):
+        raise HypothesisViolated(f"closed form needs a positive constant gain, got {b}")
     p0, q0 = scenario.initial.leader
-    return leader_closed_form(p0, q0, spec.leader_gain.b0, t)
+    t = np.asarray(t, dtype=float)
+    if t.ndim:
+        t = t[..., None]
+    decay = np.exp(-b * t)
+    drift = q0 / b
+    return (p0 + drift - drift * decay, q0 * decay)

@@ -13,7 +13,7 @@ from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderSta
                        Mode, Prediction, ProtocolSpec, Scenario, SystemState, Trajectory,
                        VelocityShape, build_topology, bundled_scenario_path,
                        conservation_drift, conserved_series, detect_consensus,
-                       leader_closed_form, lyapunov_series, parse_scenario,
+                       leader_closed_form_for, lyapunov_series, parse_scenario,
                        predict_consensus, simulate, tracking_gain_lower_bound)
 from consensim.errors import HypothesisViolated, InvalidBounds
 
@@ -143,7 +143,7 @@ def test_predicted_consensus_leader_is_leader_limit():
                             leader=LeaderState(np.array([1.0]), np.array([0.3]))))
     predicted = predict_consensus(scenario).value
     np.testing.assert_allclose(predicted, [1.5], rtol=1e-15)
-    limit_p, _ = leader_closed_form(1.0, 0.3, 0.6, 1e9)
+    limit_p, _ = leader_closed_form_for(scenario, 1e9)
     np.testing.assert_allclose(predicted, limit_p, atol=1e-12)
 
 
@@ -275,6 +275,22 @@ def test_predict_consensus_refuses_nonpositive_leader_gain():
                                                leader_gain=GainProfile(b0=-0.5)))
     assert predict_consensus(reversed_leader) == Prediction(
         None, "prediction needs a positive constant leader gain, got -0.5")
+
+
+def test_predict_consensus_refuses_leader_scenario_without_leader_state():
+    scenario = parse_scenario(bundled_scenario_path("fig3b"), validate=False)
+    leaderless_start = dataclasses.replace(
+        scenario, initial=dataclasses.replace(scenario.initial, leader=None))
+    assert predict_consensus(leaderless_start) == Prediction(
+        None, "leader mode requires an initial leader state")
+
+
+def test_predict_consensus_refuses_leader_scenario_without_leader_protocol():
+    scenario = parse_scenario(bundled_scenario_path("fig3b"), validate=False)
+    unled = dataclasses.replace(scenario, protocol=dataclasses.replace(
+        scenario.protocol, leader_velocity=None, leader_gain=None))
+    assert predict_consensus(unled) == Prediction(
+        None, "leader mode requires leader_velocity and leader_gain")
 
 
 def test_predict_consensus_refuses_leaderless_scenario_carrying_a_leader():

@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderState,
-                       Mode, NoLeader, NonFiniteState, NonPositiveWeight, ProtocolSpec, Scenario,
-                       SystemState, Topology, TopologyError, VelocityShape, build_topology,
-                       bundled_scenario_path,
-                       leader_closed_form, leader_closed_form_for, parse_scenario, rhs,
-                       rk4_step, scenario_fingerprint, simulate, tracking_errors,
+                       Mode, NonFiniteState, NonPositiveWeight, ProtocolSpec, Scenario,
+                       SystemState, Topology, TopologyError, Trajectory, VelocityShape,
+                       build_topology, bundled_scenario_path, leader_closed_form_for,
+                       parse_scenario, rhs, rk4_step, scenario_fingerprint, simulate,
                        validate_scenario)
 import consensim.dynamics
 from consensim.dynamics import _Compiled, _flatten
@@ -478,29 +477,32 @@ def test_single_step_agrees_with_simulate():
 
 
 def test_tracking_errors_and_no_leader_guard():
-    state = SystemState(t=0.0, p=[1.0, 2.0], q=[0.5, 0.1],
-                        leader=LeaderState(np.array([3.0]), np.array([0.2])))
-    p_err, q_err = tracking_errors(state)
-    np.testing.assert_allclose(p_err[:, 0], [-2.0, -1.0])
-    np.testing.assert_allclose(q_err[:, 0], [0.3, -0.1])
-    with pytest.raises(NoLeader):
-        tracking_errors(SystemState(t=0.0, p=[1.0], q=[0.0]))
+    # Leader-relative errors are array arithmetic on a trajectory.
+    traj = Trajectory(np.array([0.0]), np.array([[[1.0], [2.0]]]), np.array([[[0.5], [0.1]]]),
+                      np.array([[3.0]]), np.array([[0.2]]), "-")
+    p_err, q_err = traj.p - traj.leader_p[:, None], traj.q - traj.leader_q[:, None]
+    np.testing.assert_allclose(p_err[0, :, 0], [-2.0, -1.0])
+    np.testing.assert_allclose(q_err[0, :, 0], [0.3, -0.1])
+    # A leaderless run records no leader arrays to take errors against.
+    leaderless = simulate(leaderless_scenario())
+    assert leaderless.leader_p is None and leaderless.leader_q is None
 
 
 def test_leader_closed_form_formula_and_gating():
     t = np.linspace(0.0, 10.0, 21)
-    p, q = leader_closed_form(1.0, 0.3, 0.6, t)
-    np.testing.assert_allclose(q, 0.3 * np.exp(-0.6 * t), rtol=1e-15)
-    np.testing.assert_allclose(p, 1.0 + 0.5 - 0.5 * np.exp(-0.6 * t), rtol=1e-15)
+    scenario = leader_scenario()  # leader p0 = 1.0, q0 = 0.3, constant gain b = 0.6
+    p, q = leader_closed_form_for(scenario, t)
+    np.testing.assert_allclose(q[:, 0], 0.3 * np.exp(-0.6 * t), rtol=1e-15)
+    np.testing.assert_allclose(p[:, 0], 1.0 + 0.5 - 0.5 * np.exp(-0.6 * t), rtol=1e-15)
     # Limit value: p -> p0 + q0/b.
-    assert leader_closed_form(1.0, 0.3, 0.6, 1e6)[0] == pytest.approx(1.5, abs=1e-12)
+    assert leader_closed_form_for(scenario, 1e6)[0] == pytest.approx(1.5, abs=1e-12)
 
-    with pytest.raises(HypothesisViolated):
-        leader_closed_form(1.0, 0.3, 0.0, t)
-    with pytest.raises(HypothesisViolated):
-        leader_closed_form(1.0, 0.3, -0.6, t)
+    for b in (0.0, -0.6):
+        stalled = dataclasses.replace(scenario, protocol=dataclasses.replace(
+            scenario.protocol, leader_gain=GainProfile(b0=b)))
+        with pytest.raises(HypothesisViolated):
+            leader_closed_form_for(stalled, t)
 
-    scenario = leader_scenario()
     p_s, q_s = leader_closed_form_for(scenario, 2.0)
     exact_q = 0.3 * math.exp(-0.6 * 2.0)
     np.testing.assert_allclose(q_s, [exact_q], rtol=1e-15)
