@@ -409,14 +409,14 @@ class _Compiled:
         self.sine = bool(omega.any())
         self.fold = self.sine and not has_leader and self.inv_mass is not None and e > 0
 
-        # [w | ω] per edge component, then per state component with sine feedback.
-        w = np.repeat(np.concatenate([edge_w, edge_w, link_w]), d)
-        self.weights = np.concatenate([w, np.repeat(omega, d)]) if self.sine else w
+        # [w | ω]: w per edge component, then ω per state component.
+        self.weights = np.repeat(
+            np.concatenate([edge_w, edge_w, link_w] + ([omega] if self.sine else [])), d)
+        # Every edge's neighbor, then source components; with the fold, every agent's.
         components = np.arange(d)
-        index = [(nbr[:, None] * d + components).ravel(), (src[:, None] * d + components).ravel()]
-        if self.fold:
-            index.append(np.arange(n * d))
-        index = np.concatenate(index)
+        index = np.concatenate([(nbr[:, None] * d + components).ravel(),
+                                (src[:, None] * d + components).ravel()]
+                               + ([np.arange(n * d)] if self.fold else []))
         self.gather, self.slots = index[:2 * e], index[e:]
         # [D | PS | S]: neighbor and source components, then sin Q with sine feedback.
         self.work = np.empty(2 * e + b * self.sine)
