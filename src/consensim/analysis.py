@@ -284,7 +284,7 @@ def lyapunov_series(
             return _leader_energies(P[block], Q[block], traj.leader_p[block],
                                     traj.leader_q[block], topo, spec, leader_weight, g_lo, s_lo)
     _, n, d = P.shape
-    size = max(1, _SERIES_BLOCK // (max(n, len(topo.edges)) * d))
+    size = max(1, _SERIES_BLOCK // (max(n, len(topo.edge_arrays[0])) * d))
     return np.concatenate([energies(slice(k, k + size)) for k in range(0, len(P), size)])
 
 

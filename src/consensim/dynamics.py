@@ -237,7 +237,7 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
             errors.append("initial leader state must be finite")
         if not scenario.protocol.has_leader:
             errors.append("leader mode requires leader_velocity and leader_gain")
-        if not topo.leader_links:
+        if not len(topo.link_arrays[0]):
             errors.append("leader mode requires at least one leader link")
         elif not leader_reaches_all(topo):
             errors.append("leader has no path to every agent")
@@ -249,7 +249,7 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
             errors.append("leaderless mode cannot carry an initial leader state")
         if scenario.protocol.has_leader:
             errors.append("leaderless mode cannot carry leader_velocity/leader_gain")
-        if topo.leader_links:
+        if len(topo.link_arrays[0]):
             errors.append("leaderless mode cannot carry leader links")
         if not is_connected(topo):
             errors.append("graph not connected")
@@ -637,11 +637,11 @@ def _array(arr: np.ndarray) -> str:
     return "[" + ",".join(map(row.format, *columns) if columns else ["[]"] * len(arr)) + "]"
 
 
-def _rows(rows, row: str) -> str:
-    # (index..., weight) tuples, encoded one column at a time into ``row``.
-    if not rows:
+def _rows(columns, row: str) -> str:
+    # Index columns and a weight column, encoded one column at a time into ``row``.
+    *indices, weights = (column.tolist() for column in columns)
+    if not weights:
         return "[]"
-    *indices, weights = zip(*rows)
     return "[" + ",".join(map(row.format, *indices, _reprs(weights))) + "]"
 
 
@@ -689,8 +689,8 @@ def _canonical(scenario: Scenario) -> str:
         "null" if spec.leader_gain is None else _gains((spec.leader_gain,))[1:-1],
         ',"leader_velocity":', _velocity(spec.leader_velocity),
         ',"velocity":', _velocity(spec.velocity), "}",
-        ',"topology":{"edges":', _rows(topo.edges, '[{},{},"{}"]'),
-        ',"leader_links":', _rows(topo.leader_links, '[{},"{}"]'),
+        ',"topology":{"edges":', _rows(topo.edge_arrays, '[{},{},"{}"]'),
+        ',"leader_links":', _rows(topo.link_arrays, '[{},"{}"]'),
         f',"n_agents":{topo.n_agents}}}',
         f',"vel_tol":"{scenario.vel_tol!r}"}}',
     ])

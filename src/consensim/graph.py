@@ -18,19 +18,31 @@ from ._real import is_real_type
 from .errors import DuplicateEdge, IndexOutOfRange, NonPositiveWeight, SelfLoop, TopologyError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Interconnection graph of ``n_agents`` agents.
+    """Interconnection graph of ``n_agents`` agents, stored as read-only columns.
 
-    ``edges`` holds (i, j, weight) with 0-based i < j, one entry per unordered
-    pair. ``leader_links`` holds (i, weight) for agents that receive the
-    leader's position directly. Construct through :func:`build_topology`,
-    which validates and normalizes.
+    ``edge_arrays`` holds (i, j, weight), intp, intp and float64, with 0-based
+    i < j, one entry per unordered pair, in input order. ``link_arrays``
+    holds (agent, weight) for agents that receive the leader's position
+    directly. ``edges`` and ``leader_links`` are tuple views of them, built
+    on demand. Construct through :func:`build_topology`, which validates and
+    normalizes; compared and hashed by identity.
     """
 
     n_agents: int
-    edges: tuple[tuple[int, int, float], ...]
-    leader_links: tuple[tuple[int, float], ...] = ()
+    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
+    link_arrays: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """``edge_arrays`` as (i, j, weight) tuples."""
+        return tuple(zip(*(column.tolist() for column in self.edge_arrays)))
+
+    @cached_property
+    def leader_links(self) -> tuple[tuple[int, float], ...]:
+        """``link_arrays`` as (agent, weight) tuples."""
+        return tuple(zip(*(column.tolist() for column in self.link_arrays)))
 
     @cached_property
     def connected(self) -> bool:
@@ -41,20 +53,7 @@ class Topology:
     def leader_reaches_all(self) -> bool:
         """Whether every agent has a path to a leader-linked agent; see
         :func:`leader_reaches_all`."""
-        return _reaches_all(self, (i for i, _ in self.leader_links))
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``edges`` as read-only arrays (i, j, weight), one entry per pair."""
-        table = np.array(self.edges, dtype=float).reshape(-1, 3)
-        return _frozen(table[:, 0].astype(np.intp), table[:, 1].astype(np.intp),
-                       np.ascontiguousarray(table[:, 2]))
-
-    @cached_property
-    def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``leader_links`` as read-only arrays (agent, weight)."""
-        table = np.array(self.leader_links, dtype=float).reshape(-1, 2)
-        return _frozen(table[:, 0].astype(np.intp), np.ascontiguousarray(table[:, 1]))
+        return _reaches_all(self, self.link_arrays[0].tolist())
 
 
 def build_topology(
@@ -82,25 +81,18 @@ def build_topology(
     columns = _edge_columns(edges, n_agents)
     if columns is None:
         _raise_first_bad_edge(edges, n_agents)
-    a, b, weights = columns
 
-    seen_leader: set[int] = set()
-    norm_links: list[tuple[int, float]] = []
+    links: dict[int, float] = {}  # 0-based agent: weight, in list order
     for entry in leader_links:
         i, w = entry
         i = _index(i, n_agents, "leader link target")
         w = _weight(w, f"leader link to agent {i}")
-        if i - 1 in seen_leader:
+        if i - 1 in links:
             raise DuplicateEdge(f"leader link to agent {i} listed more than once")
-        seen_leader.add(i - 1)
-        norm_links.append((i - 1, w))
+        links[i - 1] = w
 
-    topo = Topology(n_agents=n_agents, edges=tuple(zip(a.tolist(), b.tolist(), weights.tolist())),
-                    leader_links=tuple(norm_links))
-    # The checks already hold the arrays that edge_arrays would build from
-    # the edges, so the cached property starts filled.
-    vars(topo)["edge_arrays"] = _frozen(a, b, weights)
-    return topo
+    return Topology(n_agents, _frozen(*columns),
+                    _frozen(np.array(list(links), dtype=np.intp), np.array(list(links.values()))))
 
 
 def _edge_columns(edges: list, n_agents: int):
@@ -108,7 +100,11 @@ def _edge_columns(edges: list, n_agents: int):
     triples, with every rule checked on whole columns; None when any edge
     breaks one."""
     try:
-        i, j, w = zip(*[(i, j, w) for i, j, w in edges]) if edges else ((), (), ())
+        # Sequences of three are transposed as they are; anything else is
+        # unpacked entry by entry, which raises for what is not a triple.
+        if not {3}.issuperset(map(operator.length_hint, edges)):
+            edges = [(i, j, w) for i, j, w in edges]
+        i, j, w = zip(*edges) if edges else ((), (), ())
     except (TypeError, ValueError):  # an entry that is not an (i, j, weight) triple
         return None
     ends = i + j

@@ -205,32 +205,25 @@ def _parse_gains(raw: list, where) -> tuple[GainProfile, ...]:
     return tuple(_parse_gain(g, (where, k)) for k, g in enumerate(raw))
 
 
-def _plain_edges(raw: list) -> list | None:
-    """The (i, j, weight) triples of a list of edges when every entry is a
-    list of two plain integers and a plain number, from one type pass over
-    each column; None otherwise."""
+def _plain_edges(raw: list) -> bool:
+    """Whether every entry of a list of edges is a list of two plain integers
+    and a plain number no larger than the largest float, from one type pass
+    over each column; such a list goes to the topology as it is."""
     if not ({list}.issuperset(map(type, raw)) and {3}.issuperset(map(len, raw))):
-        return None
-    if not raw:
-        return []
-    i, j, w = zip(*raw)
+        return False
+    i, j, w = zip(*raw) if raw else ((), (), ())
     ends = i + j
-    if not ({int}.issuperset(map(type, ends)) and _PLAIN_NUMBERS.issuperset(map(type, w))
-            and -sys.maxsize <= min(ends) and max(ends) <= sys.maxsize):
-        return None
-    try:
-        return list(zip(i, j, map(float, w)))
-    except OverflowError:
-        return None
+    return ({int}.issuperset(map(type, ends)) and _PLAIN_NUMBERS.issuperset(map(type, w))
+            and -sys.maxsize <= min(ends, default=0) and max(ends, default=0) <= sys.maxsize
+            and max(map(abs, w), default=0.0) <= sys.float_info.max)
 
 
 def _parse_topology(obj, path: str) -> tuple[list, list]:
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, {"edges", "leader_links"}, path)
-    raw = _list(_get(obj, "edges", path), (path, "edges"))
-    edges = _plain_edges(raw)
-    if edges is None:
-        edges = [_edge(entry, path, k) for k, entry in enumerate(raw)]
+    edges = _list(_get(obj, "edges", path), (path, "edges"))
+    if not _plain_edges(edges):
+        edges = [_edge(entry, path, k) for k, entry in enumerate(edges)]
     links = []
     for k, entry in enumerate(_list(obj.get("leader_links", []), (path, "leader_links"))):
         if not isinstance(entry, list) or len(entry) != 2:

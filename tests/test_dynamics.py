@@ -672,8 +672,8 @@ def one_change_per_field():
         },
         Topology: {
             "n_agents": scenario(topology=build_topology(5, edges, links)),
-            "edges": scenario(topology=build_topology(4, edges[:-1], links)),
-            "leader_links": scenario(topology=build_topology(4, edges, links[:1])),
+            "edge_arrays": scenario(topology=build_topology(4, edges[:-1], links)),
+            "link_arrays": scenario(topology=build_topology(4, edges, links[:1])),
         },
     }
 
