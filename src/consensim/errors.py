@@ -33,10 +33,6 @@ class HypothesisViolated(ConsensimError, ValueError):
     """An analysis shortcut was invoked outside the hypotheses that justify it."""
 
 
-class NoLeader(ConsensimError, ValueError):
-    """Leader-relative quantity requested for a state without a leader."""
-
-
 class InvalidBounds(ConsensimError, ValueError):
     """Gain or sector bounds that are non-positive or inverted."""
 
