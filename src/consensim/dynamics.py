@@ -25,7 +25,7 @@ import numpy as np
 
 from ._real import real
 from .errors import HypothesisViolated, NonFiniteState, ValidationFailed
-from .graph import Topology, is_connected, leader_reaches_all
+from .graph import Topology, first_unreached, is_connected, leader_reaches_all
 from .protocols import (AssumptionReport, GainKind, ProtocolSpec, VelocityShape,
                         validate_assumptions)
 
@@ -219,8 +219,10 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     if len(scenario.masses) != n:
         errors.append(f"masses length {len(scenario.masses)} != n_agents {n}")
     masses = np.array(scenario.masses)
-    if not (np.isfinite(masses).all() and (masses > 0.0).all()):
-        errors.append("masses must be finite and > 0")
+    valid_masses = np.isfinite(masses) & (masses > 0.0)
+    if not valid_masses.all():
+        k = int(np.argmin(valid_masses))
+        errors.append(f"masses must be finite and > 0 (agent {k + 1} has {masses[k]})")
     if len(scenario.protocol.gains) != n:
         errors.append(f"gains length {len(scenario.protocol.gains)} != n_agents {n}")
     if state.p.shape != (n, state.n_dims):
@@ -228,7 +230,9 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     if state.t != 0.0:
         errors.append(f"initial state must start at t=0, got t={state.t}")
     if not (np.all(np.isfinite(state.p)) and np.all(np.isfinite(state.q))):
-        errors.append("initial positions/velocities must be finite")
+        where = _first_non_finite(np.concatenate([state.p.ravel(), state.q.ravel()]),
+                                  state.n_agents, state.n_dims)
+        errors.append(f"initial positions/velocities must be finite (first at {where})")
 
     if scenario.mode is Mode.LEADER:
         if state.leader is None:
@@ -240,7 +244,8 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
         if not len(topo.link_arrays[0]):
             errors.append("leader mode requires at least one leader link")
         elif not leader_reaches_all(topo):
-            errors.append("leader has no path to every agent")
+            errors.append("leader has no path to every agent "
+                          f"(none to agent {first_unreached(topo, topo.link_arrays[0]) + 1})")
         if (masses != 1.0).any():
             warnings.append(
                 "tracking analysis assumes unit masses; results hold only empirically otherwise")
@@ -252,7 +257,8 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
         if len(topo.link_arrays[0]):
             errors.append("leaderless mode cannot carry leader links")
         if not is_connected(topo):
-            errors.append("graph not connected")
+            errors.append("graph not connected "
+                          f"(no path from agent 1 to agent {first_unreached(topo, (0,)) + 1})")
 
     iset = scenario.integrator
     if not (math.isfinite(iset.dt) and iset.dt > 0.0):
@@ -301,6 +307,21 @@ def _split(y: np.ndarray, n: int, dims: int) -> tuple:
 
 def _omega(shape: VelocityShape) -> float:
     return 0.0 if shape.is_linear else shape.omega
+
+
+def _first_non_finite(y: np.ndarray, n: int, d: int) -> str:
+    """Where the first non-finite entry of state vector y, of n agents in d
+    dimensions and perhaps a leader row, sits, with the 1-based agent and
+    coordinate numbers of the scenario files. Agents are searched before the
+    leader: agent positions, agent velocities, leader position, leader
+    velocity."""
+    finite = np.isfinite(y).reshape(2, -1, d)
+    k = int(np.argmin(np.concatenate([finite[:, :n].ravel(), finite[:, n:].ravel()])))
+    parts = ("position", "velocity")
+    if k >= 2 * n * d:
+        k -= 2 * n * d
+        return f"leader {parts[k // d]}, coordinate {k % d + 1}"
+    return f"agent {k % (n * d) // d + 1} {parts[k // (n * d)]}, coordinate {k % d + 1}"
 
 
 # Floats in the per-compile gain schedule: the stage cosines and feedback
@@ -427,20 +448,6 @@ class _Compiled:
         self.state = self.stages[0][0]
         self.accel = self._bind_accel()
         self.step = self._bind_step()
-
-    def first_non_finite(self, y: np.ndarray) -> str:
-        """Where the first non-finite entry of state vector y sits, with the
-        1-based agent and coordinate numbers of the scenario files. Agents
-        are searched before the leader: agent positions, agent velocities,
-        leader position, leader velocity."""
-        n, d = self.n, self.dims
-        finite = np.isfinite(y).reshape(2, self.rows, d)
-        k = int(np.argmin(np.concatenate([finite[:, :n].ravel(), finite[:, n:].ravel()])))
-        parts = ("position", "velocity")
-        if k >= 2 * n * d:
-            k -= 2 * n * d
-            return f"leader {parts[k // d]}, coordinate {k % d + 1}"
-        return f"agent {k % (n * d) // d + 1} {parts[k // (n * d)]}, coordinate {k % d + 1}"
 
     def gains(self, starts: Sequence[float]) -> np.ndarray:
         """Per-component feedback factors -(b0 + a·cos t) of the steps that
@@ -598,7 +605,8 @@ def rhs(state: SystemState, scenario: Scenario) -> StateDerivative:
     y = _flatten(state)
     if not np.isfinite(y).all():
         raise NonFiniteState(
-            f"state contains non-finite entries, first at {comp.first_non_finite(y)}",
+            "state contains non-finite entries, "
+            f"first at {_first_non_finite(y, comp.n, comp.dims)}",
             last_good_time=None)
     return StateDerivative(*_split(comp.rhs(state.t, y), comp.n, comp.dims))
 
@@ -761,7 +769,7 @@ def _blow_up(comp: _Compiled, y: np.ndarray, start: int, stop: int) -> NonFinite
             t_prev = (step - 1) * comp.dt
             return NonFiniteState(
                 f"state became non-finite between t={t_prev:.6g} and t={step * comp.dt:.6g}, "
-                f"first at {comp.first_non_finite(state)}",
+                f"first at {_first_non_finite(state, comp.n, comp.dims)}",
                 last_good_time=t_prev)
 
 

@@ -207,9 +207,15 @@ def leader_reaches_all(topo: Topology) -> bool:
 
 
 def _reaches_all(topo: Topology, sources) -> bool:
-    """Whether a search from ``sources`` reaches every agent. The adjacency
-    is built in CSR form: both directions of every edge sorted by their
-    first end, so agent k's neighbors are ``neighbors[starts[k]:starts[k + 1]]``."""
+    """Whether a search from the agents ``sources`` reaches every agent."""
+    return first_unreached(topo, sources) is None
+
+
+def first_unreached(topo: Topology, sources) -> int | None:
+    """The first agent (0-based) that a search from the agents ``sources``
+    does not reach, None when it reaches every agent. The adjacency is built
+    in CSR form: both directions of every edge sorted by their first end, so
+    agent k's neighbors are ``neighbors[starts[k]:starts[k + 1]]``."""
     n = topo.n_agents
     i, j, _ = topo.edge_arrays
     ends = np.concatenate([i, j])
@@ -229,4 +235,4 @@ def _reaches_all(topo: Topology, sources) -> bool:
             if not seen[m]:
                 seen[m] = True
                 stack.append(m)
-    return all(seen)
+    return None if all(seen) else seen.index(False)
