@@ -201,10 +201,15 @@ class Trajectory:
         return _Samples(self)
 
 
+# The largest recording buffer a run may allocate, in bytes.
+_MAX_RECORD_BYTES = 2 * 2**30
+
+
 def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     """Run every blocking and advisory rule against the scenario.
 
-    Blocking: structural consistency (shapes, masses, integrator grid),
+    Blocking: structural consistency (shapes, masses, integrator grid, a
+    finite step count and a recording buffer of at most 2 GiB),
     strict positivity of every gain profile, and the graph hypothesis for
     the mode (connected when leaderless, leader-reaches-all when tracking).
     Advisory: the shape checks, decided exactly, and unit masses in leader
@@ -268,12 +273,23 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     if iset.record_every < 1:
         errors.append(f"record_every must be >= 1, got {iset.record_every}")
     if not errors:
-        n_steps = round(iset.t_end / iset.dt)
-        if n_steps < 1 or abs(n_steps * iset.dt - iset.t_end) > 1e-9 * max(1.0, iset.t_end):
-            errors.append("t_end must be a whole number of dt steps")
-        elif n_steps % iset.record_every != 0:
-            errors.append(
-                "t_end must cover a whole number of recording intervals (dt*record_every)")
+        steps = iset.t_end / iset.dt
+        if not math.isfinite(steps):
+            errors.append(f"step count t_end/dt must be finite, got t_end={iset.t_end} "
+                          f"dt={iset.dt}")
+        else:
+            n_steps = round(steps)
+            samples = n_steps // iset.record_every + 1
+            row = 2 * (n + (scenario.mode is Mode.LEADER)) * state.n_dims
+            if n_steps < 1 or abs(n_steps * iset.dt - iset.t_end) > 1e-9 * max(1.0, iset.t_end):
+                errors.append("t_end must be a whole number of dt steps")
+            elif n_steps % iset.record_every != 0:
+                errors.append(
+                    "t_end must cover a whole number of recording intervals (dt*record_every)")
+            elif samples * row * 8 > _MAX_RECORD_BYTES:
+                errors.append(f"recording buffer must fit in {_MAX_RECORD_BYTES >> 30} GiB, "
+                              f"got {samples * row * 8 / 2**30:.3g} GiB "
+                              f"({samples} samples of {row} floats)")
     if not (scenario.pos_tol > 0.0 and scenario.vel_tol > 0.0):
         errors.append("consensus tolerances must be > 0")
 
