@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -17,8 +18,8 @@ import consensim.dynamics
 import consensim.graph
 import consensim.protocols
 import consensim.scenario_io
-from consensim import (bundled_scenario_path, parse_scenario, scenario_fingerprint,
-                       validate_scenario)
+from consensim import (bundled_scenario_path, parse_scenario, parse_scenario_dict,
+                       scenario_fingerprint, simulate, validate_scenario)
 from consensim.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -92,6 +93,25 @@ def test_exit_one_on_parse_and_validation_failures(tmp_path, capsys):
     bad.write_text('{"mode": "leaderless"}')
     assert main(["validate", str(bad)]) == 1
     assert "missing required key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid,message", [
+    (["--t-end", "1e9"],
+     "recording buffer must fit in 2 GiB, got 894 GiB (10000000001 samples of 12 floats)"),
+    (["--dt", "1e-300", "--t-end", "1e300"],
+     "step count t_end/dt must be finite, got t_end=1e+300 dt=1e-300"),
+])
+def test_run_refuses_a_step_grid_it_cannot_record_before_allocating(tmp_path, capsys, grid,
+                                                                    message):
+    tracemalloc.start()
+    try:
+        code = main(["run", "fig2b", "--out", str(tmp_path / "out"), "--no-plots", *grid])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_validate_reports_blocking_rules(tmp_path, capsys):
@@ -448,3 +468,18 @@ def test_report_json_is_the_sorted_indented_dump(tmp_path, case):
     assert json.loads(text)["scenario"]["description"] == scenario.description
     if case == "strong_sine":
         assert not report["validation"]["assumptions"]["all_passed"]
+
+
+def test_a_run_builds_no_per_edge_tuples(tmp_path):
+    n = 5000
+    scenario = parse_scenario_dict({
+        "mode": "leaderless", "n_agents": n, "n_dims": 1, "masses": [1.0] * n,
+        "topology": {"edges": [[k, k % n + 1, 1.0] for k in range(1, n + 1)]},
+        "protocol": {"velocity": {"kind": "linear"}, "coupling": {"kind": "linear_plus_cubic"},
+                     "gains": [{"kind": "constant", "b0": 1.0}] * n},
+        "initial": {"p": [1e-3 * (k % 7) for k in range(n)], "q": [0.0] * n},
+        "integrator": {"dt": 0.01, "t_end": 0.05, "record_every": 1},
+    }, validate=False)
+    consensim.cli.write_outputs(simulate(scenario), scenario, "ring", tmp_path / "out",
+                                plots=True)
+    assert not {"edges", "leader_links"} & set(vars(scenario.topology))

@@ -817,6 +817,23 @@ def broken_variants():
     yield (dataclasses.replace(
         base, integrator=IntegratorSettings(dt=0.1, t_end=0.3, record_every=4)),
         "recording intervals")
+    yield (dataclasses.replace(
+        base, integrator=IntegratorSettings(dt=1e-300, t_end=1e300, record_every=1)),
+        "step count t_end/dt must be finite, got t_end=1e+300 dt=1e-300")
+    yield (dataclasses.replace(
+        base, integrator=IntegratorSettings(dt=1e-3, t_end=1e9, record_every=100)),
+        "recording buffer must fit in 2 GiB, got 447 GiB (10000000001 samples of 6 floats)")
+    yield (dataclasses.replace(base, masses=(1.0, 1.0, np.nan)),
+           "masses must be finite and > 0 (agent 3 has nan)")
+    yield (dataclasses.replace(
+        base, initial=SystemState(t=0.0, p=state.p, q=[0.0, np.inf, 0.0])),
+        "initial positions/velocities must be finite (first at agent 2 velocity, coordinate 1)")
+    yield (dataclasses.replace(
+        base, topology=build_topology(3, [(1, 3, 1.0)])),
+        "graph not connected (no path from agent 1 to agent 2)")
+    yield (dataclasses.replace(
+        on_leader, topology=build_topology(3, [(2, 3, 1.0)], leader_links=[(3, 1.0)]),
+        masses=(1.0,) * 3), "leader has no path to every agent (none to agent 1)")
     yield (dataclasses.replace(base, pos_tol=0.0), "tolerances must be > 0")
     yield (dataclasses.replace(
         base, protocol=dataclasses.replace(

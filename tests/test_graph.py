@@ -1,6 +1,7 @@
 """Topology construction, Laplacian structure, and reachability checks."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 import consensim.graph
 from consensim import (DuplicateEdge, IndexOutOfRange, NonPositiveWeight, SelfLoop,
-                       TopologyError, build_topology, is_connected, laplacian,
-                       leader_reaches_all)
+                       TopologyError, build_topology, bundled_scenario_path, is_connected,
+                       laplacian, leader_reaches_all, list_bundled, parse_scenario_dict)
 
 # Chain of six with weights 0.2*(i+j) on consecutive pairs; the Laplacian
 # diagonal below is the hand-computed degree sequence.
@@ -210,6 +211,16 @@ def reference_build_topology(n_agents, edges):
     return tuple(norm_edges)
 
 
+def reference_leader_links(links):
+    """The 0-based (agent, weight) pairs of valid 1-based leader links."""
+    return tuple((int(i) - 1, float(w)) for i, w in links)
+
+
+def view_types(topo):
+    """The types of the entries of the tuple views."""
+    return {tuple(map(type, entry)) for entry in topo.edges + topo.leader_links}
+
+
 def outcome(build, n_agents, edges):
     try:
         result = build(n_agents, edges)
@@ -261,6 +272,20 @@ def test_valid_edge_lists_build_what_the_per_edge_reference_builds(topo):
     edges = [(i + 1, j + 1, w) for i, j, w in topo.edges][::-1]
     assert build_topology(topo.n_agents, edges).edges == reference_build_topology(
         topo.n_agents, edges)
+    links = [(i + 1, w) for i, w in topo.leader_links][::-1]
+    built = build_topology(topo.n_agents, edges, links)
+    assert built.leader_links == reference_leader_links(links)
+    assert view_types(built) <= {(int, int, float), (int, float)}
+
+
+@pytest.mark.parametrize("name", list_bundled())
+def test_bundled_tuple_views_are_what_the_per_edge_reference_builds(name):
+    data = json.loads(bundled_scenario_path(name).read_text())
+    topo = parse_scenario_dict(data).topology
+    raw = data["topology"]
+    assert topo.edges == reference_build_topology(topo.n_agents, raw["edges"])
+    assert topo.leader_links == reference_leader_links(raw.get("leader_links", []))
+    assert view_types(topo) <= {(int, int, float), (int, float)}
 
 
 def test_each_reachability_question_is_searched_once_per_topology(monkeypatch):

@@ -346,6 +346,16 @@ BAD_ELEMENTS = [
 ]
 
 
+def test_edge_parse_error_comes_before_an_earlier_topology_rule():
+    # A self-loop at [1] breaks a topology rule; the float index at [3] is
+    # a structural error, which is raised first.
+    data = leader_dict()
+    data["topology"]["edges"] = [[1, 2, 1.0], [2, 2, 1.0], [3, 4, 1.0], [4.0, 1, 1.0]]
+    with pytest.raises(ParseError) as info:
+        parse_scenario_dict(data)
+    assert str(info.value) == "scenario.topology.edges[3][0]: expected an integer, got 4.0"
+
+
 def long_leader_dict(n=5000):
     """A leader ring of n agents: every list the parser checks in bulk (masses,
     edges, gains, coordinates) has n entries."""
