@@ -4,6 +4,7 @@
 Each phase is the call that ``consensim run --no-plots`` makes for it:
 
 - parse: read and parse the file (no rule check);
+- topology: ``build_topology`` on the parsed edge and leader-link lists;
 - validate: every blocking and advisory rule, each repeat on a fresh
   protocol spec built outside the timed call, so no repeat reads the gain
   columns or envelopes cached by the one before, as no run does;
@@ -36,6 +37,7 @@ import contextlib
 import dataclasses
 import gc
 import io
+import json
 import platform
 import tempfile
 import time
@@ -46,8 +48,8 @@ import numpy as np
 from consensim import cli
 from consensim.dynamics import (Mode, _Compiled, _flatten, _integrate, scenario_fingerprint,
                                 simulate, validate_scenario)
-from consensim.graph import _reaches_all
-from consensim.scenario_io import parse_scenario
+from consensim.graph import _reaches_all, build_topology
+from consensim.scenario_io import _parse_topology, parse_scenario
 
 
 def best_s(fn, repeats: int, make_args=tuple) -> float:
@@ -103,12 +105,15 @@ def main() -> None:
     def fresh_scenario() -> tuple:
         return (dataclasses.replace(scenario, protocol=dataclasses.replace(scenario.protocol)),)
 
-    sources = [i for i, _ in topo.leader_links] if scenario.mode is Mode.LEADER else [0]
+    sources = topo.link_arrays[0].tolist() if scenario.mode is Mode.LEADER else [0]
+    edges, links = _parse_topology(json.loads(path.read_text())["topology"],
+                                   "scenario.topology")
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         csv_path = Path(tmp) / "trajectory.csv"
         phases = {
             "parse": lambda: parse_scenario(path, validate=False),
+            "topology": lambda: build_topology(topo.n_agents, edges, links),
             "validate": validate_scenario,
             "reach": lambda: _reaches_all(topo, sources),
             "compile": lambda: _Compiled(scenario),
@@ -128,7 +133,7 @@ def main() -> None:
     print(f"numpy {np.__version__}, Python {platform.python_version()}, "
           f"{platform.machine()} {platform.system()}")
     print(f"{path.name}: {scenario.n_agents} agents, {scenario.n_dims} dims, "
-          f"{len(scenario.topology.edges)} edges, {n_steps} steps, {len(traj.t)} samples; "
+          f"{len(topo.edge_arrays[0])} edges, {n_steps} steps, {len(traj.t)} samples; "
           f"fingerprint {traj.scenario_fingerprint}; best of {k}")
     for name, seconds in times.items():
         print(f"{name:>12} {seconds * 1e3:10.2f} ms")
