@@ -17,7 +17,7 @@ Each phase is the call that ``consensim run --no-plots`` makes for it:
 - series: the energy and conserved-quantity series;
 - csv: writing trajectory.csv;
 - report: building the report dict;
-- json: rendering the report's text with the writer report.json uses;
+- json: writing report.json, piece by piece as a run writes it;
 - run: the whole command, end to end, as a reference. Its line also gives
   the cyclic garbage collector's collections and time per run, taken with
   ``gc.callbacks``.
@@ -110,7 +110,7 @@ def main() -> None:
                                    "scenario.topology")
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        csv_path = Path(tmp) / "trajectory.csv"
+        csv_path, json_path = Path(tmp) / "trajectory.csv", Path(tmp) / "report.json"
         phases = {
             "parse": lambda: parse_scenario(path, validate=False),
             "topology": lambda: build_topology(topo.n_agents, edges, links),
@@ -122,7 +122,7 @@ def main() -> None:
             "series": lambda: cli.run_series(traj, scenario),
             "csv": lambda: cli.write_trajectory_csv(traj, scenario, csv_path, series),
             "report": lambda: cli.build_report(traj, scenario, str(path), series),
-            "json": lambda: cli.report_json(report),
+            "json": lambda: cli.write_report_json(report, json_path),
         }
         arguments = {"validate": fresh_scenario}
         times = {name: best_s(fn, k, arguments.get(name, tuple)) for name, fn in phases.items()}

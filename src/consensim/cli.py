@@ -17,12 +17,15 @@ plots. Plot failures never fail the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -75,6 +78,10 @@ def run_series(traj: Trajectory, scenario: Scenario) -> RunSeries:
     return RunSeries(weight, energy, energy_reason, conserved, conserved_reason)
 
 
+# The most floats write_trajectory_csv gathers into one table of rows.
+_CSV_BLOCK_FLOATS = 1 << 16
+
+
 def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path, series: RunSeries) -> None:
     """One row per sample: time, agent positions, agent velocities, leader
     state when present, the energy value, and the conserved quantity when
@@ -105,12 +112,17 @@ def write_trajectory_csv(traj: Trajectory, scenario: Scenario, path, series: Run
     if conserved is not None:
         header += [f"alpha_{l + 1}" for l in range(dims)]
         columns.append(conserved)
-    table = np.hstack(columns)
     # "%.17g" % v is format(v, ".17g") for every double: one format call per
-    # row. Rows become Python floats one at a time, so the table never does.
-    row_format = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(header)] + [row_format % tuple(row.tolist()) for row in table]
-    Path(path).write_text("\n".join(lines) + "\n")
+    # row. Rows become Python floats and text one at a time, and the table
+    # exists one block of rows at a time, so memory does not grow with the file.
+    width = sum(column.shape[1] for column in columns)
+    row_format = ",".join(["%.17g"] * width) + "\n"
+    block = max(1, _CSV_BLOCK_FLOATS // width)
+    with open(path, "w") as file:
+        file.write(",".join(header) + "\n")
+        for start in range(0, samples, block):
+            file.writelines(row_format % tuple(row.tolist()) for row in
+                            np.hstack([column[start:start + block] for column in columns]))
 
 
 def _jsonable(value):
@@ -202,29 +214,44 @@ _EMPTY_CHECKS = '\n      "checks": []'
 _JSON_BOOLS = ("false", "true")
 
 
-def report_json(report: dict) -> str:
-    """The text of report.json: ``json.dumps(report, indent=2,
-    sort_keys=True)`` and a newline.
+def _report_pieces(report: dict) -> Iterator[str]:
+    """The text of report.json in pieces, whose join is ``json.dumps(report,
+    indent=2, sort_keys=True)`` and a newline.
 
     That call always takes the pure-Python encoder, which is slow on the
-    thousands of assumption checks of a large scenario. So the report is
-    dumped with an empty check list, and the checks (never none: there is
-    one per gain), rendered from one template, are spliced in where it
-    stands. The splice point is a line break, which json.dumps writes only
-    between items (never inside a string), followed by the indented
-    ``"checks"`` key; no other key of the report is named so, so the point
-    occurs exactly once."""
+    thousands of assumption checks of a large scenario, and would hold the
+    whole text at once. So the report is dumped with an empty check list,
+    and its text is given as the part before that list, then each check
+    (never none: there is one per gain), rendered from one template, then
+    the part after it. The split point is a line break, which json.dumps
+    writes only between items (never inside a string), followed by the
+    indented ``"checks"`` key; no other key of the report is named so, so
+    the point occurs exactly once."""
     validation = report["validation"]
     assumptions = validation["assumptions"]
     shell = {**report, "validation": {**validation,
                                       "assumptions": {**assumptions, "checks": []}}}
     head, tail = json.dumps(shell, indent=2, sort_keys=True).split(_EMPTY_CHECKS)
+    yield f"{head}{_EMPTY_CHECKS[:-1]}"
     rows = map(operator.itemgetter("blocking", "detail", "name", "passed"),
                assumptions["checks"])
-    items = ",\n".join([_CHECK.format(_JSON_BOOLS[blocking], encode_basestring_ascii(detail),
-                                       encode_basestring_ascii(name), _JSON_BOOLS[passed])
-                        for blocking, detail, name, passed in rows])
-    return f"{head}{_EMPTY_CHECKS[:-1]}\n{items}\n      ]{tail}\n"
+    # Each check follows a line break, and every check but the first a comma too.
+    separators = itertools.chain(["\n"], itertools.repeat(",\n"))
+    for separator, (blocking, detail, name, passed) in zip(separators, rows):
+        yield separator + _CHECK.format(_JSON_BOOLS[blocking], encode_basestring_ascii(detail),
+                                        encode_basestring_ascii(name), _JSON_BOOLS[passed])
+    yield f"\n      ]{tail}\n"
+
+
+def report_json(report: dict) -> str:
+    """The text of report.json: the join of :func:`_report_pieces`."""
+    return "".join(_report_pieces(report))
+
+
+def write_report_json(report: dict, path) -> None:
+    """Write report.json to ``path`` piece by piece, never the whole text at once."""
+    with open(path, "w") as file:
+        file.writelines(_report_pieces(report))
 
 
 PLOT_WIDTH, PLOT_MIN_HEIGHT = 700, 420
@@ -242,17 +269,20 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step) + 1)]
 
 
-def _svg_chart(times: np.ndarray, lines: list, hlines: np.ndarray, ylabel: str) -> str:
-    """One line chart as SVG text. ``lines`` holds (label, values, color,
-    dasharray or None, stroke width) per polyline; ``hlines`` are drawn as
-    dotted horizontal lines. Every number is written with a fixed format and
+def _svg_chart(times: np.ndarray, lines: list, hlines: np.ndarray, ylabel: str) -> Iterator[str]:
+    """One line chart as SVG text, one line of text per piece. ``lines``
+    holds (label, values, color, dasharray or None, stroke width) per
+    polyline; ``hlines`` are drawn as dotted horizontal lines. The scales
+    come first, from each series' extremes, so a polyline's text exists only
+    while it is written. Every number is written with a fixed format and
     nothing depends on the clock, so equal input gives equal bytes."""
     height = max(PLOT_MIN_HEIGHT, 2 * _MARGIN_TOP + _LEGEND_ROW * len(lines))
     left, top = _MARGIN_LEFT, _MARGIN_TOP
     right, bottom = PLOT_WIDTH - _LEGEND_WIDTH, height - _MARGIN_BOTTOM
     t0, t1 = float(times[0]), float(times[-1])
-    ys = np.concatenate([values for _, values, *_ in lines] + [hlines])
-    lo, hi = float(ys.min()), float(ys.max())
+    extremes = np.array([(ys.min(), ys.max()) for ys in
+                         [values for _, values, *_ in lines] + [hlines] if ys.size])
+    lo, hi = float(extremes[:, 0].min()), float(extremes[:, 1].max())
     pad = 0.05 * (hi - lo) or 0.5 * max(1.0, abs(lo))  # a flat series still gets a range
     lo, hi = lo - pad, hi + pad
 
@@ -262,48 +292,50 @@ def _svg_chart(times: np.ndarray, lines: list, hlines: np.ndarray, ylabel: str) 
     def py(y):
         return top + (hi - np.asarray(y, dtype=float)) * ((bottom - top) / (hi - lo))
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_WIDTH}" height="{height}" '
-           f'viewBox="0 0 {PLOT_WIDTH} {height}" font-family="sans-serif" font-size="11">',
-           '<rect width="100%" height="100%" fill="white"/>']
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_WIDTH}" height="{height}" '
+           f'viewBox="0 0 {PLOT_WIDTH} {height}" font-family="sans-serif" font-size="11">\n')
+    yield '<rect width="100%" height="100%" fill="white"/>\n'
     for t in _ticks(t0, t1):
         x = px(t)
-        out.append(f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" y2="{bottom + 4}" stroke="black"/>'
-                   f'<text x="{x:.2f}" y="{bottom + 16}" text-anchor="middle">{t:.4g}</text>')
+        yield (f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" y2="{bottom + 4}" stroke="black"/>'
+               f'<text x="{x:.2f}" y="{bottom + 16}" text-anchor="middle">{t:.4g}</text>\n')
     for y in _ticks(lo, hi):
         v = py(y)
-        out.append(f'<line x1="{left - 4}" y1="{v:.2f}" x2="{left}" y2="{v:.2f}" stroke="black"/>'
-                   f'<text x="{left - 6}" y="{v + 4:.2f}" text-anchor="end">{y:.4g}</text>')
+        yield (f'<line x1="{left - 4}" y1="{v:.2f}" x2="{left}" y2="{v:.2f}" stroke="black"/>'
+               f'<text x="{left - 6}" y="{v + 4:.2f}" text-anchor="end">{y:.4g}</text>\n')
     xs = px(times)
     for _, values, color, dash, width in lines:
         points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, py(values)))
         style = f' stroke-dasharray="{dash}"' if dash else ""
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{style} '
-                   f'points="{points}"/>')
+        yield (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{style} '
+               f'points="{points}"/>\n')
     for y in hlines:
-        out.append(f'<line x1="{left}" y1="{py(y):.2f}" x2="{right}" y2="{py(y):.2f}" '
-                   f'stroke="gray" stroke-dasharray="1.5,3"/>')
-    out.append(f'<rect x="{left}" y="{top}" width="{right - left}" height="{bottom - top}" '
-               f'fill="none" stroke="black"/>')
-    out.append(f'<text x="{(left + right) / 2:.2f}" y="{height - 8}" text-anchor="middle">t</text>')
-    out.append(f'<text transform="translate(16,{(top + bottom) / 2:.2f}) rotate(-90)" '
-               f'text-anchor="middle">{ylabel}</text>')
+        yield (f'<line x1="{left}" y1="{py(y):.2f}" x2="{right}" y2="{py(y):.2f}" '
+               f'stroke="gray" stroke-dasharray="1.5,3"/>\n')
+    yield (f'<rect x="{left}" y="{top}" width="{right - left}" height="{bottom - top}" '
+           f'fill="none" stroke="black"/>\n')
+    yield f'<text x="{(left + right) / 2:.2f}" y="{height - 8}" text-anchor="middle">t</text>\n'
+    yield (f'<text transform="translate(16,{(top + bottom) / 2:.2f}) rotate(-90)" '
+           f'text-anchor="middle">{ylabel}</text>\n')
     for row, (label, _, color, dash, width) in enumerate(lines):
         y = top + 8 + _LEGEND_ROW * row
         style = f' stroke-dasharray="{dash}"' if dash else ""
-        out.append(f'<line x1="{right + 10}" y1="{y}" x2="{right + 34}" y2="{y}" stroke="{color}" '
-                   f'stroke-width="{width}"{style}/><text x="{right + 40}" y="{y + 4}">{label}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        yield (f'<line x1="{right + 10}" y1="{y}" x2="{right + 34}" y2="{y}" stroke="{color}" '
+               f'stroke-width="{width}"{style}/>'
+               f'<text x="{right + 40}" y="{y + 4}">{label}</text>\n')
+    yield "</svg>\n"
 
 
 def write_plots(traj: Trajectory, predicted: list[float] | None, out_dir: Path) -> list[Path]:
-    """Position and velocity SVGs; any failure is reported, never raised.
+    """Position and velocity SVGs; any failure is reported, never raised,
+    and a partly written SVG is deleted.
 
     Each agent coordinate is one polyline, the leader (if any) a dashed black
     one, and on the positions plot each component of ``predicted``, the
     closed-form consensus value or None, a dotted horizontal line. Reruns of
     one scenario write byte-identical files."""
     written: list[Path] = []
+    opened = None
     try:
         _, n_agents, n_dims = traj.p.shape
         for data, ldata, stem, ylabel in ((traj.p, traj.leader_p, "positions", "position"),
@@ -320,10 +352,16 @@ def write_plots(traj: Trajectory, predicted: list[float] | None, out_dir: Path) 
             if stem == "positions" and predicted is not None:
                 hlines = np.atleast_1d(predicted)
             target = out_dir / f"{stem}.svg"
-            target.write_text(_svg_chart(traj.t, lines, hlines, ylabel))
+            with open(target, "w") as file:
+                opened = target
+                file.writelines(_svg_chart(traj.t, lines, hlines, ylabel))
+            opened = None
             written.append(target)
     except Exception as exc:  # plotting must never fail the run
         print(f"warning: plotting failed: {exc}", file=sys.stderr)
+        if opened is not None:
+            with contextlib.suppress(OSError):
+                opened.unlink()
     return written
 
 
@@ -337,7 +375,7 @@ def write_outputs(traj: Trajectory, scenario: Scenario, scenario_path, out_dir: 
     series = run_series(traj, scenario)
     write_trajectory_csv(traj, scenario, out_dir / "trajectory.csv", series)
     report = build_report(traj, scenario, str(scenario_path), series)
-    (out_dir / "report.json").write_text(report_json(report))
+    write_report_json(report, out_dir / "report.json")
     if plots:
         write_plots(traj, report["consensus"]["predicted_value"], out_dir)
     return report

@@ -351,6 +351,26 @@ def test_degenerate_runs_still_write_finite_plots(tmp_path, case):
         assert "inf" not in content.lower()
 
 
+def test_a_failed_plot_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    # The third tick scale is the velocity plot's first, met after its
+    # opening lines are written.
+    ticks, calls = consensim.cli._ticks, []
+
+    def failing_ticks(lo, hi):
+        calls.append(lo)
+        if len(calls) == 3:
+            raise RuntimeError("no ticks")
+        return ticks(lo, hi)
+
+    monkeypatch.setattr(consensim.cli, "_ticks", failing_ticks)
+    scenario = parse_scenario(bundled_scenario_path("fig2b"))
+    traj = simulate(dataclasses.replace(
+        scenario, integrator=dataclasses.replace(scenario.integrator, t_end=0.5)))
+    assert consensim.cli.write_plots(traj, None, tmp_path) == [tmp_path / "positions.svg"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["positions.svg"]
+    assert "warning: plotting failed: no ticks" in capsys.readouterr().err
+
+
 def test_leader_csv_columns(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "fig3b", "--out", str(out), "--no-plots",
@@ -405,6 +425,50 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     for row, s, energy, conserved in zip(rows, samples, series.energy, series.conserved):
         fields = [s.t, *s.p.ravel(), *s.q.ravel(), *s.leader.p, *s.leader.q, energy, *conserved]
         assert row == ",".join(format(float(v), ".17g") for v in fields)
+
+
+def random_outputs(scenario, samples):
+    """A random leaderless trajectory and series of ``samples`` samples for
+    ``scenario``, as write_trajectory_csv takes them."""
+    n = scenario.n_agents
+    rng = np.random.default_rng(samples)
+    traj = consensim.dynamics.Trajectory(
+        np.arange(samples) * 1e-3, rng.normal(size=(samples, n, 1)),
+        rng.normal(size=(samples, n, 1)), None, None, "")
+    series = consensim.cli.RunSeries(
+        leader_weight=None, energy=rng.random(samples), energy_reason=None,
+        conserved=rng.normal(size=(samples, 1)), conserved_reason=None)
+    return traj, series
+
+
+@pytest.mark.parametrize("block_floats", [1, 100])
+def test_csv_is_the_same_whatever_the_block_of_rows(tmp_path, monkeypatch, block_floats):
+    scenario = parse_scenario(bundled_scenario_path("fig2b"))
+    traj, series = random_outputs(scenario, 40)
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    consensim.cli.write_trajectory_csv(traj, scenario, whole, series)
+    monkeypatch.setattr(consensim.cli, "_CSV_BLOCK_FLOATS", block_floats)
+    consensim.cli.write_trajectory_csv(traj, scenario, blocked, series)
+    assert blocked.read_bytes() == whole.read_bytes()
+    assert len(whole.read_text().splitlines()) == 41
+
+
+def traced_peak(write) -> int:
+    """The peak of traced memory while ``write()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writing_memory_does_not_grow_with_the_file(tmp_path):
+    scenario = parse_scenario(write_pair_scenario(tmp_path / "pair.json"))
+    traj, series = random_outputs(scenario, 50_001)
+    path = tmp_path / "trajectory.csv"
+    peak = traced_peak(lambda: consensim.cli.write_trajectory_csv(traj, scenario, path, series))
+    assert peak < path.stat().st_size / 4
 
 
 def leader_ring_dict(n=300):
@@ -468,6 +532,17 @@ def test_report_json_is_the_sorted_indented_dump(tmp_path, case):
     assert json.loads(text)["scenario"]["description"] == scenario.description
     if case == "strong_sine":
         assert not report["validation"]["assumptions"]["all_passed"]
+
+
+def test_report_writing_memory_does_not_grow_with_the_file(tmp_path):
+    scenario = parse_scenario_dict(leader_ring_dict(5000))
+    traj = simulate(scenario)
+    report = consensim.cli.build_report(traj, scenario, "ring",
+                                        consensim.cli.run_series(traj, scenario))
+    path = tmp_path / "report.json"
+    peak = traced_peak(lambda: consensim.cli.write_report_json(report, path))
+    assert path.read_text() == consensim.cli.report_json(report)
+    assert peak < path.stat().st_size / 4
 
 
 def test_a_run_builds_no_per_edge_tuples(tmp_path):
