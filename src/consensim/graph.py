@@ -78,6 +78,10 @@ def build_topology(
     n_agents = int(n_agents)
 
     edges = list(edges)
+    if not {list, tuple}.issuperset(map(type, edges)):
+        # Read every other entry once, so that the column pass and the error
+        # search see the same values even when an entry is a one-shot iterator.
+        edges = list(map(_sequence, edges))
     columns = _edge_columns(edges, n_agents)
     if columns is None:
         _raise_first_bad_edge(edges, n_agents)
@@ -93,6 +97,17 @@ def build_topology(
 
     return Topology(n_agents, _frozen(*columns),
                     _frozen(np.array(list(links), dtype=np.intp), np.array(list(links.values()))))
+
+
+def _sequence(entry):
+    """``entry`` as a list or tuple, read once; as it is when it cannot be
+    iterated, so that unpacking it raises where the entry stands."""
+    if type(entry) in (list, tuple):
+        return entry
+    try:
+        return tuple(entry)
+    except TypeError:
+        return entry
 
 
 def _edge_columns(edges: list, n_agents: int):

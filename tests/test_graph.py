@@ -267,6 +267,19 @@ def test_bulk_edge_checks_raise_what_the_per_edge_reference_raises(edges):
     assert outcome(build_topology, 6, edges) == outcome(reference_build_topology, 6, edges)
 
 
+def test_one_shot_iterator_entries_raise_the_rule_they_break():
+    with pytest.raises(SelfLoop, match=r"edge \(2, 2\)"):
+        build_topology(2, [iter((1, 2, 1.0)), iter((2, 2, 1.0))])
+    assert build_topology(2, [iter((1, 2, 1.0))]).edges == ((0, 1, 1.0),)
+
+
+@given(faulty_edge_lists())
+@settings(max_examples=100, deadline=None)
+def test_one_shot_iterator_entries_raise_what_their_lists_raise(edges):
+    one_shot = [iter(entry) if isinstance(entry, (list, str)) else entry for entry in edges]
+    assert outcome(build_topology, 6, one_shot) == outcome(build_topology, 6, edges)
+
+
 @given(random_topology())
 def test_valid_edge_lists_build_what_the_per_edge_reference_builds(topo):
     edges = [(i + 1, j + 1, w) for i, j, w in topo.edges][::-1]
