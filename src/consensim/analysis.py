@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import Mode, Scenario, Trajectory
 from .errors import HypothesisViolated, InvalidBounds
-from .graph import Topology, is_connected, leader_reaches_all
+from .graph import Topology, first_unreached, is_connected, leader_reaches_all
 from .protocols import ProtocolSpec
 
 
@@ -154,14 +154,16 @@ def predict_consensus(scenario: Scenario) -> Prediction:
 
 def _consensus_value(scenario: Scenario) -> np.ndarray:
     # Raises HypothesisViolated, naming the failed hypothesis, on refusal.
-    spec, initial = scenario.protocol, scenario.initial
+    spec, initial, topo = scenario.protocol, scenario.initial, scenario.topology
     if scenario.mode is Mode.LEADERLESS:
         if not spec.velocity.is_linear:
             raise HypothesisViolated("nonlinear velocity feedback has no closed-form consensus value")
         if spec.gain_columns[1].any():
             raise HypothesisViolated("time-varying gains have no closed-form consensus value")
-        if not is_connected(scenario.topology):
-            raise HypothesisViolated("graph not connected")
+        if not is_connected(topo):
+            unreached = first_unreached(topo, (0,)) + 1
+            raise HypothesisViolated(
+                f"graph not connected (no path from agent 1 to agent {unreached})")
         b = _spec_gain_values(spec)
         if initial.leader is not None:
             raise HypothesisViolated("conserved quantity is a leaderless construction")
@@ -174,8 +176,9 @@ def _consensus_value(scenario: Scenario) -> np.ndarray:
         raise HypothesisViolated("nonlinear leader velocity feedback has no closed-form target")
     if not spec.leader_gain.is_constant:
         raise HypothesisViolated("a time-varying leader gain has no closed-form target")
-    if not leader_reaches_all(scenario.topology):
-        raise HypothesisViolated("leader does not reach every agent")
+    if not leader_reaches_all(topo):
+        unreached = first_unreached(topo, topo.link_arrays[0]) + 1
+        raise HypothesisViolated(f"leader does not reach every agent (none to agent {unreached})")
     b = spec.leader_gain.b0
     if not b > 0.0:
         raise HypothesisViolated(f"prediction needs a positive constant leader gain, got {b}")

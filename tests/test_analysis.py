@@ -302,6 +302,22 @@ def test_predict_consensus_refuses_leaderless_scenario_carrying_a_leader():
         None, "conserved quantity is a leaderless construction")
 
 
+def test_predict_consensus_refusal_names_the_first_agent_the_graph_misses():
+    scenario = chain6_scenario()
+    split = dataclasses.replace(scenario, topology=build_topology(
+        6, [(1, 2, 1.0), (2, 3, 1.0), (5, 6, 1.0), (3, 6, 1.0)]))
+    assert predict_consensus(split) == Prediction(
+        None, "graph not connected (no path from agent 1 to agent 4)")
+
+
+def test_predict_consensus_refusal_names_the_first_agent_the_leader_misses():
+    scenario = parse_scenario(bundled_scenario_path("fig3b"), validate=False)
+    cut = dataclasses.replace(scenario, topology=build_topology(
+        5, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)], leader_links=[(2, 1.0)]))
+    assert predict_consensus(cut) == Prediction(
+        None, "leader does not reach every agent (none to agent 5)")
+
+
 def synthetic_trajectory(spread_speed_pairs, leader=None):
     samples = []
     for idx, (spread, speed) in enumerate(spread_speed_pairs):
