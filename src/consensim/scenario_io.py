@@ -63,6 +63,15 @@ def _at(where) -> str:
     return _at(parent) + (f"[{key}]" if isinstance(key, int) else f".{key}")
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or a placeholder where Python
+    refuses to format an integer of more than 4300 digits in it."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+
+
 def _require_mapping(obj, where) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(f"{_at(where)}: expected an object, got {type(obj).__name__}")
@@ -72,7 +81,8 @@ def _require_mapping(obj, where) -> dict:
 def _reject_unknown(obj: dict, allowed: set, where) -> None:
     unknown = set(obj) - allowed
     if unknown:
-        raise ParseError(f"{_at(where)}: unknown key(s) {sorted(unknown)}")
+        shown = ", ".join(sorted(map(_shown, unknown)))
+        raise ParseError(f"{_at(where)}: unknown key(s) [{shown}]")
 
 
 def _get(obj: dict, key: str, where):
@@ -83,7 +93,7 @@ def _get(obj: dict, key: str, where):
 
 def _number(value, where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{_at(where)}: expected a number, got {value!r}")
+        raise ParseError(f"{_at(where)}: expected a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -92,7 +102,7 @@ def _number(value, where) -> float:
 
 def _integer(value, where) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{_at(where)}: expected an integer, got {value!r}")
+        raise ParseError(f"{_at(where)}: expected an integer, got {_shown(value)}")
     # Every integer of the schema is a count or an index, which no list or
     # array can take past sys.maxsize; one of more than 4300 digits would
     # not even format into a later error message.
@@ -151,7 +161,7 @@ def _list(value, where) -> list:
 def _kind(obj: dict, kinds, what: str, where) -> str:
     kind = _get(obj, "kind", where)
     if not isinstance(kind, str) or kind not in kinds:
-        raise ParseError(f"{_at(where)}.kind: unknown {what} kind {kind!r}")
+        raise ParseError(f"{_at(where)}.kind: unknown {what} kind {_shown(kind)}")
     return kind
 
 
@@ -257,7 +267,8 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
                            "protocol", "initial", "integrator", "tolerances"}, "scenario")
     mode_raw = _get(data, "mode", "scenario")
     if mode_raw not in ("leaderless", "leader"):
-        raise ParseError(f"scenario.mode: expected 'leaderless' or 'leader', got {mode_raw!r}")
+        raise ParseError(
+            f"scenario.mode: expected 'leaderless' or 'leader', got {_shown(mode_raw)}")
     mode = Mode(mode_raw)
     n_agents = _integer(_get(data, "n_agents", "scenario"), "scenario.n_agents")
     n_dims = _integer(_get(data, "n_dims", "scenario"), "scenario.n_dims")

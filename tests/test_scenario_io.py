@@ -1,5 +1,6 @@
 """Scenario file parsing, serialization round-trips, and the bundled set."""
 
+import copy
 import json
 
 import numpy as np
@@ -227,6 +228,56 @@ def test_round_trip_preserves_fingerprint_of_generated_scenarios(data):
     assert scenario_fingerprint(rebuilt) == scenario_fingerprint(scenario)
 
 
+# What a mutation may put in place of any value: other types, unhashable
+# kinds, non-finite numbers, zero, negative, huge and out-of-range sizes or
+# indices, integers too large for a float or too long to format, and keys
+# that are not strings.
+MUTANTS = [None, True, False, "", "x", [], {}, [[]], [None], {"kind": []}, 1.5, -0.5,
+           float("nan"), float("inf"), -float("inf"), 0, 1, -1, 7, 10**9, -10**9, 2**63,
+           10**400, 10**5000, [10**5000], {10**5000: 0, "x": 0}]
+
+
+def value_paths(value, path=()):
+    """The path of every value nested in ``value``, its own first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from value_paths(item, (*path, key))
+
+
+@st.composite
+def mutated_scenario_dicts(draw):
+    """A generated or bundled scenario dict with one to three values
+    dropped or replaced, anywhere in it."""
+    if draw(st.booleans()):
+        data = draw(scenario_dicts())
+    else:
+        data = json.loads(bundled_scenario_path(draw(st.sampled_from(list_bundled()))).read_text())
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        paths = list(value_paths(data))[1:]
+        if not paths:
+            break
+        *where, key = draw(st.sampled_from(paths))
+        parent = data
+        for step in where:
+            parent = parent[step]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(MUTANTS)))
+    return data
+
+
+@given(mutated_scenario_dicts())
+@settings(max_examples=150, deadline=None)
+def test_mutated_scenarios_parse_or_raise_a_named_error(data):
+    try:
+        parse_scenario_dict(data)
+    except (ParseError, ValidationFailed):
+        pass
+
+
 def test_file_round_trip(tmp_path):
     scenario = parse_scenario(bundled_scenario_path("fig3a"))
     target = tmp_path / "copy.json"
@@ -344,6 +395,34 @@ BAD_ELEMENTS = [
     (1, ("topology", "edges", 1, 0), 10**5000,
      "scenario.topology.edges[1][0]: integer out of range"),
 ]
+
+
+# Values and keys that Python refuses to format, named by their type.
+TOO_LONG_TO_SHOW = [
+    (("mode",), 10**5000,
+     "scenario.mode: expected 'leaderless' or 'leader', got <int too long to show>"),
+    (("n_agents",), [10**5000],
+     "scenario.n_agents: expected an integer, got <list too long to show>"),
+    (("masses", 2), [10**5000],
+     "scenario.masses[2]: expected a number, got <list too long to show>"),
+    (("protocol", "velocity", "kind"), 10**5000,
+     "scenario.protocol.velocity.kind: unknown velocity kind <int too long to show>"),
+    (("protocol", "coupling"), {"kind": "linear", "x": 0, 10**5000: 0},
+     "scenario.protocol.coupling: unknown key(s) ['x', <int too long to show>]"),
+]
+
+
+@pytest.mark.parametrize("where,value,message", TOO_LONG_TO_SHOW,
+                         ids=[".".join(map(str, case[0])) for case in TOO_LONG_TO_SHOW])
+def test_a_value_too_long_to_show_is_named_by_its_type(where, value, message):
+    data = leader_dict()
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(ParseError) as info:
+        parse_scenario_dict(data)
+    assert str(info.value) == message
 
 
 def test_edge_parse_error_comes_before_an_earlier_topology_rule():
