@@ -10,7 +10,7 @@ from .dynamics import (IntegratorSettings, LeaderState, Mode, Scenario,
                        leader_closed_form_for, rhs, rk4_step, scenario_fingerprint,
                        simulate, validate_scenario)
 from .errors import (ConsensimError, DuplicateEdge, HypothesisViolated,
-                     IndexOutOfRange, InvalidBounds, NonFiniteState,
+                     IndexOutOfRange, InvalidBounds, MalformedEntry, NonFiniteState,
                      NonPositiveWeight, ParseError, SelfLoop, TopologyError,
                      ValidationFailed)
 from .graph import (Topology, build_topology, is_connected, laplacian,
@@ -27,7 +27,7 @@ __all__ = [
     "AssumptionReport", "ConsensimError", "ConsensusReport",
     "CouplingKind", "CouplingShape", "DuplicateEdge", "GainKind", "GainProfile",
     "HypothesisViolated", "IndexOutOfRange", "IntegratorSettings", "InvalidBounds",
-    "LeaderState", "Mode", "NonFiniteState", "NonPositiveWeight",
+    "LeaderState", "MalformedEntry", "Mode", "NonFiniteState", "NonPositiveWeight",
     "ParseError", "Prediction", "ProtocolSpec", "Scenario", "ScenarioValidation",
     "SelfLoop", "StateDerivative", "SystemState", "Topology", "TopologyError",
     "Trajectory", "ValidationFailed", "VelocityKind", "VelocityShape",

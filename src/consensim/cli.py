@@ -243,11 +243,6 @@ def _report_pieces(report: dict) -> Iterator[str]:
     yield f"\n      ]{tail}\n"
 
 
-def report_json(report: dict) -> str:
-    """The text of report.json: the join of :func:`_report_pieces`."""
-    return "".join(_report_pieces(report))
-
-
 def write_report_json(report: dict, path) -> None:
     """Write report.json to ``path`` piece by piece, never the whole text at once."""
     with open(path, "w") as file:
@@ -257,6 +252,8 @@ def write_report_json(report: dict, path) -> None:
 PLOT_WIDTH, PLOT_MIN_HEIGHT = 700, 420
 _MARGIN_LEFT, _MARGIN_TOP, _MARGIN_BOTTOM, _LEGEND_WIDTH = 64, 16, 44, 120
 _LEGEND_ROW = 14
+# The most polyline points _svg_chart formats at once.
+_SVG_BLOCK_POINTS = 1 << 10
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
@@ -270,12 +267,13 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 
 def _svg_chart(times: np.ndarray, lines: list, hlines: np.ndarray, ylabel: str) -> Iterator[str]:
-    """One line chart as SVG text, one line of text per piece. ``lines``
-    holds (label, values, color, dasharray or None, stroke width) per
-    polyline; ``hlines`` are drawn as dotted horizontal lines. The scales
-    come first, from each series' extremes, so a polyline's text exists only
-    while it is written. Every number is written with a fixed format and
-    nothing depends on the clock, so equal input gives equal bytes."""
+    """One line chart as SVG text, in pieces of one line of text or of one
+    block of polyline points. ``lines`` holds (label, values, color,
+    dasharray or None, stroke width) per polyline; ``hlines`` are drawn as
+    dotted horizontal lines. The scales come first, from each series'
+    extremes, so a polyline's text exists only while it is written. Every
+    number is written with a fixed format and nothing depends on the clock,
+    so equal input gives equal bytes."""
     height = max(PLOT_MIN_HEIGHT, 2 * _MARGIN_TOP + _LEGEND_ROW * len(lines))
     left, top = _MARGIN_LEFT, _MARGIN_TOP
     right, bottom = PLOT_WIDTH - _LEGEND_WIDTH, height - _MARGIN_BOTTOM
@@ -305,10 +303,15 @@ def _svg_chart(times: np.ndarray, lines: list, hlines: np.ndarray, ylabel: str) 
                f'<text x="{left - 6}" y="{v + 4:.2f}" text-anchor="end">{y:.4g}</text>\n')
     xs = px(times)
     for _, values, color, dash, width in lines:
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, py(values)))
         style = f' stroke-dasharray="{dash}"' if dash else ""
-        yield (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{style} '
-               f'points="{points}"/>\n')
+        yield f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{style} points="'
+        ys = py(values)
+        # Points are formatted from Python floats, a bounded block at a time.
+        for start in range(0, len(xs), _SVG_BLOCK_POINTS):
+            block = slice(start, start + _SVG_BLOCK_POINTS)
+            yield (" " if start else "") + " ".join(
+                map("{:.2f},{:.2f}".format, xs[block].tolist(), ys[block].tolist()))
+        yield '"/>\n'
     for y in hlines:
         yield (f'<line x1="{left}" y1="{py(y):.2f}" x2="{right}" y2="{py(y):.2f}" '
                f'stroke="gray" stroke-dasharray="1.5,3"/>\n')

@@ -203,13 +203,20 @@ class Trajectory:
 
 # The largest recording buffer a run may allocate, in bytes.
 _MAX_RECORD_BYTES = 2 * 2**30
+# The most work a run may take, in component-steps: steps times (M + E)·d,
+# the state rows (agents and leader) and coupling terms (edges and leader
+# links) each step updates. The largest shipped run, fig3a at full
+# settings, takes 1.1·10^6.
+_MAX_WORK = 10**9
 
 
 def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     """Run every blocking and advisory rule against the scenario.
 
     Blocking: structural consistency (shapes, masses, integrator grid, a
-    finite step count and a recording buffer of at most 2 GiB),
+    finite step count, a recording buffer of at most 2 GiB and at most
+    10^9 component-steps of work: steps times the state rows and coupling
+    terms, times the dimension),
     strict positivity of every gain profile, and the graph hypothesis for
     the mode (connected when leaderless, leader-reaches-all when tracking).
     Advisory: the shape checks, decided exactly, and unit masses in leader
@@ -280,7 +287,10 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
         else:
             n_steps = round(steps)
             samples = n_steps // iset.record_every + 1
-            row = 2 * (n + (scenario.mode is Mode.LEADER)) * state.n_dims
+            rows = n + (scenario.mode is Mode.LEADER)
+            row = 2 * rows * state.n_dims
+            couplings = len(topo.edge_arrays[0]) + len(topo.link_arrays[0])
+            components = (rows + couplings) * state.n_dims
             if n_steps < 1 or abs(n_steps * iset.dt - iset.t_end) > 1e-9 * max(1.0, iset.t_end):
                 errors.append("t_end must be a whole number of dt steps")
             elif n_steps % iset.record_every != 0:
@@ -290,6 +300,9 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
                 errors.append(f"recording buffer must fit in {_MAX_RECORD_BYTES >> 30} GiB, "
                               f"got {samples * row * 8 / 2**30:.3g} GiB "
                               f"({samples} samples of {row} floats)")
+            elif n_steps * components > _MAX_WORK:
+                errors.append(f"run must fit in {_MAX_WORK:.0e} component-steps, got "
+                              f"{n_steps} steps of {components} components")
     if not (scenario.pos_tol > 0.0 and scenario.vel_tol > 0.0):
         errors.append("consensus tolerances must be > 0")
 

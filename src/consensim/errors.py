@@ -25,6 +25,11 @@ class SelfLoop(TopologyError):
     """Edge from an agent to itself."""
 
 
+class MalformedEntry(TopologyError):
+    """Edge entry that is not an (i, j, weight) triple, or leader-link entry
+    that is not an (i, weight) pair."""
+
+
 class ValidationFailed(ConsensimError, ValueError):
     """Scenario failed a blocking validation rule; the message names the rule."""
 

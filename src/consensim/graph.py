@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from ._real import is_real_type
-from .errors import DuplicateEdge, IndexOutOfRange, NonPositiveWeight, SelfLoop, TopologyError
+from .errors import (DuplicateEdge, IndexOutOfRange, MalformedEntry, NonPositiveWeight, SelfLoop,
+                     TopologyError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +71,9 @@ def build_topology(
         leader_links: iterable of (i, weight) for agents the leader feeds.
 
     Raises:
-        IndexOutOfRange, SelfLoop, NonPositiveWeight, DuplicateEdge on the
-        corresponding malformed input; TopologyError for a bad n_agents.
+        MalformedEntry, IndexOutOfRange, SelfLoop, NonPositiveWeight,
+        DuplicateEdge on the corresponding malformed input, for the first
+        bad entry in list order; TopologyError for a bad n_agents.
     """
     if isinstance(n_agents, bool) or not isinstance(n_agents, (int, np.integer)) or n_agents < 1:
         raise TopologyError(f"n_agents must be an integer >= 1, got {n_agents!r}")
@@ -87,8 +89,8 @@ def build_topology(
         _raise_first_bad_edge(edges, n_agents)
 
     links: dict[int, float] = {}  # 0-based agent: weight, in list order
-    for entry in leader_links:
-        i, w = entry
+    for k, entry in enumerate(leader_links):
+        i, w = _fields(_sequence(entry), f"leader_links[{k}]", ("i", "weight"))
         i = _index(i, n_agents, "leader link target")
         w = _weight(w, f"leader link to agent {i}")
         if i - 1 in links:
@@ -101,7 +103,7 @@ def build_topology(
 
 def _sequence(entry):
     """``entry`` as a list or tuple, read once; as it is when it cannot be
-    iterated, so that unpacking it raises where the entry stands."""
+    iterated, so that :func:`_fields` refuses it where the entry stands."""
     if type(entry) in (list, tuple):
         return entry
     try:
@@ -148,8 +150,8 @@ def _raise_first_bad_edge(edges: list, n_agents: int) -> None:
     """Raise the error of the first edge, in list order, that breaks a rule;
     the whole-column checks of :func:`_edge_columns` say only that one does."""
     seen: set[tuple[int, int]] = set()
-    for entry in edges:
-        i, j, w = entry
+    for k, entry in enumerate(edges):
+        i, j, w = _fields(entry, f"edges[{k}]", ("i", "j", "weight"))
         i = _index(i, n_agents, "edge endpoint")
         j = _index(j, n_agents, "edge endpoint")
         if i == j:
@@ -159,6 +161,18 @@ def _raise_first_bad_edge(edges: list, n_agents: int) -> None:
         if (a, b) in seen:
             raise DuplicateEdge(f"unordered pair ({a + 1}, {b + 1}) listed more than once")
         seen.add((a, b))
+
+
+def _fields(entry, where: str, names: tuple[str, ...]):
+    """``entry``, read by :func:`_sequence`, when it is a list or tuple of
+    one value per name; MalformedEntry naming ``where``, its place in the
+    input, otherwise."""
+    expected = f"expected ({', '.join(names)})"
+    if type(entry) not in (list, tuple):
+        raise MalformedEntry(f"{where} is of type {type(entry).__name__}, {expected}")
+    if len(entry) != len(names):
+        raise MalformedEntry(f"{where} has {len(entry)} values, {expected}")
+    return entry
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

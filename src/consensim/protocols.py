@@ -1,7 +1,8 @@
 """Protocol building blocks: velocity feedback shapes, position coupling
 shapes, velocity gain profiles, their sector and gain envelopes, and the
-checks against the standing assumptions. The closed loop they define is
-integrated in :mod:`consensim.dynamics`.
+checks against the standing assumptions. These classes hold the shapes'
+parameters; the closed loop they define is evaluated and integrated in one
+place, the kernel of :mod:`consensim.dynamics`.
 
 The shape families are closed enumerations. Velocity feedback is either the
 identity or a sine-perturbed identity z + omega*sin(z); position coupling is
@@ -62,12 +63,6 @@ class VelocityShape:
         """True when the shape is the identity (omega == 0 counts)."""
         return self.kind is VelocityKind.LINEAR or self.omega == 0.0
 
-    def evaluate(self, z):
-        if self.is_linear:
-            return np.array(z, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return z + self.omega * np.sin(z)
-
 
 @dataclass(frozen=True)
 class CouplingShape:
@@ -82,12 +77,6 @@ class CouplingShape:
     @property
     def is_linear(self) -> bool:
         return self.kind is CouplingKind.LINEAR
-
-    def evaluate(self, z):
-        if self.kind is CouplingKind.LINEAR:
-            return np.array(z, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return z + z * z * z
 
     def antiderivative(self, x):
         """Integral of the shape from 0 to x, componentwise. Even and
@@ -128,16 +117,6 @@ class GainProfile:
     @property
     def is_constant(self) -> bool:
         return self.kind is GainKind.CONSTANT or self.amplitude == 0.0
-
-    def evaluate(self, t: float) -> float:
-        if self.kind is GainKind.CONSTANT:
-            return self.b0
-        return self.b0 + self.amplitude * math.cos(t)
-
-    def bounds(self) -> tuple[float, float]:
-        """(lower, upper) envelope of the profile over all t."""
-        a = abs(self.amplitude)
-        return (self.b0 - a, self.b0 + a)
 
 
 @dataclass(frozen=True)
@@ -191,8 +170,8 @@ COS_TAN_ROOT = -0.21723362821122166
 
 
 def sector_constants(shape: VelocityShape) -> tuple[float, float]:
-    """Sector bounds (lower, upper) of the velocity shape: the inf and sup of
-    evaluate(z)/z over nonzero z.
+    """Sector bounds (lower, upper) of the velocity shape f: the inf and sup
+    of f(z)/z over nonzero z.
 
     Linear shapes give exactly (1, 1). For z + omega*sin(z) the ratio is
     1 + omega*sin(z)/z, so the bounds are 1 + omega*cos(x*) at the first
@@ -204,15 +183,14 @@ def sector_constants(shape: VelocityShape) -> tuple[float, float]:
 
 
 def _gain_bounds(spec: ProtocolSpec) -> tuple[list[float], list[float]]:
-    """Lower and upper envelope of every gain profile, followers then leader."""
+    """Lower and upper envelope b0 -/+ |amplitude| of every gain profile,
+    followers then leader."""
     b0, amplitude = spec.gain_columns
-    ripple = np.abs(amplitude)
-    lows, highs = (b0 - ripple).tolist(), (b0 + ripple).tolist()
     if spec.leader_gain is not None:
-        low, high = spec.leader_gain.bounds()
-        lows.append(low)
-        highs.append(high)
-    return lows, highs
+        b0 = np.append(b0, spec.leader_gain.b0)
+        amplitude = np.append(amplitude, spec.leader_gain.amplitude)
+    ripple = np.abs(amplitude)
+    return (b0 - ripple).tolist(), (b0 + ripple).tolist()
 
 
 def _sector_envelope(spec: ProtocolSpec) -> tuple[float, float]:

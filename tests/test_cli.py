@@ -114,6 +114,39 @@ def test_run_refuses_a_step_grid_it_cannot_record_before_allocating(tmp_path, ca
     assert peak < 2**20
 
 
+def write_fig2a_grid(path, t_end, record_every):
+    data = json.loads(bundled_scenario_path("fig2a").read_text())
+    data["integrator"] = {"dt": 0.001, "t_end": t_end, "record_every": record_every}
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("command, t_end, record_every, options, steps", [
+    ("validate", 1e12, 10**15, [], 10**15),
+    ("run", 1e12, 10**15, [], 10**15),
+    # The file's own grid fits the budget; the override's grid is refused.
+    ("run", 1e3, 10**6, ["--t-end", "1e9"], 10**12),
+], ids=["validate", "run", "run_t_end_override"])
+def test_work_budget_refuses_an_endless_run_before_allocating(tmp_path, capsys, command, t_end,
+                                                             record_every, options, steps):
+    path = write_fig2a_grid(tmp_path / "grid.json", t_end, record_every)
+    if options:
+        assert validate_scenario(parse_scenario(path, validate=False)).ok
+    out = ["--out", str(tmp_path / "out"), "--no-plots"] if command == "run" else []
+    tracemalloc.start()
+    try:
+        code = main([command, str(path), *out, *options])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert (f"run must fit in 1e+09 component-steps, got {steps} steps of 11 components"
+            in captured.out + captured.err)
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_reports_blocking_rules(tmp_path, capsys):
     scenario = write_pair_scenario(tmp_path / "pair.json")
     data = json.loads(scenario.read_text())
@@ -453,6 +486,21 @@ def test_csv_is_the_same_whatever_the_block_of_rows(tmp_path, monkeypatch, block
     assert len(whole.read_text().splitlines()) == 41
 
 
+@pytest.mark.parametrize("block_points", [1, 3])
+def test_plots_are_the_same_whatever_the_block_of_points(tmp_path, monkeypatch, block_points):
+    traj, _ = random_outputs(parse_scenario(bundled_scenario_path("fig2b")), 40)
+    whole, blocked = tmp_path / "whole", tmp_path / "blocked"
+    whole.mkdir()
+    blocked.mkdir()
+    consensim.cli.write_plots(traj, [0.5], whole)
+    monkeypatch.setattr(consensim.cli, "_SVG_BLOCK_POINTS", block_points)
+    consensim.cli.write_plots(traj, [0.5], blocked)
+    for stem in ("positions", "velocities"):
+        svg = (whole / f"{stem}.svg").read_bytes()
+        assert (blocked / f"{stem}.svg").read_bytes() == svg
+        assert svg.count(b"<polyline") == 6
+
+
 def traced_peak(write) -> int:
     """The peak of traced memory while ``write()`` runs, in bytes."""
     tracemalloc.start()
@@ -541,7 +589,7 @@ def test_report_writing_memory_does_not_grow_with_the_file(tmp_path):
                                         consensim.cli.run_series(traj, scenario))
     path = tmp_path / "report.json"
     peak = traced_peak(lambda: consensim.cli.write_report_json(report, path))
-    assert path.read_text() == consensim.cli.report_json(report)
+    assert path.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert peak < path.stat().st_size / 4
 
 

@@ -21,6 +21,8 @@ import consensim.dynamics
 from consensim.dynamics import _Compiled, _flatten
 from consensim.errors import HypothesisViolated
 
+import oracle
+
 
 def leaderless_scenario(n=3, p0=None, q0=None, masses=None, coupling="linear",
                         velocity=None, gains=None, integrator=None, edges=None,
@@ -200,18 +202,18 @@ def reference_rhs(state, scenario):
     """Plain per-edge reference of the closed loop, built from the topology's
     edge and leader-link lists: (q_dot, leader_q_dot or None)."""
     topo, spec, t = scenario.topology, scenario.protocol, state.t
-    force = np.array([-spec.gains[i].evaluate(t) * spec.velocity.evaluate(state.q[i])
+    force = np.array([-oracle.gain(spec.gains[i], t) * oracle.velocity(spec.velocity, state.q[i])
                       for i in range(scenario.n_agents)])
     for i, j, w in topo.edges:
-        pull = w * spec.coupling.evaluate(state.p[j] - state.p[i])
+        pull = w * oracle.coupling(spec.coupling, state.p[j] - state.p[i])
         force[i] += pull
         force[j] -= pull
     leader_q_dot = None
     if state.leader is not None:
         for i, w in topo.leader_links:
-            force[i] += w * spec.coupling.evaluate(state.leader.p - state.p[i])
-        leader_q_dot = (-spec.leader_gain.evaluate(t)
-                        * spec.leader_velocity.evaluate(state.leader.q))
+            force[i] += w * oracle.coupling(spec.coupling, state.leader.p - state.p[i])
+        leader_q_dot = (-oracle.gain(spec.leader_gain, t)
+                        * oracle.velocity(spec.leader_velocity, state.leader.q))
     return force / np.array(scenario.masses)[:, None], leader_q_dot
 
 
@@ -823,6 +825,9 @@ def broken_variants():
     yield (dataclasses.replace(
         base, integrator=IntegratorSettings(dt=1e-3, t_end=1e9, record_every=100)),
         "recording buffer must fit in 2 GiB, got 447 GiB (10000000001 samples of 6 floats)")
+    yield (dataclasses.replace(
+        base, integrator=IntegratorSettings(dt=1e-3, t_end=1e9, record_every=10**6)),
+        "run must fit in 1e+09 component-steps, got 1000000000000 steps of 5 components")
     yield (dataclasses.replace(base, masses=(1.0, 1.0, np.nan)),
            "masses must be finite and > 0 (agent 3 has nan)")
     yield (dataclasses.replace(
@@ -849,6 +854,17 @@ def test_validation_catches_each_broken_rule(scenario, fragment):
     result = validate_scenario(scenario)
     assert not result.ok
     assert any(fragment in message for message in result.errors), result.errors
+
+
+def test_work_budget_admits_its_limit_and_refuses_one_step_more():
+    # One agent in two dimensions and no edge: two components per step.
+    def lone_agent(steps):
+        grid = IntegratorSettings(dt=1.0, t_end=steps, record_every=steps)
+        return leaderless_scenario(n=1, p0=[[0.0, 0.0]], q0=[[0.0, 0.0]], integrator=grid)
+
+    assert validate_scenario(lone_agent(5 * 10**8)).ok
+    assert validate_scenario(lone_agent(5 * 10**8 + 1)).errors == (
+        "run must fit in 1e+09 component-steps, got 500000001 steps of 2 components",)
 
 
 def test_valid_scenarios_validate_clean():

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import consensim.graph
-from consensim import (DuplicateEdge, IndexOutOfRange, NonPositiveWeight, SelfLoop,
-                       TopologyError, build_topology, bundled_scenario_path, is_connected,
-                       laplacian, leader_reaches_all, list_bundled, parse_scenario_dict)
+from consensim import (DuplicateEdge, IndexOutOfRange, MalformedEntry, NonPositiveWeight,
+                       SelfLoop, TopologyError, build_topology, bundled_scenario_path,
+                       is_connected, laplacian, leader_reaches_all, list_bundled,
+                       parse_scenario_dict)
 
 # Chain of six with weights 0.2*(i+j) on consecutive pairs; the Laplacian
 # diagonal below is the hand-computed degree sequence.
@@ -86,6 +87,26 @@ def test_rejects_duplicate_edges_in_either_orientation():
         build_topology(3, [(1, 2, 1.0), (2, 1, 0.5)])
     with pytest.raises(DuplicateEdge):
         build_topology(3, [(1, 2, 1.0)], leader_links=[(1, 1.0), (1, 2.0)])
+
+
+def malformed_entry_message(edges, leader_links=()):
+    with pytest.raises(MalformedEntry) as excinfo:
+        build_topology(3, edges, leader_links)
+    return str(excinfo.value)
+
+
+def test_rejects_an_entry_of_another_type_by_its_position():
+    # The first bad entry in list order is named, before the self-loop after it.
+    assert (malformed_entry_message([(1, 2, 1.0), 5, (2, 2, 1.0)])
+            == "edges[1] is of type int, expected (i, j, weight)")
+    assert (malformed_entry_message([(1, 2, 1.0)], [None])
+            == "leader_links[0] is of type NoneType, expected (i, weight)")
+
+
+def test_rejects_an_entry_of_another_length_by_its_position():
+    assert malformed_entry_message([(1, 2)]) == "edges[0] has 2 values, expected (i, j, weight)"
+    assert (malformed_entry_message([(1, 2, 1.0)], [(1, 1.0), iter((2, 1.0, 3))])
+            == "leader_links[1] has 3 values, expected (i, weight)")
 
 
 def test_rejects_bad_agent_count():
@@ -194,8 +215,15 @@ def reference_build_topology(n_agents, edges):
     time in list order: the normalized edges, or the first edge's error."""
     seen = set()
     norm_edges = []
-    for entry in edges:
-        i, j, w = entry
+    for k, entry in enumerate(edges):
+        try:
+            values = tuple(entry)
+        except TypeError:
+            raise MalformedEntry(f"edges[{k}] is of type {type(entry).__name__}, "
+                                 "expected (i, j, weight)") from None
+        if len(values) != 3:
+            raise MalformedEntry(f"edges[{k}] has {len(values)} values, expected (i, j, weight)")
+        i, j, w = values
         i = reference_index(i, n_agents, "edge endpoint")
         j = reference_index(j, n_agents, "edge endpoint")
         if i == j:

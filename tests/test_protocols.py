@@ -15,6 +15,8 @@ from consensim import (CouplingShape, GainProfile, Mode, ProtocolSpec, Scenario,
 from consensim.dynamics import LeaderState
 from consensim.protocols import COS_TAN_ROOT
 
+import oracle
+
 # Sector bounds of z + 0.5*sin(z): the lower constant sits at the first
 # positive minimum of sin(z)/z (near z = 4.4934), the upper at z = 0.
 SECTOR_HALF = (0.8913831858943891, 1.5)
@@ -31,10 +33,10 @@ def sine_shape(omega=0.5):
 
 def test_velocity_shapes_evaluate():
     lin = VelocityShape(kind="linear")
-    assert lin.evaluate(2.5) == 2.5
+    assert oracle.velocity(lin, 2.5) == 2.5
     assert lin.is_linear
     s = sine_shape()
-    assert s.evaluate(2.0) == pytest.approx(2.0 + 0.5 * math.sin(2.0), abs=0, rel=1e-15)
+    assert oracle.velocity(s, 2.0) == pytest.approx(2.0 + 0.5 * math.sin(2.0), abs=0, rel=1e-15)
     assert not s.is_linear
     assert sine_shape(0.0).is_linear
 
@@ -49,20 +51,22 @@ def test_velocity_shape_rejects_bad_parameters():
 
 
 @pytest.mark.parametrize("z", [0.0, -0.0], ids=["plus_zero", "minus_zero"])
-@pytest.mark.parametrize("shape", [VelocityShape(), CouplingShape()], ids=["velocity", "coupling"])
-def test_linear_shapes_keep_the_sign_of_zero(shape, z):
+@pytest.mark.parametrize("shape, evaluate", [(VelocityShape(), oracle.velocity),
+                                             (CouplingShape(), oracle.coupling)],
+                         ids=["velocity", "coupling"])
+def test_linear_shapes_keep_the_sign_of_zero(shape, evaluate, z):
     values = np.array([z, 1.5])
-    out = shape.evaluate(values)
+    out = evaluate(shape, values)
     np.testing.assert_array_equal(np.signbit(out), np.signbit(values))
     assert not np.shares_memory(out, values)
-    assert np.signbit(shape.evaluate(z)) == np.signbit(z)
+    assert np.signbit(evaluate(shape, z)) == np.signbit(z)
 
 
 def test_coupling_shapes_evaluate():
     lin = CouplingShape(kind="linear")
     cubic = CouplingShape(kind="linear_plus_cubic")
-    assert lin.evaluate(2.0) == 2.0
-    assert cubic.evaluate(2.0) == 10.0
+    assert oracle.coupling(lin, 2.0) == 2.0
+    assert oracle.coupling(cubic, 2.0) == 10.0
     assert lin.antiderivative(2.0) == 2.0
     assert cubic.antiderivative(2.0) == 6.0
 
@@ -71,8 +75,8 @@ def test_coupling_shapes_evaluate():
 def test_coupling_is_odd(z):
     for kind in ("linear", "linear_plus_cubic"):
         shape = CouplingShape(kind=kind)
-        assert shape.evaluate(-z) == -shape.evaluate(z)
-        assert shape.evaluate(0.0) == 0.0
+        assert oracle.coupling(shape, -z) == -oracle.coupling(shape, z)
+        assert oracle.coupling(shape, 0.0) == 0.0
 
 
 @given(finite_z)
@@ -84,25 +88,25 @@ def test_coupling_antiderivative_is_even_nonnegative_and_consistent(z):
         assert big >= 0.0
         eps = 1e-6 * (1.0 + abs(z))
         slope = (shape.antiderivative(z + eps) - shape.antiderivative(z - eps)) / (2 * eps)
-        assert slope == pytest.approx(float(shape.evaluate(z)), rel=1e-5, abs=1e-5)
+        assert slope == pytest.approx(float(oracle.coupling(shape, z)), rel=1e-5, abs=1e-5)
 
 
 @given(finite_z, st.floats(min_value=0.0, max_value=0.9))
 def test_velocity_shape_is_odd(z, omega):
     shape = VelocityShape(kind="sine_perturbed", omega=omega)
-    assert shape.evaluate(-z) == -shape.evaluate(z)
+    assert oracle.velocity(shape, -z) == -oracle.velocity(shape, z)
 
 
 def test_gain_profiles():
     const = GainProfile(kind="constant", b0=0.4)
-    assert const.evaluate(17.3) == 0.4
-    assert const.bounds() == (0.4, 0.4)
+    assert oracle.gain(const, 17.3) == 0.4
+    assert oracle.gain_bounds(const) == (0.4, 0.4)
     assert const.is_constant
 
     wavy = GainProfile(kind="cosine", b0=0.5, amplitude=0.15)
-    assert wavy.evaluate(0.0) == pytest.approx(0.65, abs=1e-15)
-    assert wavy.evaluate(math.pi) == pytest.approx(0.35, abs=1e-15)
-    assert wavy.bounds() == (0.35, 0.65)
+    assert oracle.gain(wavy, 0.0) == pytest.approx(0.65, abs=1e-15)
+    assert oracle.gain(wavy, math.pi) == pytest.approx(0.35, abs=1e-15)
+    assert oracle.gain_bounds(wavy) == (0.35, 0.65)
     assert not wavy.is_constant
 
     with pytest.raises(ValueError):
@@ -113,6 +117,23 @@ def test_gain_envelope_covers_all_profiles():
     profiles = [GainProfile(b0=0.2), GainProfile(kind="cosine", b0=1.0, amplitude=0.15)]
     spec = ProtocolSpec(velocity=VelocityShape(), coupling=CouplingShape(), gains=profiles)
     assert spec.envelopes[2] == (0.2, 1.15)
+
+
+signed_reals = st.floats(min_value=-2.0, max_value=2.0) | st.sampled_from([0.0, -0.0])
+
+
+@given(st.lists(st.tuples(signed_reals, signed_reals), min_size=2, max_size=5), st.booleans())
+def test_envelope_columns_are_the_oracle_bounds_bit_for_bit(params, leader):
+    # Followers then, in leader mode, the leader: the order of the columns.
+    profiles = [GainProfile(kind="cosine", b0=b0, amplitude=a) for b0, a in params]
+    spec = ProtocolSpec(velocity=VelocityShape(), coupling=CouplingShape(),
+                        gains=profiles[:-1] if leader else profiles,
+                        leader_velocity=VelocityShape() if leader else None,
+                        leader_gain=profiles[-1] if leader else None)
+    lows, highs, _, _ = spec.envelopes
+    expected = [oracle.gain_bounds(g) for g in profiles]
+    assert np.array(lows).tobytes() == np.array([low for low, _ in expected]).tobytes()
+    assert np.array(highs).tobytes() == np.array([high for _, high in expected]).tobytes()
 
 
 def test_sector_constants_linear_is_exact():
@@ -168,7 +189,7 @@ def test_sector_containment(omega, z):
     # k_lo * z^2 <= z * f(z) <= k_hi * z^2 for every nonzero z in range.
     shape = VelocityShape(kind="sine_perturbed", omega=omega)
     lo, hi = sector_constants(shape)
-    product = z * float(shape.evaluate(z))
+    product = z * float(oracle.velocity(shape, z))
     tol = 1e-9 * z * z
     assert lo * z * z - tol <= product <= hi * z * z + tol
 
