@@ -48,7 +48,7 @@ import numpy as np
 from consensim import cli
 from consensim.dynamics import (Mode, _Compiled, _flatten, _integrate, scenario_fingerprint,
                                 simulate, validate_scenario)
-from consensim.graph import _reaches_all, build_topology
+from consensim.graph import build_topology, first_unreached
 from consensim.scenario_io import _parse_topology, parse_scenario
 
 
@@ -115,7 +115,7 @@ def main() -> None:
             "parse": lambda: parse_scenario(path, validate=False),
             "topology": lambda: build_topology(topo.n_agents, edges, links),
             "validate": validate_scenario,
-            "reach": lambda: _reaches_all(topo, sources),
+            "reach": lambda: first_unreached(topo, sources),
             "compile": lambda: _Compiled(scenario),
             "fingerprint": lambda: scenario_fingerprint(scenario),
             "integrate": lambda: _integrate(comp, y0, iset),

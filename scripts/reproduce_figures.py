@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from consensim import (bundled_scenario_path, detect_consensus, list_bundled,
-                       parse_scenario, simulate)
+from consensim import bundled_scenario_path, list_bundled, parse_scenario, simulate
 from consensim.cli import write_outputs
 
 

@@ -3,12 +3,11 @@ agents under nonlinear velocity/coupling protocols, with optional leader
 tracking."""
 
 from .analysis import (ConsensusReport, Prediction, conservation_drift, conserved_series,
-                       default_tracking_weight, detect_consensus, lyapunov_series,
-                       predict_consensus, tracking_gain_lower_bound)
+                       default_tracking_weight, detect_consensus, leader_closed_form_for,
+                       lyapunov_series, predict_consensus, tracking_gain_lower_bound)
 from .dynamics import (IntegratorSettings, LeaderState, Mode, Scenario,
-                       ScenarioValidation, StateDerivative, SystemState, Trajectory,
-                       leader_closed_form_for, rhs, rk4_step, scenario_fingerprint,
-                       simulate, validate_scenario)
+                       ScenarioValidation, StateDerivative, SystemState, Trajectory, rhs,
+                       rk4_step, scenario_fingerprint, simulate, validate_scenario)
 from .errors import (ConsensimError, DuplicateEdge, HypothesisViolated,
                      IndexOutOfRange, InvalidBounds, MalformedEntry, NonFiniteState,
                      NonPositiveWeight, ParseError, SelfLoop, TopologyError,

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Mode, Scenario, Trajectory
+from .dynamics import Mode, Scenario, Trajectory, size_errors
 from .errors import HypothesisViolated, InvalidBounds
-from .graph import Topology, first_unreached, is_connected, leader_reaches_all
+from .graph import Topology, is_connected, leader_reaches_all
 from .protocols import ProtocolSpec
 
 
@@ -55,9 +55,6 @@ def _leader_energies(
     gain_lower: float,
     sector_lower: float,
 ) -> np.ndarray:
-    if not (gain_lower > 0.0 and sector_lower > 0.0):
-        raise HypothesisViolated(
-            f"gain_lower and sector_lower must be > 0, got {gain_lower}, {sector_lower}")
     bk = gain_lower * sector_lower
     p_err = P - leader_P[:, None, :]
     q_err = Q - leader_Q[:, None, :]
@@ -97,13 +94,21 @@ def tracking_gain_lower_bound(
 def default_tracking_weight(scenario: Scenario) -> float:
     """Leader kinetic weight used when none is given: 1.01 times the
     guaranteed-monotone lower bound for this scenario's envelopes."""
+    return _tracking_terms(scenario, None)[0]
+
+
+def _tracking_terms(scenario: Scenario, leader_weight: float | None) -> tuple[float, float, float]:
+    """(``leader_weight`` or the default, lower gain envelope, lower sector
+    envelope) of a leader scenario whose lower envelopes are positive."""
     if scenario.mode is not Mode.LEADER:
         raise HypothesisViolated("tracking weight applies to leader scenarios only")
     _, _, (g_lo, g_hi), (s_lo, s_hi) = scenario.protocol.envelopes
     if g_lo <= 0.0 or s_lo <= 0.0:
         raise HypothesisViolated(
             f"gain/sector envelopes must be positive, got {(g_lo, g_hi)}, {(s_lo, s_hi)}")
-    return 1.01 * tracking_gain_lower_bound(scenario.n_agents, g_lo, g_hi, s_lo, s_hi)
+    if leader_weight is None:
+        leader_weight = 1.01 * tracking_gain_lower_bound(scenario.n_agents, g_lo, g_hi, s_lo, s_hi)
+    return leader_weight, g_lo, s_lo
 
 
 def _spec_gain_values(spec: ProtocolSpec) -> np.ndarray:
@@ -142,9 +147,10 @@ def predict_consensus(scenario: Scenario) -> Prediction:
     Leaderless scenarios need linear velocity feedback, constant positive
     gains, and a connected graph; the value is the conserved quantity at
     t=0 over the total gain, sum(b_i p_i(0) + m_i q_i(0)) / sum(b_i). Leader
-    scenarios need a constant positive leader gain, linear leader velocity
-    feedback, and a leader path to every agent; the value is the leader's
-    own limit p_L(0) + q_L(0)/b_L. Every refusal comes back as the reason.
+    scenarios need the leader hypotheses and a leader path to every agent;
+    the value is the leader's own limit p_L(0) + q_L(0)/b_L. The graph is
+    searched only once the masses, gains and initial state each count its
+    agents. Every refusal comes back as the reason.
     """
     try:
         return Prediction(_consensus_value(scenario), None)
@@ -160,29 +166,60 @@ def _consensus_value(scenario: Scenario) -> np.ndarray:
             raise HypothesisViolated("nonlinear velocity feedback has no closed-form consensus value")
         if spec.gain_columns[1].any():
             raise HypothesisViolated("time-varying gains have no closed-form consensus value")
+        _require_sizes(scenario)
         if not is_connected(topo):
-            unreached = first_unreached(topo, (0,)) + 1
+            unreached = topo.unreached_from_first + 1
             raise HypothesisViolated(
                 f"graph not connected (no path from agent 1 to agent {unreached})")
         b = _spec_gain_values(spec)
         if initial.leader is not None:
             raise HypothesisViolated("conserved quantity is a leaderless construction")
         return _conserved(initial.p, initial.q, scenario.masses, b) / float(np.sum(b))
+    p0, _, _, drift = _leader_hypotheses(scenario)
+    _require_sizes(scenario)
+    if not leader_reaches_all(topo):
+        unreached = topo.unreached_from_leader + 1
+        raise HypothesisViolated(f"leader does not reach every agent (none to agent {unreached})")
+    return p0 + drift
+
+
+def _require_sizes(scenario: Scenario) -> None:
+    # The graph search runs over n_agents, so a count that the masses, gains
+    # or initial state contradict is refused first, in validation's words.
+    errors = size_errors(scenario)
+    if errors:
+        raise HypothesisViolated(errors[0])
+
+
+def _leader_hypotheses(scenario: Scenario):
+    """(p_L(0), q_L(0), b_L, q_L(0)/b_L) once the leader hypotheses hold, in
+    this order: a leader protocol, a leader state, linear leader velocity
+    feedback, a constant leader gain, b_L > 0."""
+    spec, leader = scenario.protocol, scenario.initial.leader
     if not spec.has_leader:
         raise HypothesisViolated("leader mode requires leader_velocity and leader_gain")
-    if initial.leader is None:
+    if leader is None:
         raise HypothesisViolated("leader mode requires an initial leader state")
     if not spec.leader_velocity.is_linear:
         raise HypothesisViolated("nonlinear leader velocity feedback has no closed-form target")
     if not spec.leader_gain.is_constant:
         raise HypothesisViolated("a time-varying leader gain has no closed-form target")
-    if not leader_reaches_all(topo):
-        unreached = first_unreached(topo, topo.link_arrays[0]) + 1
-        raise HypothesisViolated(f"leader does not reach every agent (none to agent {unreached})")
     b = spec.leader_gain.b0
     if not b > 0.0:
         raise HypothesisViolated(f"prediction needs a positive constant leader gain, got {b}")
-    return initial.leader.p + initial.leader.q / b
+    return leader.p, leader.q, b, leader.q / b
+
+
+def leader_closed_form_for(scenario: Scenario, t):
+    """Exact leader trajectory under the leader hypotheses of
+    :func:`predict_consensus`, which raise HypothesisViolated when one
+    fails: position p0 + q0/b - (q0/b)·exp(-b t) and velocity q0·exp(-b t).
+    ``t`` may be a scalar or an array; arrays broadcast against the state
+    dimension."""
+    p0, q0, b, drift = _leader_hypotheses(scenario)
+    t = np.asarray(t, dtype=float)
+    decay = np.exp(-b * (t[..., None] if t.ndim else t))
+    return (p0 + drift - drift * decay, q0 * decay)
 
 
 @dataclass(frozen=True)
@@ -279,9 +316,7 @@ def lyapunov_series(
     else:
         if traj.leader_p is None:
             raise HypothesisViolated("tracking energy needs a leader state")
-        if leader_weight is None:
-            leader_weight = default_tracking_weight(scenario)
-        _, _, (g_lo, _), (s_lo, _) = spec.envelopes
+        leader_weight, g_lo, s_lo = _tracking_terms(scenario, leader_weight)
 
         def energies(block):
             return _leader_energies(P[block], Q[block], traj.leader_p[block],

@@ -6,8 +6,9 @@
     consensim validate <scenario>
 
 <scenario> is a JSON file path or a bundled name (fig2a, fig2b, fig3a,
-fig3b). Exit codes: 0 success, 1 parse/validation failure, 2 integration
-blow-up, 3 consensus required but not achieved, 4 prediction inapplicable.
+fig3b). Exit codes: 0 success, 1 parse/validation failure, unreadable file
+or unusable output directory, 2 integration blow-up, 3 consensus required
+but not achieved, 4 prediction inapplicable.
 
 ``run`` writes trajectory.csv (17 significant digits, byte-identical across
 runs of the same scenario), report.json, and unless --no-plots two SVG
@@ -384,6 +385,21 @@ def write_outputs(traj: Trajectory, scenario: Scenario, scenario_path, out_dir: 
     return report
 
 
+def _not_a_directory(out_dir: Path) -> Path | None:
+    """out_dir or its nearest existing ancestor when that is not a directory,
+    so that no output could be written under it; None otherwise. Creates
+    nothing: a run refused later leaves no directory behind."""
+    for place in itertools.chain([out_dir], out_dir.parents):
+        if place.exists():
+            return None if place.is_dir() else place
+    return None
+
+
+def _cannot_write(out_dir: Path, reason) -> int:
+    print(f"error: cannot write outputs to {out_dir}: {reason}", file=sys.stderr)
+    return 1
+
+
 def cmd_run(args) -> int:
     # simulate validates the scenario that actually runs, overrides included.
     path = resolve_scenario_path(args.scenario)
@@ -394,9 +410,15 @@ def cmd_run(args) -> int:
         scenario = dataclasses.replace(
             scenario, integrator=dataclasses.replace(scenario.integrator, **overrides))
 
-    trajectory = simulate(scenario)
     out_dir = Path(args.out)
-    report = write_outputs(trajectory, scenario, path, out_dir, plots=not args.no_plots)
+    blocker = _not_a_directory(out_dir)
+    if blocker is not None:
+        return _cannot_write(out_dir, f"{blocker} is not a directory")
+    trajectory = simulate(scenario)
+    try:
+        report = write_outputs(trajectory, scenario, path, out_dir, plots=not args.no_plots)
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
 
     consensus = report["consensus"]
     if consensus["achieved"]:

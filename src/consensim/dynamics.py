@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._real import real
-from .errors import HypothesisViolated, NonFiniteState, ValidationFailed
-from .graph import Topology, first_unreached, is_connected, leader_reaches_all
+from .errors import NonFiniteState, ValidationFailed
+from .graph import Topology, is_connected, leader_reaches_all
 from .protocols import (AssumptionReport, GainKind, ProtocolSpec, VelocityShape,
                         validate_assumptions)
 
@@ -210,35 +210,46 @@ _MAX_RECORD_BYTES = 2 * 2**30
 _MAX_WORK = 10**9
 
 
+def size_errors(scenario: Scenario) -> list[str]:
+    """The broken rules among: the masses, the gains and the initial state
+    each hold one entry per agent of the topology."""
+    n = scenario.n_agents
+    errors = []
+    if len(scenario.masses) != n:
+        errors.append(f"masses length {len(scenario.masses)} != n_agents {n}")
+    if len(scenario.protocol.gains) != n:
+        errors.append(f"gains length {len(scenario.protocol.gains)} != n_agents {n}")
+    if scenario.initial.n_agents != n:
+        errors.append(f"initial state has {scenario.initial.n_agents} agents, topology has {n}")
+    return errors
+
+
 def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     """Run every blocking and advisory rule against the scenario.
 
-    Blocking: structural consistency (shapes, masses, integrator grid, a
+    Blocking: structural consistency (sizes, masses, integrator grid, a
     finite step count, a recording buffer of at most 2 GiB and at most
     10^9 component-steps of work: steps times the state rows and coupling
     terms, times the dimension),
     strict positivity of every gain profile, and the graph hypothesis for
     the mode (connected when leaderless, leader-reaches-all when tracking).
+    The graph is searched only when the sizes agree, so a search never
+    runs over an agent count the scenario's own arrays contradict.
     Advisory: the shape checks, decided exactly, and unit masses in leader
     mode.
     """
-    errors: list[str] = []
+    errors = size_errors(scenario)
+    sized = not errors
     warnings: list[str] = []
     topo = scenario.topology
     state = scenario.initial
     n = topo.n_agents
 
-    if len(scenario.masses) != n:
-        errors.append(f"masses length {len(scenario.masses)} != n_agents {n}")
     masses = np.array(scenario.masses)
     valid_masses = np.isfinite(masses) & (masses > 0.0)
     if not valid_masses.all():
         k = int(np.argmin(valid_masses))
         errors.append(f"masses must be finite and > 0 (agent {k + 1} has {masses[k]})")
-    if len(scenario.protocol.gains) != n:
-        errors.append(f"gains length {len(scenario.protocol.gains)} != n_agents {n}")
-    if state.p.shape != (n, state.n_dims):
-        errors.append(f"initial state has {state.n_agents} agents, topology has {n}")
     if state.t != 0.0:
         errors.append(f"initial state must start at t=0, got t={state.t}")
     if not (np.all(np.isfinite(state.p)) and np.all(np.isfinite(state.q))):
@@ -255,9 +266,9 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
             errors.append("leader mode requires leader_velocity and leader_gain")
         if not len(topo.link_arrays[0]):
             errors.append("leader mode requires at least one leader link")
-        elif not leader_reaches_all(topo):
+        elif sized and not leader_reaches_all(topo):
             errors.append("leader has no path to every agent "
-                          f"(none to agent {first_unreached(topo, topo.link_arrays[0]) + 1})")
+                          f"(none to agent {topo.unreached_from_leader + 1})")
         if (masses != 1.0).any():
             warnings.append(
                 "tracking analysis assumes unit masses; results hold only empirically otherwise")
@@ -268,9 +279,9 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
             errors.append("leaderless mode cannot carry leader_velocity/leader_gain")
         if len(topo.link_arrays[0]):
             errors.append("leaderless mode cannot carry leader links")
-        if not is_connected(topo):
+        if sized and not is_connected(topo):
             errors.append("graph not connected "
-                          f"(no path from agent 1 to agent {first_unreached(topo, (0,)) + 1})")
+                          f"(no path from agent 1 to agent {topo.unreached_from_first + 1})")
 
     iset = scenario.integrator
     if not (math.isfinite(iset.dt) and iset.dt > 0.0):
@@ -800,30 +811,3 @@ def _blow_up(comp: _Compiled, y: np.ndarray, start: int, stop: int) -> NonFinite
                 f"state became non-finite between t={t_prev:.6g} and t={step * comp.dt:.6g}, "
                 f"first at {_first_non_finite(state, comp.n, comp.dims)}",
                 last_good_time=t_prev)
-
-
-def leader_closed_form_for(scenario: Scenario, t):
-    """Exact leader trajectory of a scenario, gated on its hypotheses: leader
-    mode, a constant positive leader gain b and identity leader velocity
-    feedback. Position p0 + q0/b - (q0/b)·exp(-b t), velocity q0·exp(-b t).
-
-    ``t`` may be a scalar or an array; arrays broadcast against the state
-    dimension. Raises HypothesisViolated when a hypothesis fails.
-    """
-    if scenario.mode is not Mode.LEADER or scenario.initial.leader is None:
-        raise HypothesisViolated("closed form applies to leader scenarios only")
-    spec = scenario.protocol
-    if not spec.leader_gain.is_constant:
-        raise HypothesisViolated("closed form needs a constant leader gain")
-    if not spec.leader_velocity.is_linear:
-        raise HypothesisViolated("closed form needs linear leader velocity feedback")
-    b = spec.leader_gain.b0
-    if not (math.isfinite(b) and b > 0.0):
-        raise HypothesisViolated(f"closed form needs a positive constant gain, got {b}")
-    p0, q0 = scenario.initial.leader
-    t = np.asarray(t, dtype=float)
-    if t.ndim:
-        t = t[..., None]
-    decay = np.exp(-b * t)
-    drift = q0 / b
-    return (p0 + drift - drift * decay, q0 * decay)

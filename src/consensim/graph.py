@@ -46,15 +46,16 @@ class Topology:
         return tuple(zip(*(column.tolist() for column in self.link_arrays)))
 
     @cached_property
-    def connected(self) -> bool:
-        """Whether the agent graph is connected; see :func:`is_connected`."""
-        return _reaches_all(self, (0,))
+    def unreached_from_first(self) -> int | None:
+        """The first agent (0-based) with no path from agent 0, None when the
+        agent graph is connected; see :func:`is_connected`."""
+        return first_unreached(self, (0,))
 
     @cached_property
-    def leader_reaches_all(self) -> bool:
-        """Whether every agent has a path to a leader-linked agent; see
-        :func:`leader_reaches_all`."""
-        return _reaches_all(self, self.link_arrays[0].tolist())
+    def unreached_from_leader(self) -> int | None:
+        """The first agent (0-based) with no path to a leader-linked agent,
+        None when there is none; see :func:`leader_reaches_all`."""
+        return first_unreached(self, self.link_arrays[0].tolist())
 
 
 def build_topology(
@@ -223,7 +224,7 @@ def is_connected(topo: Topology) -> bool:
     Graph search from agent 0, run once per topology; a single
     agent with no edges counts as connected.
     """
-    return topo.connected
+    return topo.unreached_from_first is None
 
 
 def leader_reaches_all(topo: Topology) -> bool:
@@ -232,12 +233,7 @@ def leader_reaches_all(topo: Topology) -> bool:
     of :func:`is_connected`: the leader may reach all agents of a graph
     that is disconnected without it, and a connected graph with no leader
     links reaches nobody. Searched once per topology."""
-    return topo.leader_reaches_all
-
-
-def _reaches_all(topo: Topology, sources) -> bool:
-    """Whether a search from the agents ``sources`` reaches every agent."""
-    return first_unreached(topo, sources) is None
+    return topo.unreached_from_leader is None
 
 
 def first_unreached(topo: Topology, sources) -> int | None:

@@ -46,7 +46,7 @@ import numpy as np
 from .dynamics import (IntegratorSettings, LeaderState, Mode, Scenario, SystemState,
                        validate_scenario)
 from .errors import ParseError, TopologyError, ValidationFailed
-from .graph import Topology, build_topology
+from .graph import build_topology
 from .protocols import CouplingShape, GainKind, GainProfile, ProtocolSpec, VelocityShape
 
 _VELOCITY_KEYS = {"linear": {"kind"}, "sine_perturbed": {"kind", "omega"}}
@@ -363,12 +363,15 @@ def parse_scenario(path, validate: bool = True) -> Scenario:
     """Parse a scenario file. See :func:`parse_scenario_dict` for errors."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding.
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the digit limit, or arrays and
+        # objects nested past the recursion limit.
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario_dict(data, validate=validate)
 

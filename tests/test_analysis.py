@@ -14,7 +14,8 @@ from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderSta
                        VelocityShape, build_topology, bundled_scenario_path,
                        conservation_drift, conserved_series, detect_consensus,
                        leader_closed_form_for, lyapunov_series, parse_scenario,
-                       predict_consensus, simulate, tracking_gain_lower_bound)
+                       predict_consensus, simulate, tracking_gain_lower_bound,
+                       validate_scenario)
 from consensim.errors import HypothesisViolated, InvalidBounds
 
 SECTOR_LO = 0.8913831858943891
@@ -291,6 +292,70 @@ def test_predict_consensus_refuses_leader_scenario_without_leader_protocol():
         scenario.protocol, leader_velocity=None, leader_gain=None))
     assert predict_consensus(unled) == Prediction(
         None, "leader mode requires leader_velocity and leader_gain")
+
+
+def test_leader_closed_form_refuses_a_leader_scenario_without_leader_protocol():
+    scenario = parse_scenario(bundled_scenario_path("fig3b"), validate=False)
+    unled = dataclasses.replace(scenario, protocol=dataclasses.replace(
+        scenario.protocol, leader_velocity=None, leader_gain=None))
+    with pytest.raises(HypothesisViolated) as refusal:
+        leader_closed_form_for(unled, 1.0)
+    assert str(refusal.value) == "leader mode requires leader_velocity and leader_gain"
+
+
+def leader_variants():
+    scenario = parse_scenario(bundled_scenario_path("fig3b"), validate=False)
+    protocol = scenario.protocol
+    yield scenario
+    yield dataclasses.replace(scenario, protocol=dataclasses.replace(
+        protocol, leader_velocity=None, leader_gain=None))
+    yield dataclasses.replace(scenario, initial=dataclasses.replace(scenario.initial, leader=None))
+    yield dataclasses.replace(scenario, protocol=dataclasses.replace(
+        protocol, leader_velocity=VelocityShape(kind="sine_perturbed", omega=0.5)))
+    yield dataclasses.replace(scenario, protocol=dataclasses.replace(
+        protocol, leader_gain=GainProfile(kind="cosine", b0=0.5, amplitude=0.1)))
+    for b in (0.0, -0.5):
+        yield dataclasses.replace(scenario, protocol=dataclasses.replace(
+            protocol, leader_gain=GainProfile(b0=b)))
+
+
+@pytest.mark.parametrize("scenario", list(leader_variants()))
+def test_prediction_and_leader_closed_form_read_one_leader_gate(scenario):
+    # On a reachable graph the prediction refuses exactly when the closed
+    # form does, with the same reason; otherwise it is the closed form's
+    # limit, bit for bit.
+    prediction = predict_consensus(scenario)
+    try:
+        limit, _ = leader_closed_form_for(scenario, np.inf)
+    except HypothesisViolated as refusal:
+        assert prediction == Prediction(None, str(refusal))
+    else:
+        assert prediction.value.tobytes() == limit.tobytes()
+
+
+@pytest.mark.parametrize("mode", [Mode.LEADERLESS, Mode.LEADER])
+def test_sizes_are_checked_before_the_graph_search(mode):
+    # Two masses, gains and initial agents against a one-edge topology of
+    # 10^7 agents: no search over 10^7 agents runs.
+    n, leader = 10**7, mode is Mode.LEADER
+    scenario = Scenario(
+        mode=mode, masses=(1.0, 1.0),
+        topology=build_topology(n, [(1, 2, 1.0)], leader_links=[(1, 1.0)] if leader else ()),
+        protocol=pair_spec(leader=leader),
+        initial=SystemState(t=0.0, p=[0.0, 1.0], q=[0.0, 0.0], leader=LeaderState(
+            np.array([1.0]), np.array([0.3])) if leader else None))
+    sizes = (f"masses length 2 != n_agents {n}", f"gains length 2 != n_agents {n}",
+             f"initial state has 2 agents, topology has {n}")
+    tracemalloc.start()
+    try:
+        errors = validate_scenario(scenario).errors
+        prediction = predict_consensus(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert errors == sizes
+    assert prediction == Prediction(None, sizes[0])
 
 
 def test_predict_consensus_refuses_leaderless_scenario_carrying_a_leader():

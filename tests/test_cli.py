@@ -95,6 +95,46 @@ def test_exit_one_on_parse_and_validation_failures(tmp_path, capsys):
     assert "missing required key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b'{"mode": "leader\xff"}', b"[" * 1000],
+                         ids=["not_utf8", "nested_too_deeply"])
+def test_validate_refuses_file_bytes_the_parser_cannot_read(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+    assert "Traceback" not in captured.err
+
+
+def refuse_to_simulate(scenario):
+    raise AssertionError("the run integrated before checking its output directory")
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_run_refuses_an_output_path_under_a_file_before_integrating(tmp_path, capsys,
+                                                                  monkeypatch, out):
+    monkeypatch.setattr(consensim.cli, "simulate", refuse_to_simulate)
+    (tmp_path / "taken").write_text("")
+    out_dir = tmp_path / out
+    assert main(["run", "fig2b", "--out", str(out_dir), "--no-plots"]) == 1
+    assert capsys.readouterr().err == (f"error: cannot write outputs to {out_dir}: "
+                                       f"{tmp_path / 'taken'} is not a directory\n")
+    assert (tmp_path / "taken").read_text() == ""
+
+
+def test_run_reports_a_failed_write_as_an_error(tmp_path, capsys, monkeypatch):
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(consensim.cli, "write_trajectory_csv", full_disk)
+    out_dir = tmp_path / "out"
+    assert main(["run", "fig2b", "--out", str(out_dir), "--no-plots", "--t-end", "0.1"]) == 1
+    assert capsys.readouterr().err == (f"error: cannot write outputs to {out_dir}: "
+                                       "[Errno 28] No space left on device\n")
+
+
 @pytest.mark.parametrize("grid,message", [
     (["--t-end", "1e9"],
      "recording buffer must fit in 2 GiB, got 894 GiB (10000000001 samples of 12 floats)"),
@@ -329,8 +369,8 @@ def test_run_with_plots_searches_the_graph_once(tmp_path, monkeypatch, scenario)
     # Validation and the run's one prediction ask the same reachability
     # question of the same topology.
     searches = []
-    search = consensim.graph._reaches_all
-    monkeypatch.setattr(consensim.graph, "_reaches_all",
+    search = consensim.graph.first_unreached
+    monkeypatch.setattr(consensim.graph, "first_unreached",
                         lambda topo, sources: searches.append(topo) or search(topo, sources))
     ref = "fig3b" if scenario == "fig3b" else str(write_pair_scenario(tmp_path / "pair.json"))
     assert main(["run", ref, "--out", str(tmp_path / "out"), "--t-end", "1.0"]) == 0

@@ -804,8 +804,8 @@ def broken_variants():
         on_leader, topology=build_topology(2, [(1, 2, 1.0)])),
         "requires at least one leader link")
     yield (dataclasses.replace(
-        on_leader, topology=build_topology(3, [(1, 2, 1.0)], leader_links=[(1, 1.0)]),
-        masses=(1.0,) * 3), "leader has no path to every agent")
+        leader_scenario(n=3), topology=build_topology(3, [(1, 2, 1.0)], leader_links=[(1, 1.0)])),
+        "leader has no path to every agent")
     yield (dataclasses.replace(
         on_leader,
         initial=SystemState(t=0.0, p=on_leader.initial.p, q=on_leader.initial.q)),
@@ -837,8 +837,8 @@ def broken_variants():
         base, topology=build_topology(3, [(1, 3, 1.0)])),
         "graph not connected (no path from agent 1 to agent 2)")
     yield (dataclasses.replace(
-        on_leader, topology=build_topology(3, [(2, 3, 1.0)], leader_links=[(3, 1.0)]),
-        masses=(1.0,) * 3), "leader has no path to every agent (none to agent 1)")
+        leader_scenario(n=3), topology=build_topology(3, [(2, 3, 1.0)], leader_links=[(3, 1.0)])),
+        "leader has no path to every agent (none to agent 1)")
     yield (dataclasses.replace(base, pos_tol=0.0), "tolerances must be > 0")
     yield (dataclasses.replace(
         base, protocol=dataclasses.replace(

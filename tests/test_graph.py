@@ -1,5 +1,6 @@
 """Topology construction, Laplacian structure, and reachability checks."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import consensim.analysis
+import consensim.dynamics
 import consensim.graph
 from consensim import (DuplicateEdge, IndexOutOfRange, MalformedEntry, NonPositiveWeight,
                        SelfLoop, TopologyError, build_topology, bundled_scenario_path,
                        is_connected, laplacian, leader_reaches_all, list_bundled,
-                       parse_scenario_dict)
+                       parse_scenario, parse_scenario_dict, predict_consensus,
+                       validate_scenario)
 
 # Chain of six with weights 0.2*(i+j) on consecutive pairs; the Laplacian
 # diagonal below is the hand-computed degree sequence.
@@ -331,8 +335,8 @@ def test_bundled_tuple_views_are_what_the_per_edge_reference_builds(name):
 
 def test_each_reachability_question_is_searched_once_per_topology(monkeypatch):
     searches = []
-    search = consensim.graph._reaches_all
-    monkeypatch.setattr(consensim.graph, "_reaches_all",
+    search = consensim.graph.first_unreached
+    monkeypatch.setattr(consensim.graph, "first_unreached",
                         lambda topo, sources: searches.append(topo) or search(topo, sources))
     topo = build_topology(3, [(1, 2, 1.0), (2, 3, 1.0)], leader_links=[(2, 1.0)])
     for _ in range(3):
@@ -340,3 +344,28 @@ def test_each_reachability_question_is_searched_once_per_topology(monkeypatch):
     assert searches == [topo, topo]
     assert is_connected(build_topology(3, [(1, 2, 1.0), (2, 3, 1.0)]))
     assert len(searches) == 3
+
+
+def test_a_failing_reachability_question_is_searched_once_per_topology(monkeypatch):
+    # The refusals name the agent the search missed from the cached answer;
+    # they do not search again to find it, from any module.
+    searches = []
+    search = consensim.graph.first_unreached
+    for module in (consensim.graph, consensim.dynamics, consensim.analysis):
+        if hasattr(module, "first_unreached"):
+            monkeypatch.setattr(module, "first_unreached", lambda topo, sources:
+                                searches.append(topo) or search(topo, sources))
+    fig3b = parse_scenario(bundled_scenario_path("fig3b"), validate=False)
+    fig2b = parse_scenario(bundled_scenario_path("fig2b"), validate=False)
+    cut = dataclasses.replace(fig3b, topology=build_topology(
+        5, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)], leader_links=[(2, 1.0)]))
+    split = dataclasses.replace(fig2b, topology=build_topology(
+        6, [(1, 2, 1.0), (2, 3, 1.0), (5, 6, 1.0), (3, 6, 1.0)]))
+    for _ in range(2):
+        assert not leader_reaches_all(cut.topology)
+        assert "(none to agent 5)" in validate_scenario(cut).errors[-1]
+        assert predict_consensus(cut).reason.endswith("(none to agent 5)")
+        assert not is_connected(split.topology)
+        assert "(no path from agent 1 to agent 4)" in validate_scenario(split).errors[-1]
+        assert predict_consensus(split).reason.endswith("(no path from agent 1 to agent 4)")
+    assert searches == [cut.topology, split.topology]
