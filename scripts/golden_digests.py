@@ -23,10 +23,16 @@ A change that moves an output on purpose regenerates the table from the
 repository root and says why:
 
     PYTHONPATH=src python scripts/golden_digests.py
+
+``--check`` runs every case and prints each (case, file) whose digest
+differs from the table, without writing it; it exits 1 if any differs:
+
+    PYTHONPATH=src python scripts/golden_digests.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -34,6 +40,7 @@ import io
 import json
 import platform
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -183,13 +190,36 @@ def scope() -> dict:
             "system": platform.system(), "machine": platform.machine()}
 
 
-def main() -> None:
+def differences(table: dict, names, workdir: Path) -> list[tuple[str, str]]:
+    """Run the named cases in ``workdir`` and return (case, entry) for each
+    entry, exit code, stderr, stdout or file, that differs from ``table``."""
+    found = []
+    for name in names:
+        got, want = run_case(name, workdir), table["cases"].get(name, {})
+        found += [(name, key) for key in sorted(got.keys() | want.keys())
+                  if got.get(key) != want.get(key)]
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare every case with the table and print each (case, file) "
+                             "that differs, instead of writing the table; exit 1 if any does")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
+        if args.check:
+            found = differences(json.loads(TABLE.read_text()), cases(), Path(tmp))
+            for name, key in found:
+                print(f"{name} {key}")
+            print(f"{len(found)} entries of {len(cases())} cases differ from {TABLE.name}")
+            return 1 if found else 0
         table = {"scope": scope(),
                  "cases": {name: run_case(name, Path(tmp)) for name in cases()}}
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table['cases'])} cases to {TABLE}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

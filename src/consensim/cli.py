@@ -374,12 +374,22 @@ def write_outputs(traj: Trajectory, scenario: Scenario, scenario_path, out_dir: 
     """Write trajectory.csv, report.json and, with ``plots``, the SVGs into
     out_dir, computing the energy and conserved series once for both files
     and the prediction once for the report and the plots. Returns the
-    report."""
+    report. An OSError while writing either file removes both before it
+    propagates."""
     out_dir.mkdir(parents=True, exist_ok=True)
     series = run_series(traj, scenario)
-    write_trajectory_csv(traj, scenario, out_dir / "trajectory.csv", series)
-    report = build_report(traj, scenario, str(scenario_path), series)
-    write_report_json(report, out_dir / "report.json")
+    csv_path, report_path = out_dir / "trajectory.csv", out_dir / "report.json"
+    try:
+        write_trajectory_csv(traj, scenario, csv_path, series)
+        report = build_report(traj, scenario, str(scenario_path), series)
+        write_report_json(report, report_path)
+    except OSError:
+        # Neither file is left, so no half set of outputs, and no file of an
+        # earlier run in out_dir, can be read as this run's.
+        for path in (csv_path, report_path):
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        raise
     if plots:
         write_plots(traj, report["consensus"]["predicted_value"], out_dir)
     return report

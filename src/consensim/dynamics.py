@@ -18,7 +18,6 @@ import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -26,8 +25,7 @@ import numpy as np
 from ._real import real
 from .errors import NonFiniteState, ValidationFailed
 from .graph import Topology, is_connected, leader_reaches_all
-from .protocols import (AssumptionReport, GainKind, ProtocolSpec, VelocityShape,
-                        validate_assumptions)
+from .protocols import AssumptionReport, ProtocolSpec, VelocityShape, validate_assumptions
 
 
 class Mode(str, Enum):
@@ -662,86 +660,69 @@ def rk4_step(state: SystemState, scenario: Scenario) -> SystemState:
     return SystemState(t=state.t + comp.dt, p=p, q=q, leader=leader)
 
 
+# Leads the fingerprint record; a new record layout takes a new number.
+_RECORD_TAG = b"consensim scenario record 1\n"
+
+
 def scenario_fingerprint(scenario: Scenario) -> str:
-    """Content hash (sha256 hex) of the scenario, stable across processes."""
-    return hashlib.sha256(_canonical(scenario).encode()).hexdigest()
+    """Content hash (sha256 hex) of the scenario, the same in every process
+    and on every platform.
 
+    The hash covers one record: ``_RECORD_TAG``, then little-endian int64s,
+    little-endian float64s and UTF-8 text (lone surrogates passed through),
+    in this order; an absent optional part writes nothing.
 
-def _reprs(values) -> list:
-    return list(map(float.__repr__, values))
+    - ints: the counts of masses, edges, links and gains; the shapes of p
+      and q; a leader-state flag and its p and q lengths (0, 0 without);
+      the leader velocity and leader gain flags; the byte lengths of the
+      description and of the kinds; n_agents and record_every, each as its
+      word count bit_length // 64 + 1 and its two's complement words, low
+      first; the edges' i and j columns and the links' agent column.
+    - floats: masses, edge weights, link weights, velocity omega, leader
+      velocity omega, gain b0s, gain amplitudes, leader gain b0 and
+      amplitude, t, p and q row by row, leader p and q, dt, t_end, pos_tol,
+      vel_tol; each NaN as float("nan").
+    - text: the description, then the kinds joined by ",": mode, velocity,
+      coupling, leader velocity, each gain, leader gain.
 
-
-def _strings(items: list) -> str:
-    # JSON text of a list of strings that need no escaping, such as float reprs.
-    return '["' + '","'.join(items) + '"]' if items else "[]"
-
-
-def _array(arr: np.ndarray) -> str:
-    # A 1-D or 2-D float array's reprs, nested the way tolist() nests its values.
-    if arr.ndim == 1:
-        return _strings(_reprs(arr.tolist()))
-    columns = [_reprs(column) for column in arr.T.tolist()]
-    row = "[" + ",".join(['"{}"'] * len(columns)) + "]"
-    return "[" + ",".join(map(row.format, *columns) if columns else ["[]"] * len(arr)) + "]"
-
-
-def _rows(columns, row: str) -> str:
-    # Index columns and a weight column, encoded one column at a time into ``row``.
-    *indices, weights = (column.tolist() for column in columns)
-    if not weights:
-        return "[]"
-    return "[" + ",".join(map(row.format, *indices, _reprs(weights))) + "]"
-
-
-def _velocity(shape: VelocityShape | None) -> str:
-    if shape is None:
-        return "null"
-    return f'{{"kind":"{shape.kind.value}","omega":"{shape.omega!r}"}}'
-
-
-_GAIN_KIND_VALUES = {kind: kind.value for kind in GainKind}
-
-
-def _gains(profiles) -> str:
-    # Gain profiles, encoded one column at a time.
-    kinds = map(_GAIN_KIND_VALUES.__getitem__, map(operator.attrgetter("kind"), profiles))
-    b0s = _reprs(map(operator.attrgetter("b0"), profiles))
-    amplitudes = _reprs(map(operator.attrgetter("amplitude"), profiles))
-    gain = '{{"amplitude":"{}","b0":"{}","kind":"{}"}}'
-    return "[" + ",".join(map(gain.format, amplitudes, b0s, kinds)) + "]"
-
-
-def _canonical(scenario: Scenario) -> str:
-    """Canonical JSON text of every field of the scenario: floats as the
-    strings of their repr, enums as their value, arrays as nested lists,
-    keys sorted and no whitespace, as ``json.dumps(..., sort_keys=True,
-    separators=(",", ":"))`` writes it. The schema is fixed, so the text is
-    written directly in that key order; construction makes every value a
-    plain Python or float64 one, so no field needs a type check."""
+    With every length in the int block the record is injective: two
+    scenarios hash alike exactly when their values have the same bits, any
+    NaN counting as one value (so -0.0 and 0.0 differ).
+    """
     topo, spec, state, iset = (scenario.topology, scenario.protocol, scenario.initial,
                                scenario.integrator)
-    leader = state.leader
-    return "".join([
-        '{"description":', encode_basestring_ascii(scenario.description),
-        ',"initial":{"leader":',
-        "null" if leader is None else f'{{"p":{_array(leader.p)},"q":{_array(leader.q)}}}',
-        ',"p":', _array(state.p), ',"q":', _array(state.q), f',"t":"{state.t!r}"}}',
-        f',"integrator":{{"dt":"{iset.dt!r}","record_every":{iset.record_every},'
-        f'"t_end":"{iset.t_end!r}"}}',
-        ',"masses":', _strings(_reprs(scenario.masses)),
-        f',"mode":"{scenario.mode.value}"',
-        f',"pos_tol":"{scenario.pos_tol!r}"',
-        f',"protocol":{{"coupling":{{"kind":"{spec.coupling.kind.value}"}}',
-        ',"gains":', _gains(spec.gains),
-        ',"leader_gain":',
-        "null" if spec.leader_gain is None else _gains((spec.leader_gain,))[1:-1],
-        ',"leader_velocity":', _velocity(spec.leader_velocity),
-        ',"velocity":', _velocity(spec.velocity), "}",
-        ',"topology":{"edges":', _rows(topo.edge_arrays, '[{},{},"{}"]'),
-        ',"leader_links":', _rows(topo.link_arrays, '[{},"{}"]'),
-        f',"n_agents":{topo.n_agents}}}',
-        f',"vel_tol":"{scenario.vel_tol!r}"}}',
-    ])
+    leader, lead_velocity, lead_gain = state.leader, spec.leader_velocity, spec.leader_gain
+    (i, j, weights), (linked, link_weights) = topo.edge_arrays, topo.link_arrays
+    b0, amplitude = spec.gain_columns
+    description = scenario.description.encode("utf-8", "surrogatepass")
+    # str enums join as their values.
+    kinds = ",".join([scenario.mode, spec.velocity.kind, spec.coupling.kind,
+                      *([] if lead_velocity is None else [lead_velocity.kind]),
+                      *map(operator.attrgetter("kind"), spec.gains),
+                      *([] if lead_gain is None else [lead_gain.kind])]).encode()
+    header = np.array([len(scenario.masses), len(weights), len(link_weights), len(b0),
+                       *state.p.shape, *state.q.shape, leader is not None,
+                       *((0, 0) if leader is None else map(len, leader)),
+                       lead_velocity is not None, lead_gain is not None,
+                       len(description), len(kinds)], "<i8")
+    ints = np.concatenate([header, _words(topo.n_agents), _words(iset.record_every),
+                           i, j, linked], dtype="<i8")
+    floats = np.concatenate([
+        scenario.masses, weights, link_weights, [spec.velocity.omega],
+        [] if lead_velocity is None else [lead_velocity.omega], b0, amplitude,
+        [] if lead_gain is None else [lead_gain.b0, lead_gain.amplitude],
+        [state.t], state.p.ravel(), state.q.ravel(), *(() if leader is None else leader),
+        [iset.dt, iset.t_end, scenario.pos_tol, scenario.vel_tol]], dtype="<f8")
+    floats[np.isnan(floats)] = math.nan
+    return hashlib.sha256(b"".join([_RECORD_TAG, ints.tobytes(), floats.tobytes(),
+                                    description, kinds])).hexdigest()
+
+
+def _words(value: int) -> np.ndarray:
+    # A Python int of any size: its word count, then its words.
+    count = value.bit_length() // 64 + 1
+    words = np.frombuffer(value.to_bytes(8 * count, "little", signed=True), "<i8")
+    return np.concatenate([[count], words])
 
 
 def simulate(scenario: Scenario) -> Trajectory:

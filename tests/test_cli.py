@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, output files, determinism."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -125,14 +126,28 @@ def test_run_refuses_an_output_path_under_a_file_before_integrating(tmp_path, ca
 
 
 def test_run_reports_a_failed_write_as_an_error(tmp_path, capsys, monkeypatch):
-    def full_disk(*args):
-        raise OSError(28, "No space left on device")
+    # Either file failing, in a fresh directory and over an earlier run's
+    # outputs, leaves neither file behind.
+    for failing, earlier_run in itertools.product(["write_trajectory_csv", "write_report_json"],
+                                                  [False, True]):
+        def full_disk(*args):
+            # Write part of the file first, as a full disk would let it.
+            args[-2 if failing == "write_trajectory_csv" else -1].write_text("partial")
+            raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(consensim.cli, "write_trajectory_csv", full_disk)
-    out_dir = tmp_path / "out"
-    assert main(["run", "fig2b", "--out", str(out_dir), "--no-plots", "--t-end", "0.1"]) == 1
-    assert capsys.readouterr().err == (f"error: cannot write outputs to {out_dir}: "
-                                       "[Errno 28] No space left on device\n")
+        out_dir = tmp_path / f"{failing}-{earlier_run}"
+        run = ["run", "fig2b", "--out", str(out_dir), "--no-plots", "--t-end", "0.1"]
+        if earlier_run:
+            assert main(run) == 0
+            assert sorted(path.name for path in out_dir.iterdir()) == ["report.json",
+                                                                       "trajectory.csv"]
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(consensim.cli, failing, full_disk)
+            assert main(run) == 1
+        assert capsys.readouterr().err == (f"error: cannot write outputs to {out_dir}: "
+                                           "[Errno 28] No space left on device\n")
+        assert list(out_dir.iterdir()) == [], (failing, earlier_run)
 
 
 @pytest.mark.parametrize("grid,message", [

@@ -2,8 +2,12 @@
 order, determinism, equivariance, blow-up handling, and scenario validation."""
 
 import dataclasses
-import json
+import hashlib
 import math
+import os
+import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -547,50 +551,103 @@ def test_fingerprint_is_stable_and_content_sensitive():
             assert scenario_fingerprint(variant) != digest, f"{cls.__name__}.{name}"
 
 
-def reference_canonical(scenario):
-    """The canonical text as a dict of every field dumped by json.dumps with
-    sorted keys, the way the fingerprint was first defined."""
-    def reprs(values):
-        return [float.__repr__(float(v)) for v in values]
+def test_fingerprint_is_the_same_in_a_process_with_another_hash_seed():
+    code = ("from consensim import bundled_scenario_path, parse_scenario, scenario_fingerprint; "
+            "print(scenario_fingerprint(parse_scenario(bundled_scenario_path('fig3b'))))")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    package_root = os.path.dirname(os.path.dirname(consensim.dynamics.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == scenario_fingerprint(
+        parse_scenario(bundled_scenario_path("fig3b")))
 
-    def array(arr):
-        return np.array(reprs(arr.ravel()), dtype=object).reshape(arr.shape).tolist()
 
-    def velocity(shape):
-        return None if shape is None else {"kind": shape.kind.value,
-                                           "omega": float.__repr__(shape.omega)}
+def reference_record(scenario):
+    """The fingerprint record, packed one value at a time in the order that
+    the docstring of scenario_fingerprint documents."""
+    def ints(values):
+        return b"".join(struct.pack("<q", int(v)) for v in values)
 
-    def gain(g):
-        return {"kind": g.kind.value, "b0": float.__repr__(g.b0),
-                "amplitude": float.__repr__(g.amplitude)}
+    def big(value):
+        count = value.bit_length() // 64 + 1
+        return struct.pack("<q", count) + b"".join(
+            struct.pack("<Q", (value >> (64 * k)) & (2**64 - 1)) for k in range(count))
+
+    def floats(values):
+        return b"".join(struct.pack("<d", math.nan if math.isnan(v) else v) for v in values)
 
     topo, spec, state, iset = (scenario.topology, scenario.protocol, scenario.initial,
                                scenario.integrator)
-    leader = state.leader
-    payload = {
-        "mode": scenario.mode.value,
-        "masses": reprs(scenario.masses),
-        "topology": {"n_agents": topo.n_agents,
-                     "edges": [[i, j, float.__repr__(w)] for i, j, w in topo.edges],
-                     "leader_links": [[i, float.__repr__(w)] for i, w in topo.leader_links]},
-        "protocol": {"velocity": velocity(spec.velocity),
-                     "coupling": {"kind": spec.coupling.kind.value},
-                     "gains": [gain(g) for g in spec.gains],
-                     "leader_velocity": velocity(spec.leader_velocity),
-                     "leader_gain": None if spec.leader_gain is None else gain(spec.leader_gain)},
-        "initial": {"t": float.__repr__(state.t), "p": array(state.p), "q": array(state.q),
-                    "leader": None if leader is None else {"p": array(leader.p),
-                                                           "q": array(leader.q)}},
-        "integrator": {"dt": float.__repr__(iset.dt), "t_end": float.__repr__(iset.t_end),
-                       "record_every": iset.record_every},
-        "pos_tol": float.__repr__(scenario.pos_tol),
-        "vel_tol": float.__repr__(scenario.vel_tol),
-        "description": scenario.description,
+    leader, lead_velocity, lead_gain = state.leader, spec.leader_velocity, spec.leader_gain
+    edges, links = topo.edges, topo.leader_links
+    description = scenario.description.encode("utf-8", "surrogatepass")
+    kinds = [scenario.mode.value, spec.velocity.kind.value, spec.coupling.kind.value]
+    kinds += [] if lead_velocity is None else [lead_velocity.kind.value]
+    kinds += [g.kind.value for g in spec.gains]
+    kinds += [] if lead_gain is None else [lead_gain.kind.value]
+    kinds = ",".join(kinds).encode()
+    return b"".join([
+        b"consensim scenario record 1\n",
+        ints([len(scenario.masses), len(edges), len(links), len(spec.gains),
+              *state.p.shape, *state.q.shape, leader is not None]),
+        ints([0, 0] if leader is None else [len(leader.p), len(leader.q)]),
+        ints([lead_velocity is not None, lead_gain is not None,
+              len(description), len(kinds)]),
+        big(topo.n_agents), big(iset.record_every),
+        ints([i for i, _, _ in edges]), ints([j for _, j, _ in edges]),
+        ints([i for i, _ in links]),
+        floats(scenario.masses), floats([w for _, _, w in edges]), floats([w for _, w in links]),
+        floats([spec.velocity.omega]),
+        floats([] if lead_velocity is None else [lead_velocity.omega]),
+        floats([g.b0 for g in spec.gains]), floats([g.amplitude for g in spec.gains]),
+        floats([] if lead_gain is None else [lead_gain.b0, lead_gain.amplitude]),
+        floats([state.t]), floats(state.p.flat), floats(state.q.flat),
+        floats([] if leader is None else [*leader.p, *leader.q]),
+        floats([iset.dt, iset.t_end, scenario.pos_tol, scenario.vel_tol]),
+        description, kinds,
+    ])
+
+
+def with_value(base, value):
+    """base with value as agent 1's initial position and as its second mass."""
+    p = base.initial.p.copy()
+    p[0, 0] = value
+    return dataclasses.replace(
+        base, initial=dataclasses.replace(base.initial, p=p),
+        masses=base.masses[:1] + (value,) + base.masses[2:])
+
+
+def negative_nan_with_payload():
+    return struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0123))[0]
+
+
+def record_cases():
+    """Scenarios whose values the text form once took special care with:
+    signed zeros, NaNs of any sign and payload, integers beyond 64 bits and
+    lone surrogates."""
+    base = one_change_per_field()[0]
+    return {
+        "zero": with_value(base, 0.0),
+        "negative_zero": with_value(base, -0.0),
+        "nan": with_value(base, float("nan")),
+        "nan_payload": with_value(base, negative_nan_with_payload()),
+        "record_every_2**70": dataclasses.replace(
+            base, integrator=dataclasses.replace(base.integrator, record_every=2**70)),
+        "record_every_-2**70": dataclasses.replace(
+            base, integrator=dataclasses.replace(base.integrator, record_every=-2**70)),
+        "record_every_-2**63": dataclasses.replace(
+            base, integrator=dataclasses.replace(base.integrator, record_every=-2**63)),
+        "n_agents_2**64": dataclasses.replace(
+            base, topology=build_topology(2**64, [(1, 2, 1.0)])),
+        "surrogate": dataclasses.replace(base, description="lone \ud800 surrogate"),
+        "other_surrogate": dataclasses.replace(base, description="lone \udfff surrogate"),
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def test_canonical_text_matches_sorted_json_dump_of_every_field():
+def test_record_matches_a_reference_packed_one_value_at_a_time():
     base, variants = one_change_per_field()
     scenarios = [base, leaderless_scenario(edges=[]), leader_scenario(),
                  dataclasses.replace(base, description='"checks": [] \\ \u00e9\u4e2d \n'),
@@ -598,8 +655,18 @@ def test_canonical_text_matches_sorted_json_dump_of_every_field():
                      t=0.0, p=np.zeros((4, 0)), q=np.zeros((4, 0)),
                      leader=LeaderState(np.zeros(0), np.zeros(0))))]
     scenarios += [v for table in variants.values() for v in table.values()]
+    scenarios += record_cases().values()
     for scenario in scenarios:
-        assert consensim.dynamics._canonical(scenario) == reference_canonical(scenario)
+        assert scenario_fingerprint(scenario) == hashlib.sha256(
+            reference_record(scenario)).hexdigest()
+
+
+def test_record_is_equal_where_repr_is_equal_and_distinct_where_it_is_not():
+    digests = {name: scenario_fingerprint(s) for name, s in record_cases().items()}
+    # Every NaN reprs as "nan", so its sign and payload do not move the digest.
+    assert digests["nan"] == digests["nan_payload"]
+    del digests["nan_payload"]
+    assert len(set(digests.values())) == len(digests)
 
 
 def one_change_per_field():
@@ -765,13 +832,14 @@ def leader_scenario_3d():
 
 
 # A report's fingerprint ties it to the scenario content, so these digests
-# must not move when the canonical form is reimplemented or the parser changes.
+# pin the binary record that scenario_fingerprint documents: they must not
+# move when the record is reimplemented or the parser changes.
 GOLDEN_FINGERPRINTS = {
-    "fig2a": "3e188f8774ce3ffd02bdedb8865f58109c6eeb04ab8988e921320046d51d83b9",
-    "fig2b": "a303c8120e73a391ce9a2db459452d5261a7d16c4d6d42d0d6ec3dda7f7ab3d2",
-    "fig3a": "0031b3dde93a6090aa3b2b03282ced8ccc26a6dca2c641cb4245f647e127f8de",
-    "fig3b": "3a53f4bf71b7f9078c2b8cdcd9744d4cee0b52aaf63515d853355cc8dc2f4db2",
-    "leader_3d": "7877193ef66534c6217e241a9c34c86c8dd850a151ddc499611d44edec4cce1a",
+    "fig2a": "46175b5ba167ecb3e8a9dcb888d455f9d13fc2c802b08d4e2ac3f66000fc2237",
+    "fig2b": "4c0156141f01b0e5fa45d3c6c693885e7c73da893b01611c02d2df6715b1d142",
+    "fig3a": "91262e704fa48f7f3d886b6d50894c9811154d307c7aae847df8657445302209",
+    "fig3b": "eeb12b3cf6b2cddd744551393bdc6de2ba84565bc7f5a4b86584cc6fe451a2e7",
+    "leader_3d": "74bcf063a0cbe5b8605970e9c8a5586c11f4c4e10b6ce06f62ce72466fc88d26",
 }
 
 

@@ -3,6 +3,7 @@ of scenarios, compared by sha256 with the table that
 ``scripts/golden_digests.py`` writes. A change that moves an output on
 purpose regenerates the table and says why."""
 
+import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -38,3 +39,20 @@ def test_blow_up_exit_code_and_message_are_pinned():
     assert case["stderr"] == (
         "integration failed: state became non-finite between t=0.1 and t=0.2, "
         "first at agent 1 position, coordinate 1 (last good t=0.1)\n")
+
+
+
+def test_check_names_exactly_the_case_and_file_that_differ(tmp_path, monkeypatch, capsys):
+    single = golden.cases()["single"]
+    monkeypatch.setattr(golden, "cases", lambda: {"single": single})
+    table = tmp_path / "golden_digests.json"
+    monkeypatch.setattr(golden, "TABLE", table)
+    altered = copy.deepcopy(TABLE)
+    altered["cases"]["single"]["report.json"] = "0" * 64
+    table.write_text(json.dumps(altered))
+    assert golden.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines()[:-1] == ["single report.json"]
+    assert json.loads(table.read_text()) == altered
+    table.write_text(json.dumps(TABLE))
+    assert golden.main(["--check"]) == 0
+    assert capsys.readouterr().out.splitlines()[:-1] == []
