@@ -4,7 +4,8 @@
 Each phase is the call that ``consensim run --no-plots`` makes for it:
 
 - parse: read and parse the file (no rule check);
-- topology: ``build_topology`` on the parsed edge and leader-link lists;
+- topology: ``build_topology`` on the file's own edge and leader-link
+  lists, which is the parser's only check of the entries;
 - validate: every blocking and advisory rule, each repeat on a fresh
   protocol spec built outside the timed call, so no repeat reads the gain
   columns or envelopes cached by the one before, as no run does;
@@ -49,7 +50,7 @@ from consensim import cli
 from consensim.dynamics import (Mode, _Compiled, _flatten, _integrate, scenario_fingerprint,
                                 simulate, validate_scenario)
 from consensim.graph import build_topology, first_unreached
-from consensim.scenario_io import _parse_topology, parse_scenario
+from consensim.scenario_io import parse_scenario
 
 
 def best_s(fn, repeats: int, make_args=tuple) -> float:
@@ -106,8 +107,8 @@ def main() -> None:
         return (dataclasses.replace(scenario, protocol=dataclasses.replace(scenario.protocol)),)
 
     sources = topo.link_arrays[0].tolist() if scenario.mode is Mode.LEADER else [0]
-    edges, links = _parse_topology(json.loads(path.read_text())["topology"],
-                                   "scenario.topology")
+    raw = json.loads(path.read_text(encoding="utf-8"))["topology"]
+    edges, links = raw["edges"], raw.get("leader_links", [])
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         csv_path, json_path = Path(tmp) / "trajectory.csv", Path(tmp) / "report.json"

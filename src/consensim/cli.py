@@ -374,8 +374,8 @@ def write_outputs(traj: Trajectory, scenario: Scenario, scenario_path, out_dir: 
     """Write trajectory.csv, report.json and, with ``plots``, the SVGs into
     out_dir, computing the energy and conserved series once for both files
     and the prediction once for the report and the plots. Returns the
-    report. An OSError while writing either file removes both before it
-    propagates."""
+    report. An OSError while writing either file removes both, and the
+    SVGs, before it propagates."""
     out_dir.mkdir(parents=True, exist_ok=True)
     series = run_series(traj, scenario)
     csv_path, report_path = out_dir / "trajectory.csv", out_dir / "report.json"
@@ -384,9 +384,10 @@ def write_outputs(traj: Trajectory, scenario: Scenario, scenario_path, out_dir: 
         report = build_report(traj, scenario, str(scenario_path), series)
         write_report_json(report, report_path)
     except OSError:
-        # Neither file is left, so no half set of outputs, and no file of an
+        # No output is left, so no half set of outputs, and no file of an
         # earlier run in out_dir, can be read as this run's.
-        for path in (csv_path, report_path):
+        for path in (csv_path, report_path, out_dir / "positions.svg",
+                     out_dir / "velocities.svg"):
             with contextlib.suppress(OSError):
                 path.unlink(missing_ok=True)
         raise

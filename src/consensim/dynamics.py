@@ -40,8 +40,15 @@ class LeaderState(NamedTuple):
     q: np.ndarray
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"a value of {what} is too large for a float") from None
+
+
 def _agent_array(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = _float_array(values, what)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -70,13 +77,13 @@ class SystemState:
             raise ValueError(f"position shape {p.shape} != velocity shape {q.shape}")
         p.flags.writeable = False
         q.flags.writeable = False
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", real(self.t, "t"))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         if self.leader is not None:
             raw_p, raw_q = self.leader
-            lp = np.atleast_1d(np.array(raw_p, dtype=float))
-            lq = np.atleast_1d(np.array(raw_q, dtype=float))
+            lp = np.atleast_1d(_float_array(raw_p, "leader position"))
+            lq = np.atleast_1d(_float_array(raw_q, "leader velocity"))
             if lp.shape != (p.shape[1],) or lq.shape != (p.shape[1],):
                 raise ValueError("leader state dimension does not match the agents")
             lp.flags.writeable = False

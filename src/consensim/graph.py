@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._real import is_real_type
+from ._real import is_real_type, shown
 from .errors import (DuplicateEdge, IndexOutOfRange, MalformedEntry, NonPositiveWeight, SelfLoop,
                      TopologyError)
 
@@ -74,10 +74,11 @@ def build_topology(
     Raises:
         MalformedEntry, IndexOutOfRange, SelfLoop, NonPositiveWeight,
         DuplicateEdge on the corresponding malformed input, for the first
-        bad entry in list order; TopologyError for a bad n_agents.
+        bad entry in list order; TopologyError for a bad n_agents. Nothing
+        else, whatever the entries hold.
     """
     if isinstance(n_agents, bool) or not isinstance(n_agents, (int, np.integer)) or n_agents < 1:
-        raise TopologyError(f"n_agents must be an integer >= 1, got {n_agents!r}")
+        raise TopologyError(f"n_agents must be an integer >= 1, got {shown(n_agents)}")
     n_agents = int(n_agents)
 
     edges = list(edges)
@@ -189,17 +190,20 @@ def _is_index_type(cls: type) -> bool:
 def _index(i, n_agents: int, what: str) -> int:
     """The 1-based agent index ``i`` as a plain int, checked against 1..n_agents."""
     if not _is_index_type(type(i)):
-        raise IndexOutOfRange(f"{what} {i!r} is not an integer")
+        raise IndexOutOfRange(f"{what} {shown(i)} is not an integer")
     if not 1 <= i <= n_agents:
-        raise IndexOutOfRange(f"{what} {i} outside 1..{n_agents}")
+        raise IndexOutOfRange(f"{what} {shown(int(i))} outside 1..{n_agents}")
     return int(i)
 
 
 def _weight(w, what: str) -> float:
     """The weight ``w`` as a float, checked to be a real number, finite and > 0."""
     if not is_real_type(type(w)):
-        raise NonPositiveWeight(f"{what} has weight {w!r}, which is not a number")
-    w = float(w)
+        raise NonPositiveWeight(f"{what} has weight {shown(w)}, which is not a number")
+    try:
+        w = float(w)
+    except OverflowError:
+        raise NonPositiveWeight(f"{what} has a weight too large for a float") from None
     if not math.isfinite(w) or w <= 0.0:
         raise NonPositiveWeight(f"{what} has weight {w}, must be finite and > 0")
     return w

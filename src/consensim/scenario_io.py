@@ -43,10 +43,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._real import shown
 from .dynamics import (IntegratorSettings, LeaderState, Mode, Scenario, SystemState,
                        validate_scenario)
 from .errors import ParseError, TopologyError, ValidationFailed
-from .graph import build_topology
+from .graph import Topology, build_topology
 from .protocols import CouplingShape, GainKind, GainProfile, ProtocolSpec, VelocityShape
 
 _VELOCITY_KEYS = {"linear": {"kind"}, "sine_perturbed": {"kind", "omega"}}
@@ -63,15 +64,6 @@ def _at(where) -> str:
     return _at(parent) + (f"[{key}]" if isinstance(key, int) else f".{key}")
 
 
-def _shown(value) -> str:
-    """``repr(value)`` for an error message, or a placeholder where Python
-    refuses to format an integer of more than 4300 digits in it."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to show>"
-
-
 def _require_mapping(obj, where) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(f"{_at(where)}: expected an object, got {type(obj).__name__}")
@@ -81,8 +73,8 @@ def _require_mapping(obj, where) -> dict:
 def _reject_unknown(obj: dict, allowed: set, where) -> None:
     unknown = set(obj) - allowed
     if unknown:
-        shown = ", ".join(sorted(map(_shown, unknown)))
-        raise ParseError(f"{_at(where)}: unknown key(s) [{shown}]")
+        keys = ", ".join(sorted(map(shown, unknown)))
+        raise ParseError(f"{_at(where)}: unknown key(s) [{keys}]")
 
 
 def _get(obj: dict, key: str, where):
@@ -93,7 +85,7 @@ def _get(obj: dict, key: str, where):
 
 def _number(value, where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{_at(where)}: expected a number, got {_shown(value)}")
+        raise ParseError(f"{_at(where)}: expected a number, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -102,7 +94,7 @@ def _number(value, where) -> float:
 
 def _integer(value, where) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{_at(where)}: expected an integer, got {_shown(value)}")
+        raise ParseError(f"{_at(where)}: expected an integer, got {shown(value)}")
     # Every integer of the schema is a count or an index, which no list or
     # array can take past sys.maxsize; one of more than 4300 digits would
     # not even format into a later error message.
@@ -161,7 +153,7 @@ def _list(value, where) -> list:
 def _kind(obj: dict, kinds, what: str, where) -> str:
     kind = _get(obj, "kind", where)
     if not isinstance(kind, str) or kind not in kinds:
-        raise ParseError(f"{_at(where)}.kind: unknown {what} kind {_shown(kind)}")
+        raise ParseError(f"{_at(where)}.kind: unknown {what} kind {shown(kind)}")
     return kind
 
 
@@ -215,41 +207,33 @@ def _parse_gains(raw: list, where) -> tuple[GainProfile, ...]:
     return tuple(_parse_gain(g, (where, k)) for k, g in enumerate(raw))
 
 
-def _plain_edges(raw: list) -> bool:
-    """Whether every entry of a list of edges is a list of two plain integers
-    and a plain number no larger than the largest float, from one type pass
-    over each column; such a list goes to the topology as it is."""
-    if not ({list}.issuperset(map(type, raw)) and {3}.issuperset(map(len, raw))):
-        return False
-    i, j, w = zip(*raw) if raw else ((), (), ())
-    ends = i + j
-    return ({int}.issuperset(map(type, ends)) and _PLAIN_NUMBERS.issuperset(map(type, w))
-            and -sys.maxsize <= min(ends, default=0) and max(ends, default=0) <= sys.maxsize
-            and max(map(abs, w), default=0.0) <= sys.float_info.max)
-
-
-def _parse_topology(obj, path: str) -> tuple[list, list]:
+def _parse_topology(obj, path: str, n_agents: int) -> Topology:
+    """The topology of a topology object. Its entries are checked by
+    ``build_topology`` alone; only when it refuses one are they walked, edges
+    then leader links in file order, so that an entry of the wrong structure
+    is named by its path before a broken rule is."""
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, {"edges", "leader_links"}, path)
     edges = _list(_get(obj, "edges", path), (path, "edges"))
-    if not _plain_edges(edges):
-        edges = [_edge(entry, path, k) for k, entry in enumerate(edges)]
-    links = []
-    for k, entry in enumerate(_list(obj.get("leader_links", []), (path, "leader_links"))):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ParseError(f"{path}.leader_links[{k}]: expected [i, weight]")
-        i, w = entry
-        where = ((path, "leader_links"), k)
-        links.append((_integer(i, (where, 0)), _number(w, (where, 1))))
-    return edges, links
+    links = _list(obj.get("leader_links", []), (path, "leader_links"))
+    try:
+        return build_topology(n_agents, edges, links)
+    except TopologyError as exc:
+        for k, entry in enumerate(edges):
+            _check_entry(entry, ((path, "edges"), k), ("i", "j", "weight"))
+        for k, entry in enumerate(links):
+            _check_entry(entry, ((path, "leader_links"), k), ("i", "weight"))
+        raise ValidationFailed(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _edge(entry, path: str, k: int) -> tuple[int, int, float]:
-    if not isinstance(entry, list) or len(entry) != 3:
-        raise ParseError(f"{path}.edges[{k}]: expected [i, j, weight]")
-    i, j, w = entry
-    where = ((path, "edges"), k)
-    return _integer(i, (where, 0)), _integer(j, (where, 1)), _number(w, (where, 2))
+def _check_entry(entry, where, names: tuple[str, ...]) -> None:
+    """Raise the ParseError of an entry that is not a list of one value per
+    name, agent indices first and a number last."""
+    if not isinstance(entry, list) or len(entry) != len(names):
+        raise ParseError(f"{_at(where)}: expected [{', '.join(names)}]")
+    for k, i in enumerate(entry[:-1]):
+        _integer(i, (where, k))
+    _number(entry[-1], (where, len(names) - 1))
 
 
 def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
@@ -268,7 +252,7 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
     mode_raw = _get(data, "mode", "scenario")
     if mode_raw not in ("leaderless", "leader"):
         raise ParseError(
-            f"scenario.mode: expected 'leaderless' or 'leader', got {_shown(mode_raw)}")
+            f"scenario.mode: expected 'leaderless' or 'leader', got {shown(mode_raw)}")
     mode = Mode(mode_raw)
     n_agents = _integer(_get(data, "n_agents", "scenario"), "scenario.n_agents")
     n_dims = _integer(_get(data, "n_dims", "scenario"), "scenario.n_dims")
@@ -285,7 +269,7 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
         raise ParseError(f"scenario.masses: expected a list of {n_agents} numbers")
     masses = _numbers(masses_raw, "scenario.masses")
 
-    edges, links = _parse_topology(_get(data, "topology", "scenario"), "scenario.topology")
+    topology = _parse_topology(_get(data, "topology", "scenario"), "scenario.topology", n_agents)
 
     proto_raw = _require_mapping(_get(data, "protocol", "scenario"), "scenario.protocol")
     _reject_unknown(proto_raw, {"velocity", "coupling", "gains", "leader_velocity", "leader_gain"},
@@ -331,7 +315,6 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
     vel_tol = _number(tol_raw.get("velocity", 1e-3), "scenario.tolerances.velocity")
 
     try:
-        topology = build_topology(n_agents, edges, links)
         protocol = ProtocolSpec(
             velocity=_parse_velocity(_get(proto_raw, "velocity", "scenario.protocol"),
                                      "scenario.protocol.velocity"),
@@ -349,7 +332,7 @@ def parse_scenario_dict(data: dict, validate: bool = True) -> Scenario:
                             vel_tol=vel_tol, description=description)
     except ParseError:
         raise
-    except (TopologyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationFailed(f"{type(exc).__name__}: {exc}") from exc
 
     if validate:

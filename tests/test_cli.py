@@ -127,24 +127,27 @@ def test_run_refuses_an_output_path_under_a_file_before_integrating(tmp_path, ca
 
 def test_run_reports_a_failed_write_as_an_error(tmp_path, capsys, monkeypatch):
     # Either file failing, in a fresh directory and over an earlier run's
-    # outputs, leaves neither file behind.
+    # outputs, with or without its plots, leaves no output behind.
+    earlier_outputs = {"none": None, "no-plots": ["report.json", "trajectory.csv"],
+                       "plots": ["positions.svg", "report.json", "trajectory.csv",
+                                 "velocities.svg"]}
     for failing, earlier_run in itertools.product(["write_trajectory_csv", "write_report_json"],
-                                                  [False, True]):
+                                                  earlier_outputs):
         def full_disk(*args):
             # Write part of the file first, as a full disk would let it.
             args[-2 if failing == "write_trajectory_csv" else -1].write_text("partial")
             raise OSError(28, "No space left on device")
 
         out_dir = tmp_path / f"{failing}-{earlier_run}"
-        run = ["run", "fig2b", "--out", str(out_dir), "--no-plots", "--t-end", "0.1"]
-        if earlier_run:
-            assert main(run) == 0
-            assert sorted(path.name for path in out_dir.iterdir()) == ["report.json",
-                                                                       "trajectory.csv"]
+        run = ["run", "fig2b", "--out", str(out_dir), "--t-end", "0.1"]
+        if earlier_outputs[earlier_run] is not None:
+            assert main(run + ([] if earlier_run == "plots" else ["--no-plots"])) == 0
+            assert (sorted(path.name for path in out_dir.iterdir())
+                    == earlier_outputs[earlier_run])
         capsys.readouterr()
         with monkeypatch.context() as patch:
             patch.setattr(consensim.cli, failing, full_disk)
-            assert main(run) == 1
+            assert main(run + ["--no-plots"]) == 1
         assert capsys.readouterr().err == (f"error: cannot write outputs to {out_dir}: "
                                            "[Errno 28] No space left on device\n")
         assert list(out_dir.iterdir()) == [], (failing, earlier_run)

@@ -794,6 +794,27 @@ def test_constructors_refuse_strings_and_bools(build):
         build()
 
 
+# Each builds one value too large for a float, which float() alone would
+# raise as a bare OverflowError, with the name the refusal must give it.
+TOO_LARGE = {
+    "b0": (lambda: GainProfile(b0=10**400), "b0 is"),
+    "omega": (lambda: VelocityShape("sine_perturbed", 10**400), "omega is"),
+    "dt": (lambda: IntegratorSettings(dt=10**400), "dt is"),
+    "t": (lambda: SystemState(t=10**400, p=[0.0], q=[0.0]), "t is"),
+    "p": (lambda: SystemState(t=0.0, p=[10**400], q=[0.0]), "a value of positions is"),
+    "q": (lambda: SystemState(t=0.0, p=[[0.0]], q=[[-10**400]]), "a value of velocities is"),
+    "leader_p": (lambda: SystemState(t=0.0, p=[0.0], q=[0.0], leader=([10**400], [0.0])),
+                 "a value of leader position is"),
+    "mass": (lambda: leaderless_scenario(masses=(1.0, 10**400, 1.0)), r"masses\[1\] is"),
+}
+
+
+@pytest.mark.parametrize("build,name", TOO_LARGE.values(), ids=TOO_LARGE.keys())
+def test_constructors_name_a_value_too_large_for_a_float(build, name):
+    with pytest.raises(ValueError, match=f"^{name} too large for a float$"):
+        build()
+
+
 def test_edge_and_link_weights_must_be_numbers():
     with pytest.raises(NonPositiveWeight, match=r"edge \(1, 2\) has weight '0.5', which is not"):
         build_topology(2, [(1, 2, "0.5")])

@@ -86,6 +86,15 @@ def test_rejects_non_positive_weights():
         build_topology(3, [(1, 2, 1.0)], leader_links=[(1, -1.0)])
 
 
+def test_refuses_integers_past_a_float_or_a_formatted_message_by_name():
+    with pytest.raises(NonPositiveWeight, match=r"edge \(1, 2\) has a weight too large"):
+        build_topology(2, [(1, 2, 10**400)])
+    with pytest.raises(NonPositiveWeight, match="leader link to agent 1 has a weight too large"):
+        build_topology(2, [(1, 2, 1.0)], leader_links=[(1, 10**400)])
+    with pytest.raises(IndexOutOfRange, match="edge endpoint <int too long to show> outside"):
+        build_topology(2, [(1, 10**5000, 1.0)])
+
+
 def test_rejects_duplicate_edges_in_either_orientation():
     with pytest.raises(DuplicateEdge):
         build_topology(3, [(1, 2, 1.0), (2, 1, 0.5)])

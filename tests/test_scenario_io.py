@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensim import (Mode, ParseError, ValidationFailed, bundled_scenario_path,
+import consensim.scenario_io
+from consensim import (Mode, ParseError, ValidationFailed, build_topology, bundled_scenario_path,
                        list_bundled, parse_scenario, parse_scenario_dict,
                        scenario_fingerprint, scenario_to_dict, write_scenario)
 
@@ -433,6 +434,47 @@ def test_edge_parse_error_comes_before_an_earlier_topology_rule():
     with pytest.raises(ParseError) as info:
         parse_scenario_dict(data)
     assert str(info.value) == "scenario.topology.edges[3][0]: expected an integer, got 4.0"
+
+
+def test_topology_gets_the_files_own_entry_lists(monkeypatch):
+    calls = []
+
+    def spy(n_agents, edges, leader_links):
+        calls.append((edges, leader_links))
+        return build_topology(n_agents, edges, leader_links)
+
+    monkeypatch.setattr(consensim.scenario_io, "build_topology", spy)
+    data = leader_dict()
+    parse_scenario_dict(data)
+    [(edges, links)] = calls
+    assert edges is data["topology"]["edges"]
+    assert links is data["topology"]["leader_links"]
+
+
+def test_topology_rule_comes_before_a_fault_in_a_later_section():
+    data = leader_dict()
+    data["topology"]["edges"][1] = [2, 2, 1.0]
+    data["integrator"]["dt"] = "x"
+    with pytest.raises(ValidationFailed, match="^SelfLoop: edge \\(2, 2\\)"):
+        parse_scenario_dict(data)
+
+
+def test_link_parse_error_comes_before_an_earlier_edge_rule():
+    data = leader_dict()
+    data["topology"]["edges"][0] = [1, 1, 1.0]
+    data["topology"]["leader_links"][1] = [1, "half"]
+    with pytest.raises(ParseError) as info:
+        parse_scenario_dict(data)
+    assert str(info.value) == "scenario.topology.leader_links[1][1]: expected a number, got 'half'"
+
+
+def test_python_entries_that_build_topology_takes_are_accepted():
+    data = leader_dict()
+    data["topology"]["edges"] = [(1, 2, 1.0), (np.int64(2), 3, 1.0), [3, 4, 1.0]]
+    data["topology"]["leader_links"] = [(1, 1.0), [np.int32(3), 0.5]]
+    topology = parse_scenario_dict(data).topology
+    assert topology.edges == parse_scenario_dict(leader_dict()).topology.edges
+    assert topology.leader_links == ((0, 1.0), (2, 0.5))
 
 
 def long_leader_dict(n=5000):
