@@ -7,8 +7,8 @@ Each phase is the call that ``consensim run --no-plots`` makes for it:
 - topology: ``build_topology`` on the file's own edge and leader-link
   lists, which is the parser's only check of the entries;
 - validate: every blocking and advisory rule, each repeat on a fresh
-  protocol spec built outside the timed call, so no repeat reads the gain
-  columns or envelopes cached by the one before, as no run does;
+  protocol spec built outside the timed call, so no repeat reads the
+  envelopes cached by the one before, as no run does;
 - reach: the graph search behind validation's question (connected, or
   leader reaches all), which the topology otherwise caches after one run;
 - compile: lowering the scenario to the kernel's arrays;

@@ -114,12 +114,11 @@ def _tracking_terms(scenario: Scenario, leader_weight: float | None) -> tuple[fl
 def _spec_gain_values(spec: ProtocolSpec) -> np.ndarray:
     """The followers' gains, which must be constant and positive, read from
     the spec's gain columns."""
-    b0, amplitude = spec.gain_columns
-    if amplitude.any():
+    if spec.gains.amplitude.any():
         raise HypothesisViolated("conserved quantity needs constant gains")
-    if np.any(b0 <= 0.0) or not np.all(np.isfinite(b0)):
+    if (spec.gains.b0 <= 0.0).any():  # the gain columns hold finite values only
         raise HypothesisViolated("gains must be finite and > 0")
-    return b0
+    return spec.gains.b0
 
 
 def _conserved(p: np.ndarray, q: np.ndarray, masses, b: np.ndarray) -> np.ndarray:
@@ -164,7 +163,7 @@ def _consensus_value(scenario: Scenario) -> np.ndarray:
     if scenario.mode is Mode.LEADERLESS:
         if not spec.velocity.is_linear:
             raise HypothesisViolated("nonlinear velocity feedback has no closed-form consensus value")
-        if spec.gain_columns[1].any():
+        if spec.gains.amplitude.any():
             raise HypothesisViolated("time-varying gains have no closed-form consensus value")
         _require_sizes(scenario)
         if not is_connected(topo):

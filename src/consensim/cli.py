@@ -331,15 +331,14 @@ def _svg_chart(times: np.ndarray, lines: list, hlines: np.ndarray, ylabel: str) 
 
 
 def write_plots(traj: Trajectory, predicted: list[float] | None, out_dir: Path) -> list[Path]:
-    """Position and velocity SVGs; any failure is reported, never raised,
-    and a partly written SVG is deleted.
+    """Position and velocity SVGs, returning those written in full; any
+    failure is reported, never raised, and stops the plotting.
 
     Each agent coordinate is one polyline, the leader (if any) a dashed black
     one, and on the positions plot each component of ``predicted``, the
     closed-form consensus value or None, a dotted horizontal line. Reruns of
     one scenario write byte-identical files."""
     written: list[Path] = []
-    opened = None
     try:
         _, n_agents, n_dims = traj.p.shape
         for data, ldata, stem, ylabel in ((traj.p, traj.leader_p, "positions", "position"),
@@ -357,15 +356,10 @@ def write_plots(traj: Trajectory, predicted: list[float] | None, out_dir: Path) 
                 hlines = np.atleast_1d(predicted)
             target = out_dir / f"{stem}.svg"
             with open(target, "w") as file:
-                opened = target
                 file.writelines(_svg_chart(traj.t, lines, hlines, ylabel))
-            opened = None
             written.append(target)
     except Exception as exc:  # plotting must never fail the run
         print(f"warning: plotting failed: {exc}", file=sys.stderr)
-        if opened is not None:
-            with contextlib.suppress(OSError):
-                opened.unlink()
     return written
 
 
@@ -374,25 +368,25 @@ def write_outputs(traj: Trajectory, scenario: Scenario, scenario_path, out_dir: 
     """Write trajectory.csv, report.json and, with ``plots``, the SVGs into
     out_dir, computing the energy and conserved series once for both files
     and the prediction once for the report and the plots. Returns the
-    report. An OSError while writing either file removes both, and the
-    SVGs, before it propagates."""
+    report. Every output file this run did not write in full, a partial one
+    or an earlier run's, is removed; a failed CSV or report write, which
+    propagates, leaves none."""
     out_dir.mkdir(parents=True, exist_ok=True)
     series = run_series(traj, scenario)
     csv_path, report_path = out_dir / "trajectory.csv", out_dir / "report.json"
+    written: list[Path] = []
     try:
         write_trajectory_csv(traj, scenario, csv_path, series)
         report = build_report(traj, scenario, str(scenario_path), series)
         write_report_json(report, report_path)
-    except OSError:
-        # No output is left, so no half set of outputs, and no file of an
-        # earlier run in out_dir, can be read as this run's.
-        for path in (csv_path, report_path, out_dir / "positions.svg",
-                     out_dir / "velocities.svg"):
-            with contextlib.suppress(OSError):
-                path.unlink(missing_ok=True)
-        raise
-    if plots:
-        write_plots(traj, report["consensus"]["predicted_value"], out_dir)
+        written = [csv_path, report_path]
+        if plots:
+            written += write_plots(traj, report["consensus"]["predicted_value"], out_dir)
+    finally:
+        for name in ("trajectory.csv", "report.json", "positions.svg", "velocities.svg"):
+            if out_dir / name not in written:
+                with contextlib.suppress(OSError):
+                    (out_dir / name).unlink(missing_ok=True)
     return report
 
 

@@ -222,8 +222,8 @@ def size_errors(scenario: Scenario) -> list[str]:
     errors = []
     if len(scenario.masses) != n:
         errors.append(f"masses length {len(scenario.masses)} != n_agents {n}")
-    if len(scenario.protocol.gains) != n:
-        errors.append(f"gains length {len(scenario.protocol.gains)} != n_agents {n}")
+    if len(scenario.protocol.gains.b0) != n:
+        errors.append(f"gains length {len(scenario.protocol.gains.b0)} != n_agents {n}")
     if scenario.initial.n_agents != n:
         errors.append(f"initial state has {scenario.initial.n_agents} agents, topology has {n}")
     return errors
@@ -446,7 +446,7 @@ class _Compiled:
         self.n_edges = len(src)
         e = self.n_edges * d
 
-        b0, amplitude = spec.gain_columns
+        b0, amplitude = spec.gains.b0, spec.gains.amplitude
         if has_leader:
             b0 = np.append(b0, spec.leader_gain.b0)
             amplitude = np.append(amplitude, spec.leader_gain.amplitude)
@@ -596,16 +596,21 @@ class _Compiled:
     def advance(self, start: int, stop: int) -> Iterator[int]:
         """Advance ``state`` through steps start + 1 to stop of the run's time
         grid, step s running from (s - 1)·dt, one schedule block at a time;
-        yields each step's number once ``state`` holds its end."""
+        yields each step's number once ``state`` holds its end. The factors
+        (start, midpoint, end) of a block's steps are views of the schedule,
+        made once per call and reused by every block; constant gains repeat
+        their one vector."""
         dt, step, block = self.dt, self.step, self.block
+        if self.constant_gain is None:
+            table = self.schedule[:stop - start]
+            rows = list(zip(table[:, 0], table[:, 1], table[:, 2]))
+        else:
+            rows = itertools.repeat((self.constant_gain,) * 3)
         for first in range(start, stop, block):
             last = min(first + block, stop)
             if self.constant_gain is None:
-                table = self.gains([s * dt for s in range(first, last)])
-                rows = zip(table[:, 0], table[:, 1], table[:, 2])
-            else:
-                rows = itertools.repeat((self.constant_gain,) * 3, last - first)
-            for number, (g1, mid, g4) in zip(itertools.count(first + 1), rows):
+                self.gains([s * dt for s in range(first, last)])
+            for number, (g1, mid, g4) in zip(range(first + 1, last + 1), rows):
                 step(g1, mid, g4)
                 yield number
 
@@ -700,14 +705,14 @@ def scenario_fingerprint(scenario: Scenario) -> str:
                                scenario.integrator)
     leader, lead_velocity, lead_gain = state.leader, spec.leader_velocity, spec.leader_gain
     (i, j, weights), (linked, link_weights) = topo.edge_arrays, topo.link_arrays
-    b0, amplitude = spec.gain_columns
+    gains = spec.gains
     description = scenario.description.encode("utf-8", "surrogatepass")
     # str enums join as their values.
     kinds = ",".join([scenario.mode, spec.velocity.kind, spec.coupling.kind,
                       *([] if lead_velocity is None else [lead_velocity.kind]),
-                      *map(operator.attrgetter("kind"), spec.gains),
+                      *map(("constant", "cosine").__getitem__, gains.cosine.tolist()),
                       *([] if lead_gain is None else [lead_gain.kind])]).encode()
-    header = np.array([len(scenario.masses), len(weights), len(link_weights), len(b0),
+    header = np.array([len(scenario.masses), len(weights), len(link_weights), len(gains.b0),
                        *state.p.shape, *state.q.shape, leader is not None,
                        *((0, 0) if leader is None else map(len, leader)),
                        lead_velocity is not None, lead_gain is not None,
@@ -716,7 +721,7 @@ def scenario_fingerprint(scenario: Scenario) -> str:
                            i, j, linked], dtype="<i8")
     floats = np.concatenate([
         scenario.masses, weights, link_weights, [spec.velocity.omega],
-        [] if lead_velocity is None else [lead_velocity.omega], b0, amplitude,
+        [] if lead_velocity is None else [lead_velocity.omega], gains.b0, gains.amplitude,
         [] if lead_gain is None else [lead_gain.b0, lead_gain.amplitude],
         [state.t], state.p.ravel(), state.q.ravel(), *(() if leader is None else leader),
         [iset.dt, iset.t_end, scenario.pos_tol, scenario.vel_tol]], dtype="<f8")

@@ -102,13 +102,9 @@ class GainProfile:
     amplitude: float = 0.0
 
     def __post_init__(self):
-        # One profile per agent: values that are already plain are kept as given.
-        if type(self.kind) is not GainKind:
-            object.__setattr__(self, "kind", GainKind(self.kind))
-        if type(self.b0) is not float:
-            object.__setattr__(self, "b0", real(self.b0, "b0"))
-        if type(self.amplitude) is not float:
-            object.__setattr__(self, "amplitude", real(self.amplitude, "amplitude"))
+        object.__setattr__(self, "kind", GainKind(self.kind))
+        object.__setattr__(self, "b0", real(self.b0, "b0"))
+        object.__setattr__(self, "amplitude", real(self.amplitude, "amplitude"))
         if not math.isfinite(self.b0) or not math.isfinite(self.amplitude):
             raise ValueError("gain parameters must be finite")
         if self.kind is GainKind.CONSTANT and self.amplitude != 0.0:
@@ -119,37 +115,58 @@ class GainProfile:
         return self.kind is GainKind.CONSTANT or self.amplitude == 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class GainColumns:
+    """The followers' gain profiles as read-only columns, entry i for agent
+    i: the COSINE kind flag ``cosine``, ``b0`` and ``amplitude``, copied and
+    checked in bulk by GainProfile's rules. Compared by identity."""
+
+    cosine: np.ndarray
+    b0: np.ndarray
+    amplitude: np.ndarray
+
+    def __post_init__(self):
+        cosine = np.array(self.cosine, bool)
+        # Both parameter columns are rows of one array, checked in one call.
+        params = np.array([self.b0, self.amplitude], float)
+        cosine.flags.writeable = params.flags.writeable = False
+        object.__setattr__(self, "cosine", cosine)
+        object.__setattr__(self, "b0", params[0])
+        object.__setattr__(self, "amplitude", params[1])
+        if not len(cosine):
+            raise ValueError("at least one gain profile is required")
+        if not np.isfinite(params).all():
+            raise ValueError("gain parameters must be finite")
+        if params[1][~cosine].any():
+            raise ValueError("constant gain takes no amplitude")
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Everything the control law needs besides the graph: the follower
-    velocity/coupling shapes, one gain profile per agent, and (for tracking
-    scenarios) the leader's own velocity shape and gain."""
+    velocity/coupling shapes, the followers' gains, and (for tracking
+    scenarios) the leader's own velocity shape and gain. ``gains`` given as
+    GainProfiles is read into a GainColumns record once; specs compare it by
+    identity."""
 
     velocity: VelocityShape
     coupling: CouplingShape
-    gains: tuple[GainProfile, ...]
+    gains: GainColumns
     leader_velocity: VelocityShape | None = None
     leader_gain: GainProfile | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gains", tuple(self.gains))
-        if not self.gains:
-            raise ValueError("at least one gain profile is required")
+        if not isinstance(self.gains, GainColumns):
+            profiles = tuple(self.gains)
+            object.__setattr__(self, "gains", GainColumns(
+                [g.kind is GainKind.COSINE for g in profiles], [g.b0 for g in profiles],
+                [g.amplitude for g in profiles]))
         if (self.leader_velocity is None) != (self.leader_gain is None):
             raise ValueError("leader_velocity and leader_gain must be given together")
 
     @property
     def has_leader(self) -> bool:
         return self.leader_gain is not None
-
-    @cached_property
-    def gain_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The followers' gain parameters as read-only arrays (b0, amplitude),
-        one entry per agent, in the order of ``gains``."""
-        b0 = np.array([g.b0 for g in self.gains])
-        amplitude = np.array([g.amplitude for g in self.gains])
-        b0.flags.writeable = amplitude.flags.writeable = False
-        return b0, amplitude
 
     @cached_property
     def envelopes(self) -> tuple[tuple[float, ...], tuple[float, ...],
@@ -185,7 +202,7 @@ def sector_constants(shape: VelocityShape) -> tuple[float, float]:
 def _gain_bounds(spec: ProtocolSpec) -> tuple[list[float], list[float]]:
     """Lower and upper envelope b0 -/+ |amplitude| of every gain profile,
     followers then leader."""
-    b0, amplitude = spec.gain_columns
+    b0, amplitude = spec.gains.b0, spec.gains.amplitude
     if spec.leader_gain is not None:
         b0 = np.append(b0, spec.leader_gain.b0)
         amplitude = np.append(amplitude, spec.leader_gain.amplitude)
@@ -253,7 +270,7 @@ def validate_assumptions(spec: ProtocolSpec) -> AssumptionReport:
 
     # One blocking check per gain profile, built from the envelope columns.
     lows, highs, gain_bounds, sector = spec.envelopes
-    names += [f"gain_{k}_positive_floor" for k in range(1, len(spec.gains) + 1)]
+    names += [f"gain_{k}_positive_floor" for k in range(1, len(spec.gains.b0) + 1)]
     if spec.leader_gain is not None:
         names.append("leader_gain_positive_floor")
     passed += [low > 0.0 for low in lows]

@@ -48,7 +48,7 @@ from .dynamics import (IntegratorSettings, LeaderState, Mode, Scenario, SystemSt
                        validate_scenario)
 from .errors import ParseError, TopologyError, ValidationFailed
 from .graph import Topology, build_topology
-from .protocols import CouplingShape, GainKind, GainProfile, ProtocolSpec, VelocityShape
+from .protocols import CouplingShape, GainColumns, GainProfile, ProtocolSpec, VelocityShape
 
 _VELOCITY_KEYS = {"linear": {"kind"}, "sine_perturbed": {"kind", "omega"}}
 _GAIN_KEYS = {"constant": {"kind", "b0"}, "cosine": {"kind", "b0", "amplitude"}}
@@ -183,26 +183,17 @@ def _parse_gain(obj, where) -> GainProfile:
                        _number(_get(obj, "amplitude", where), (where, "amplitude")))
 
 
-_GAIN_KINDS = {"constant": GainKind.CONSTANT, "cosine": GainKind.COSINE}
-
-
-def _parse_gains(raw: list, where) -> tuple[GainProfile, ...]:
-    """The gain profiles of a list of gain objects. In bulk when every entry
-    is an object of a known kind with exactly its keys and plain numbers;
-    otherwise gain by gain, so the first bad entry raises as it always has.
-    In bulk a non-finite parameter still raises from its own GainProfile,
-    in list order."""
+def _parse_gains(raw: list, where) -> GainColumns | tuple[GainProfile, ...]:
+    """The gains of a list of gain objects: straight into their columns when
+    every entry is an object with exactly its kind's keys and plain numbers;
+    otherwise gain by gain, so the first bad entry raises as it always has."""
     try:
-        kinds = [_GAIN_KINDS[g["kind"]] for g in raw]
-        b0s = [g["b0"] for g in raw]
-        amplitudes = [g.get("amplitude", 0.0) for g in raw]
-        if ({dict}.issuperset(map(type, raw))
-                and all(len(g) == 2 if k is GainKind.CONSTANT else len(g) == 3 and "amplitude" in g
-                        for g, k in zip(raw, kinds))
-                and _PLAIN_NUMBERS.issuperset(map(type, b0s))
-                and _PLAIN_NUMBERS.issuperset(map(type, amplitudes))):
-            return tuple(map(GainProfile, kinds, map(float, b0s), map(float, amplitudes)))
-    except (TypeError, KeyError, OverflowError):  # not an object, no kind or b0, a huge integer
+        if {dict}.issuperset(map(type, raw)) and all(g.keys() == _GAIN_KEYS[g["kind"]]
+                                                     for g in raw):
+            b0, amplitude = [g["b0"] for g in raw], [g.get("amplitude", 0.0) for g in raw]
+            if _PLAIN_NUMBERS.issuperset(map(type, b0 + amplitude)):
+                return GainColumns([g["kind"] == "cosine" for g in raw], b0, amplitude)
+    except (TypeError, KeyError, OverflowError):  # a missing or unhashable kind, a huge integer
         pass
     return tuple(_parse_gain(g, (where, k)) for k, g in enumerate(raw))
 
@@ -369,10 +360,10 @@ def _velocity_out(shape: VelocityShape) -> dict:
     return {"kind": "sine_perturbed", "omega": shape.omega}
 
 
-def _gain_out(gain: GainProfile) -> dict:
-    if gain.kind.value == "constant":
-        return {"kind": "constant", "b0": gain.b0}
-    return {"kind": "cosine", "b0": gain.b0, "amplitude": gain.amplitude}
+def _gain_out(cosine: bool, b0: float, amplitude: float) -> dict:
+    if cosine:
+        return {"kind": "cosine", "b0": b0, "amplitude": amplitude}
+    return {"kind": "constant", "b0": b0}
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -391,15 +382,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     if topo.leader_links:
         topology["leader_links"] = [[i + 1, w] for i, w in topo.leader_links]
     out["topology"] = topology
-    spec = scenario.protocol
+    spec, gains, lead = scenario.protocol, scenario.protocol.gains, scenario.protocol.leader_gain
     protocol = {
         "velocity": _velocity_out(spec.velocity),
         "coupling": {"kind": spec.coupling.kind.value},
-        "gains": [_gain_out(g) for g in spec.gains],
+        "gains": list(map(_gain_out, gains.cosine.tolist(), gains.b0.tolist(),
+                          gains.amplitude.tolist())),
     }
     if spec.leader_velocity is not None:
         protocol["leader_velocity"] = _velocity_out(spec.leader_velocity)
-        protocol["leader_gain"] = _gain_out(spec.leader_gain)
+        protocol["leader_gain"] = _gain_out(lead.kind.value == "cosine", lead.b0, lead.amplitude)
     out["protocol"] = protocol
     initial = {
         "p": [_coordinate_out(row, n_dims) for row in scenario.initial.p],

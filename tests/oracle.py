@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from consensim import CouplingKind, GainKind
+from consensim import CouplingKind, GainKind, GainProfile
 
 
 def velocity(shape, z):
@@ -33,6 +33,13 @@ def gain(profile, t: float) -> float:
     if profile.kind is GainKind.CONSTANT:
         return profile.b0
     return profile.b0 + profile.amplitude * math.cos(t)
+
+
+def profiles(gains) -> list:
+    """The followers' gain columns as one GainProfile per agent."""
+    return [GainProfile("cosine" if cosine else "constant", b0, amplitude)
+            for cosine, b0, amplitude in zip(gains.cosine.tolist(), gains.b0.tolist(),
+                                             gains.amplitude.tolist())]
 
 
 def gain_bounds(profile) -> tuple[float, float]:

@@ -263,7 +263,7 @@ def test_predict_consensus_gates():
 
 def test_predict_consensus_refuses_nonpositive_follower_gain():
     scenario = chain6_scenario()
-    gains = (GainProfile(b0=-0.2),) + scenario.protocol.gains[1:]
+    gains = [GainProfile(b0=b0) for b0 in [-0.2, *scenario.protocol.gains.b0[1:].tolist()]]
     stalled = dataclasses.replace(
         scenario, protocol=dataclasses.replace(scenario.protocol, gains=gains))
     assert predict_consensus(stalled) == Prediction(None, "gains must be finite and > 0")

@@ -457,9 +457,34 @@ def test_a_failed_plot_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     scenario = parse_scenario(bundled_scenario_path("fig2b"))
     traj = simulate(dataclasses.replace(
         scenario, integrator=dataclasses.replace(scenario.integrator, t_end=0.5)))
-    assert consensim.cli.write_plots(traj, None, tmp_path) == [tmp_path / "positions.svg"]
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["positions.svg"]
+    consensim.cli.write_outputs(traj, scenario, "fig2b", tmp_path, plots=True)
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "positions.svg", "report.json", "trajectory.csv"]
     assert "warning: plotting failed: no ticks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("second_run", ["no_plots", "positions_plot_fails"])
+def test_a_run_leaves_no_output_of_an_earlier_run(tmp_path, monkeypatch, capsys, second_run):
+    # fig2b with plots, then fig3a without a full set of them: no SVG may
+    # be left to be read as fig3a's.
+    out = tmp_path / "out"
+    assert main(["run", "fig2b", "--t-end", "0.1", "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == 4
+    run = ["run", "fig3a", "--t-end", "0.1", "--out", str(out)]
+    if second_run == "no_plots":
+        assert main(run + ["--no-plots"]) == 0
+    else:
+        chart = consensim.cli._svg_chart
+
+        def positions_fail(times, lines, hlines, ylabel):
+            if ylabel == "position":
+                raise RuntimeError("no chart")
+            return chart(times, lines, hlines, ylabel)
+
+        monkeypatch.setattr(consensim.cli, "_svg_chart", positions_fail)
+        assert main(run) == 0
+        assert "warning: plotting failed: no chart" in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == ["report.json", "trajectory.csv"]
 
 
 def test_leader_csv_columns(tmp_path):

@@ -19,11 +19,12 @@ from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderSta
                        Mode, NonFiniteState, NonPositiveWeight, ProtocolSpec, Scenario,
                        SystemState, Topology, TopologyError, Trajectory, VelocityShape,
                        build_topology, bundled_scenario_path, leader_closed_form_for,
-                       parse_scenario, rhs, rk4_step, scenario_fingerprint, simulate,
-                       validate_scenario)
+                       parse_scenario, parse_scenario_dict, rhs, rk4_step, scenario_fingerprint,
+                       scenario_to_dict, simulate, validate_scenario)
 import consensim.dynamics
 from consensim.dynamics import _Compiled, _flatten
 from consensim.errors import HypothesisViolated
+from consensim.protocols import GainColumns
 
 import oracle
 
@@ -206,7 +207,8 @@ def reference_rhs(state, scenario):
     """Plain per-edge reference of the closed loop, built from the topology's
     edge and leader-link lists: (q_dot, leader_q_dot or None)."""
     topo, spec, t = scenario.topology, scenario.protocol, state.t
-    force = np.array([-oracle.gain(spec.gains[i], t) * oracle.velocity(spec.velocity, state.q[i])
+    gains = oracle.profiles(spec.gains)
+    force = np.array([-oracle.gain(gains[i], t) * oracle.velocity(spec.velocity, state.q[i])
                       for i in range(scenario.n_agents)])
     for i, j, w in topo.edges:
         pull = w * oracle.coupling(spec.coupling, state.p[j] - state.p[i])
@@ -468,7 +470,7 @@ def test_single_step_agrees_with_simulate():
     cosine = dataclasses.replace(leader_scenario_2d(), integrator=IntegratorSettings(
         dt=1e-2, t_end=7.0, record_every=7))
     constant = dataclasses.replace(cosine, protocol=dataclasses.replace(
-        cosine.protocol, gains=tuple(GainProfile(b0=g.b0) for g in cosine.protocol.gains),
+        cosine.protocol, gains=[GainProfile(b0=b0) for b0 in cosine.protocol.gains.b0.tolist()],
         leader_gain=GainProfile(b0=0.9)))
     for scenario in (leaderless, leader_scenario_2d(), cosine, constant):
         traj = simulate(scenario)
@@ -551,6 +553,16 @@ def test_fingerprint_is_stable_and_content_sensitive():
             assert scenario_fingerprint(variant) != digest, f"{cls.__name__}.{name}"
 
 
+def test_a_follower_cosine_gain_of_amplitude_zero_keeps_its_kind():
+    base, variants = one_change_per_field()
+    cosine = variants[GainColumns]["cosine"]
+    assert scenario_to_dict(base)["protocol"]["gains"][0] == {"kind": "constant", "b0": 1.0}
+    written = scenario_to_dict(cosine)
+    assert written["protocol"]["gains"][0] == {"kind": "cosine", "b0": 1.0, "amplitude": 0.0}
+    assert (scenario_fingerprint(parse_scenario_dict(written, validate=False))
+            == scenario_fingerprint(cosine) != scenario_fingerprint(base))
+
+
 def test_fingerprint_is_the_same_in_a_process_with_another_hash_seed():
     code = ("from consensim import bundled_scenario_path, parse_scenario, scenario_fingerprint; "
             "print(scenario_fingerprint(parse_scenario(bundled_scenario_path('fig3b'))))")
@@ -582,16 +594,16 @@ def reference_record(scenario):
     topo, spec, state, iset = (scenario.topology, scenario.protocol, scenario.initial,
                                scenario.integrator)
     leader, lead_velocity, lead_gain = state.leader, spec.leader_velocity, spec.leader_gain
-    edges, links = topo.edges, topo.leader_links
+    edges, links, gains = topo.edges, topo.leader_links, spec.gains
     description = scenario.description.encode("utf-8", "surrogatepass")
     kinds = [scenario.mode.value, spec.velocity.kind.value, spec.coupling.kind.value]
     kinds += [] if lead_velocity is None else [lead_velocity.kind.value]
-    kinds += [g.kind.value for g in spec.gains]
+    kinds += ["cosine" if cosine else "constant" for cosine in gains.cosine.tolist()]
     kinds += [] if lead_gain is None else [lead_gain.kind.value]
     kinds = ",".join(kinds).encode()
     return b"".join([
         b"consensim scenario record 1\n",
-        ints([len(scenario.masses), len(edges), len(links), len(spec.gains),
+        ints([len(scenario.masses), len(edges), len(links), len(gains.b0),
               *state.p.shape, *state.q.shape, leader is not None]),
         ints([0, 0] if leader is None else [len(leader.p), len(leader.q)]),
         ints([lead_velocity is not None, lead_gain is not None,
@@ -602,7 +614,7 @@ def reference_record(scenario):
         floats(scenario.masses), floats([w for _, _, w in edges]), floats([w for _, w in links]),
         floats([spec.velocity.omega]),
         floats([] if lead_velocity is None else [lead_velocity.omega]),
-        floats([g.b0 for g in spec.gains]), floats([g.amplitude for g in spec.gains]),
+        floats(gains.b0.tolist()), floats(gains.amplitude.tolist()),
         floats([] if lead_gain is None else [lead_gain.b0, lead_gain.amplitude]),
         floats([state.t]), floats(state.p.flat), floats(state.q.flat),
         floats([] if leader is None else [*leader.p, *leader.q]),
@@ -673,9 +685,13 @@ def one_change_per_field():
     """A leader scenario and, per class of the fingerprint payload, one
     variant per field that changes only that field (or, for a nested one,
     one value inside it)."""
+    # Agent 1's gain is constant and the leader's cosine of amplitude 0, so
+    # either can change its kind alone.
+    gains = [GainProfile(b0=1.0)] + [GainProfile("cosine", 1.0 + 0.1 * i, 0.1 + 0.05 * i)
+                                     for i in range(1, 4)]
     base = leader_scenario_3d()
-    base = dataclasses.replace(
-        base, protocol=dataclasses.replace(base.protocol, leader_gain=GainProfile(b0=0.9)))
+    base = dataclasses.replace(base, protocol=dataclasses.replace(
+        base.protocol, gains=gains, leader_gain=GainProfile("cosine", 0.9, 0.0)))
     spec, topo, state, iset = base.protocol, base.topology, base.initial, base.integrator
     edges = [(i + 1, j + 1, w) for i, j, w in topo.edges]
     links = [(i + 1, w) for i, w in topo.leader_links]
@@ -697,7 +713,7 @@ def one_change_per_field():
             "mode": scenario(mode=Mode.LEADERLESS),
             "masses": scenario(masses=(1.0, 1.0, 1.0, 2.0)),
             "topology": scenario(topology=build_topology(4, edges[::-1], links)),
-            "protocol": protocol(gains=spec.gains[::-1]),
+            "protocol": protocol(gains=gains[::-1]),
             "initial": initial(p=state.p[::-1]),
             "integrator": integrator(t_end=3.0),
             "pos_tol": scenario(pos_tol=2e-3),
@@ -707,7 +723,7 @@ def one_change_per_field():
         ProtocolSpec: {
             "velocity": protocol(velocity=VelocityShape()),
             "coupling": protocol(coupling=CouplingShape()),
-            "gains": protocol(gains=spec.gains[1:] + spec.gains[:1]),
+            "gains": protocol(gains=gains[1:] + gains[:1]),
             "leader_velocity": protocol(leader_velocity=VelocityShape("sine_perturbed", 0.3)),
             "leader_gain": protocol(leader_gain=GainProfile("cosine", 1.1, 0.1)),
         },
@@ -719,10 +735,15 @@ def one_change_per_field():
             "kind": protocol(coupling=CouplingShape("linear")),
         },
         GainProfile: {
-            "kind": protocol(leader_gain=GainProfile("cosine", 0.9)),
-            "b0": protocol(leader_gain=GainProfile(b0=1.0)),
+            "kind": protocol(leader_gain=GainProfile(b0=0.9)),
+            "b0": protocol(leader_gain=GainProfile("cosine", 1.0, 0.0)),
+            "amplitude": protocol(leader_gain=GainProfile("cosine", 0.9, 0.2)),
+        },
+        GainColumns: {
+            "cosine": protocol(gains=[GainProfile("cosine", 1.0, 0.0)] + gains[1:]),
+            "b0": protocol(gains=gains[:1] + [dataclasses.replace(gains[1], b0=1.2)] + gains[2:]),
             "amplitude": protocol(
-                gains=(dataclasses.replace(spec.gains[0], amplitude=0.2),) + spec.gains[1:]),
+                gains=gains[:1] + [dataclasses.replace(gains[1], amplitude=0.2)] + gains[2:]),
         },
         SystemState: {
             "t": initial(t=1.0),

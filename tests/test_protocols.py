@@ -13,7 +13,7 @@ from consensim import (CouplingShape, GainProfile, Mode, ProtocolSpec, Scenario,
                        VelocityShape, build_topology, rhs, sector_constants,
                        validate_assumptions)
 from consensim.dynamics import LeaderState
-from consensim.protocols import COS_TAN_ROOT
+from consensim.protocols import COS_TAN_ROOT, GainColumns
 
 import oracle
 
@@ -201,6 +201,39 @@ def test_protocol_spec_leader_fields_come_together():
                      leader_gain=GainProfile(b0=0.6))
     with pytest.raises(ValueError):
         ProtocolSpec(velocity=VelocityShape(), coupling=CouplingShape(), gains=())
+
+
+def test_gain_refusals_name_their_rule():
+    with pytest.raises(ValueError, match="^gain parameters must be finite$"):
+        GainProfile(kind="cosine", b0=1.0, amplitude=math.inf)
+    with pytest.raises(ValueError, match="^constant gain takes no amplitude$"):
+        GainProfile(kind="constant", b0=1.0, amplitude=0.2)
+    with pytest.raises(ValueError, match="^at least one gain profile is required$"):
+        ProtocolSpec(velocity=VelocityShape(), coupling=CouplingShape(), gains=())
+
+
+@pytest.mark.parametrize("cosine,b0,amplitude,message", [
+    ([True, True], [1.0, math.nan], [0.1, 0.0], "gain parameters must be finite"),
+    ([True, True], [1.0, 1.0], [0.1, -math.inf], "gain parameters must be finite"),
+    ([True, False], [1.0, 1.0], [0.1, 0.2], "constant gain takes no amplitude"),
+    ([], [], [], "at least one gain profile is required"),
+])
+def test_gain_columns_refuse_by_the_profile_rules(cosine, b0, amplitude, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GainColumns(cosine, b0, amplitude)
+
+
+def test_gain_columns_are_read_only_and_compare_by_identity():
+    profiles = [GainProfile(b0=0.2), GainProfile(kind="cosine", b0=1.0, amplitude=-0.0)]
+    spec = ProtocolSpec(velocity=VelocityShape(), coupling=CouplingShape(), gains=profiles)
+    gains = spec.gains
+    assert gains.cosine.tolist() == [False, True]
+    assert gains.b0.tolist() == [0.2, 1.0]
+    assert np.signbit(gains.amplitude).tolist() == [False, True]
+    assert not any(column.flags.writeable for column in (gains.cosine, gains.b0, gains.amplitude))
+    assert dataclasses.replace(spec).gains is gains
+    assert dataclasses.replace(spec) == spec
+    assert ProtocolSpec(velocity=VelocityShape(), coupling=CouplingShape(), gains=profiles) != spec
 
 
 def all_pass_spec():

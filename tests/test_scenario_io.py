@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import consensim.scenario_io
-from consensim import (Mode, ParseError, ValidationFailed, build_topology, bundled_scenario_path,
+from consensim import (GainProfile, Mode, ParseError, ValidationFailed, build_topology, bundled_scenario_path,
                        list_bundled, parse_scenario, parse_scenario_dict,
                        scenario_fingerprint, scenario_to_dict, write_scenario)
 
@@ -44,7 +44,7 @@ def test_bundled_chain_scenario_contents():
     assert scenario.n_agents == 6
     assert scenario.masses == tuple(pytest.approx(0.1 * i) for i in range(1, 7))
     assert scenario.topology.edges[0] == (0, 1, 0.6)
-    assert [g.b0 for g in scenario.protocol.gains] == pytest.approx(
+    assert scenario.protocol.gains.b0.tolist() == pytest.approx(
         [0.2 * i for i in range(1, 7)])
     assert scenario.protocol.velocity.is_linear
     assert not scenario.protocol.coupling.is_linear
@@ -487,6 +487,30 @@ def long_leader_dict(n=5000):
                                  for _ in range(n)]
     data["initial"].update(p=[1e-4 * k for k in range(n)], q=[0.0] * n)
     return data
+
+
+@pytest.mark.parametrize("make,k", [(leader_dict, 2), (long_leader_dict, 4999)],
+                         ids=["gains[2]", "gains[4999]"])
+def test_a_non_finite_gain_is_refused_by_its_rule(make, k):
+    data = make()
+    data["protocol"]["gains"][k]["b0"] = float("nan")
+    with pytest.raises(ValidationFailed) as info:
+        parse_scenario_dict(json.loads(json.dumps(data)))
+    assert str(info.value) == "ValueError: gain parameters must be finite"
+
+
+def test_parse_builds_no_gain_object_per_agent(monkeypatch):
+    calls = []
+    check = GainProfile.__post_init__
+
+    def counted(profile):
+        calls.append(profile)
+        check(profile)
+
+    monkeypatch.setattr(GainProfile, "__post_init__", counted)
+    scenario = parse_scenario_dict(long_leader_dict())
+    assert scenario.n_agents == 5000
+    assert len(calls) <= 1
 
 
 # The same messages for a bad last element of 5000-long lists, which the
