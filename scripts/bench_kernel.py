@@ -19,12 +19,23 @@ and prints for each:
   ``subtract``, ``sin`` and ``bincount`` call, counted through wrappers
   that one compile binds in place of numpy's, plus one ``take`` per stage;
 - microseconds per right-hand-side evaluation, as a step makes it;
-- microseconds per RK4 step, taken as ``simulate`` runs them, through the
-  run loop: stage arithmetic, the gain schedule computed once per block,
-  and the per-sample finiteness check;
+- microseconds per RK4 step of the numpy kernel, taken through its run
+  loop ``_Compiled.advance``: stage arithmetic and the gain schedule
+  computed once per block;
 - the RK4 step time over the RHS time: 4 is the floor, as one step makes
   four RHS evaluations, and what lies above it is the stage arithmetic and
-  the run loop's own work.
+  the run loop's own work;
+
+and, at N = 6 and N = 500, the same steps in the generated straight-line
+Python float code that ``simulate`` runs for small, long runs:
+
+- microseconds per RK4 step through ``_Compiled.advance_generated``, its
+  run loop, with one step function generated beforehand;
+- milliseconds to generate and compile the step function;
+- the break-even: the steps after which a run through the generated step,
+  generation included, is faster than the numpy kernel; "never" where the
+  generated step is the slower. These are the numbers behind the size rule
+  in ``consensim.dynamics._generates``.
 
 It first prints the numpy calls per RK4 step of the four shipped
 scenarios.
@@ -37,6 +48,7 @@ root:
 """
 
 import collections
+import math
 import platform
 import time
 import tracemalloc
@@ -46,9 +58,10 @@ import numpy as np
 from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderState,
                        Mode, ProtocolSpec, Scenario, SystemState, VelocityShape,
                        build_topology, bundled_scenario_path, parse_scenario)
-from consensim.dynamics import _Compiled, _flatten, _integrate
+from consensim.dynamics import _Compiled, _flatten
 
 SIZES = (6, 500, 5000, 50000)
+GENERATED_SIZES = (6, 500)
 DT = 1e-3
 COUNTED = ("multiply", "add", "subtract", "sin", "bincount")
 
@@ -115,7 +128,22 @@ def calls_per_step(scenario: Scenario) -> int:
     return sum(counts.values()) + 4 * (comp.n_edges > 0)
 
 
-def probe(scenario: Scenario) -> tuple[float, float, float]:
+def run_us(comp: _Compiled, y: np.ndarray, steps: int, generated: bool) -> float:
+    """Microseconds per step of a run of ``steps`` steps from state vector
+    y, through the numpy or the generated run loop; the generated one reuses
+    one generated step, so its time leaves the generation out."""
+    if generated:
+        step = comp.generate()
+        comp.generate = lambda: step
+
+    def run():
+        comp.state[:] = y
+        for _ in comp.advance_generated(steps, steps) if generated else comp.advance(0, steps):
+            pass
+    return best_us(run) / steps
+
+
+def probe(scenario: Scenario) -> tuple:
     tracemalloc.start()
     comp = _Compiled(scenario)
     _, peak = tracemalloc.get_traced_memory()
@@ -127,9 +155,18 @@ def probe(scenario: Scenario) -> tuple[float, float, float]:
     # Enough steps for a run of many schedule blocks at small N, recorded
     # only at its end, as a long run records rarely.
     steps = max(10, 20000 // scenario.n_agents)
-    iset = IntegratorSettings(dt=DT, t_end=steps * DT, record_every=steps)
-    step_us = best_us(lambda: _integrate(comp, y, iset)) / steps
-    return peak / 2**20, rhs_us, step_us
+    step_us = run_us(comp, y, steps, generated=False)
+    if scenario.n_agents not in GENERATED_SIZES:
+        return peak / 2**20, rhs_us, step_us, None
+    generate_us = best_us(comp.generate, repeats=3)
+    generated_us = run_us(comp, y, steps, generated=True)
+    return peak / 2**20, rhs_us, step_us, (generated_us, generate_us)
+
+
+def break_even(step_us: float, generated_us: float, generate_us: float) -> str:
+    if generated_us >= step_us:
+        return "never"
+    return f"{math.ceil(generate_us / (step_us - generated_us))}"
 
 
 def main() -> None:
@@ -140,16 +177,21 @@ def main() -> None:
         f"{name} {calls_per_step(parse_scenario(bundled_scenario_path(name)))}"
         for name in shipped))
     print(f"{'N':>8} {'profile':>8} {'leader':>7} {'build peak MB':>14} {'calls/step':>11} "
-          f"{'rhs us':>10} {'rk4 step us':>12} {'step/rhs':>9}")
+          f"{'rhs us':>10} {'rk4 step us':>12} {'step/rhs':>9} {'generated us':>13} "
+          f"{'generate ms':>12} {'break-even':>11}")
     for n in SIZES:
         for profile in ("cubic", "fig2a", "fig3"):
             for leader in (False, True):
                 scenario = ring(n, leader, profile)
-                peak_mb, rhs_us, step_us = probe(scenario)
-                print(f"{n:>8} {profile:>8} {'yes' if leader else 'no':>7} {peak_mb:>14.3f} "
-                      f"{calls_per_step(scenario):>11} {rhs_us:>10.1f} {step_us:>12.1f} "
-                      f"{step_us / rhs_us:>9.2f}")
-
+                peak_mb, rhs_us, step_us, generated = probe(scenario)
+                row = (f"{n:>8} {profile:>8} {'yes' if leader else 'no':>7} {peak_mb:>14.3f} "
+                       f"{calls_per_step(scenario):>11} {rhs_us:>10.1f} {step_us:>12.1f} "
+                       f"{step_us / rhs_us:>9.2f}")
+                if generated is not None:
+                    generated_us, generate_us = generated
+                    row += (f" {generated_us:>13.1f} {generate_us / 1e3:>12.2f} "
+                            f"{break_even(step_us, generated_us, generate_us):>11}")
+                print(row)
 
 if __name__ == "__main__":
     main()

@@ -425,6 +425,15 @@ class _Compiled:
     and their schedule, which ``gains`` slices, is a read-only broadcast
     view of it. ``accel`` and ``step`` are closures over the arrays, stage
     views and constants they read, bound once here.
+
+    Small, long runs evaluate the same lowered kernel in Python floats, bit
+    for bit: ``generate`` writes one RK4 step as straight-line float code
+    from ``gather``, ``slots``, ``weights``, the gain factors and the inverse
+    masses, and ``advance_generated`` runs it. At a few agents a numpy call
+    costs more than the float operations it does, so the generated step is
+    about 2.8x faster at 6; ``simulate`` chooses it by size alone
+    (``_generates``), and ``rhs``, ``rk4_step`` and a blow-up's replay use
+    the numpy kernel.
     """
 
     def __init__(self, scenario: Scenario):
@@ -614,6 +623,110 @@ class _Compiled:
                 step(g1, mid, g4)
                 yield number
 
+    def generate(self):
+        """A Python function step(y, g) -> list that does one RK4 step of the
+        lowered kernel in Python floats, from the state vector y as a list
+        and the step's feedback factors g at its start, midpoint and end as
+        one list of 3·M·d floats.
+
+        The source is straight-line code with one float operation for each
+        element of each ufunc call of ``accel`` and ``step``, in their operand
+        order, so the result equals theirs bit for bit: w·(D + D·D·D) for an
+        edge term; each agent component's sum 0.0 + t1 + t2 + … in ``slots``
+        order, as ``bincount`` starts every slot at +0.0; forces on agent rows
+        only, with the fold adding g·v after the edge terms. ``sin`` is libm's
+        through ``math.sin``, which equals ``np.sin`` bit for bit on the
+        platform the determinism contract is scoped to, and raises
+        ValueError on ±inf where ``np.sin`` gives NaN. Weights, ω, inverse
+        masses and the step constants are bound as the function's defaults,
+        never written into the source, so each keeps its exact bits."""
+        b, e, forced = self.rows * self.dims, self.n_edges * self.dims, self.n * self.dims
+        nbrs, srcs = self.gather[:e].tolist(), self.slots[:e].tolist()
+        sources = [[] for _ in range(b)]
+        for k, src in enumerate(srcs):
+            sources[src].append(k)
+        cubic = self.cube is not None
+
+        def names(*prefixes: str) -> str:
+            return ", ".join(f"{prefix}{c}" for prefix in prefixes for c in range(b))
+
+        lines = [f"    {names('x', 'v')}, = y", f"    {names('g1_', 'mid_', 'g4_')}, = g"]
+
+        def accel(stage: int, gain: str) -> None:
+            x, v = ("x", "v") if stage == 1 else (f"x{stage}_", f"v{stage}_")
+            for c in range(b):
+                drive = (f"{gain}{c} * ({v}{c} + o{c} * sin({v}{c}))" if self.sine
+                         else f"{gain}{c} * {v}{c}")
+                terms = "".join(
+                    f" + w{k} * ((d := {x}{nbrs[k]} - {x}{srcs[k]}) + d * d * d)" if cubic
+                    else f" + w{k} * ({x}{nbrs[k]} - {x}{srcs[k]})"
+                    for k in sources[c])
+                if self.fold:
+                    value = f"(0.0{terms} + {drive}) * m{c}"
+                else:
+                    value = f"{drive} + (0.0{terms})" if e and c < forced else drive
+                    value = f"({value}) * m{c}" if self.inv_mass is not None else value
+                lines.append(f"    a{stage}_{c} = {value}")
+
+        accel(1, "g1_")
+        # Stage s starts from y + h·k, k = [V, A] of stage s - 1.
+        for stage, h, gain in ((2, "h", "mid_"), (3, "h", "mid_"), (4, "dt", "g4_")):
+            v = "v" if stage == 2 else f"v{stage - 1}_"
+            for c in range(b):
+                lines.append(f"    x{stage}_{c} = x{c} + {h} * {v}{c}")
+                lines.append(f"    v{stage}_{c} = v{c} + {h} * a{stage - 1}_{c}")
+            accel(stage, gain)
+        lines.append("    return [" + ", ".join(
+            [f"x{c} + s6 * (v{c} + 2.0 * (v2_{c} + v3_{c}) + v4_{c})" for c in range(b)]
+            + [f"v{c} + s6 * (a1_{c} + 2.0 * (a2_{c} + a3_{c}) + a4_{c})" for c in range(b)]) + "]")
+
+        constants = {"h": 0.5 * self.dt, "dt": self.dt, "s6": self.dt / 6.0, "sin": math.sin}
+        constants.update((f"w{k}", w) for k, w in enumerate(self.weights[:e].tolist()))
+        if self.sine:
+            constants.update((f"o{c}", o) for c, o in enumerate(self.weights[e:].tolist()))
+        if self.inv_mass is not None:
+            constants.update((f"m{c}", m) for c, m in enumerate(self.inv_mass.tolist()))
+        source = "\n".join([f"def step(y, g, {', '.join(constants)}):"] + lines)
+        namespace = {}
+        exec(compile(source, "<consensim generated step>", "exec"), namespace)
+        step = namespace["step"]
+        step.__defaults__ = tuple(constants.values())
+        return step
+
+    def advance_generated(self, stop: int, every: int) -> Iterator[int]:
+        """Advance ``state`` through steps 1 to stop of the run's time grid,
+        as ``advance`` does, in the step that ``generate`` makes: the state
+        travels between steps as a list and is written into ``state`` only at
+        every ``every``-th step, whose number is then yielded. The gain
+        schedule is computed once per block, as in ``advance``, and read one
+        step's row at a time as a list.
+
+        A step that raises ValueError, ``math.sin`` of ±inf, found the state
+        not finite: ``state`` is filled with NaN and the number of the
+        recorded step that ends its interval is yielded, so that the caller
+        replays the interval in ``advance`` as for any non-finite sample."""
+        step, state, dt, block = self.generate(), self.state, self.dt, self.block
+        y = state.tolist()
+        if self.constant_gain is not None:
+            rows = itertools.repeat(self.constant_gain.tolist() * 3)
+        for first in range(0, stop, block):
+            last = min(first + block, stop)
+            if self.constant_gain is None:
+                # One step's list at a time: a block's lists hold 3·M·d Python
+                # floats per step, 0.3 MB for fig2a, and raised its peak RSS.
+                table = self.gains([s * dt for s in range(first, last)])
+                rows = map(np.ndarray.tolist, table.reshape(last - first, -1))
+            for number, gains in zip(range(first + 1, last + 1), rows):
+                try:
+                    y = step(y, gains)
+                except ValueError:
+                    state[:] = math.nan
+                    yield -(-number // every) * every
+                    return
+                if number % every == 0:
+                    state[:] = y
+                    yield number
+
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """Derivative [Q, A] of state vector y at time t, a view of the work
         buffers that the next call overwrites."""
@@ -765,16 +878,37 @@ def simulate(scenario: Scenario) -> Trajectory:
     return Trajectory(times, *_split(buf, comp.n, comp.dims), fingerprint, validation)
 
 
+# A run takes the generated step when it has at least this many steps and
+# at most this many components (M + E)·d, state rows and directed edges.
+# Measured with scripts/bench_kernel.py on 1-D rings of 3 to 20 agents
+# (numpy 2.4, CPython 3.11, x86-64): a numpy step costs 15-21 us at these
+# sizes, a generated one about 0.4 us per component, and generating it about
+# 60 us per component. At 24 components the generated run is the faster
+# from about 140 steps on, and at 500 steps takes 0.55-0.61 of the numpy
+# time; from about 48 components on, a generated step is the slower.
+_GENERATE_MIN_STEPS = 500
+_GENERATE_MAX_COMPONENTS = 24
+
+
+def _generates(comp: _Compiled, n_steps: int) -> bool:
+    return n_steps >= _GENERATE_MIN_STEPS and (
+        (comp.rows + comp.n_edges) * comp.dims <= _GENERATE_MAX_COMPONENTS)
+
+
 def _integrate(comp: _Compiled, y: np.ndarray, iset: IntegratorSettings) -> np.ndarray:
     """The recorded state vectors of a run from state vector y, one row per
-    sample, the initial state first; raises NonFiniteState on a blow-up."""
+    sample, the initial state first; raises NonFiniteState on a blow-up.
+    Small, long runs (``_generates``) take the generated step; a blow-up is
+    replayed in the numpy kernel either way."""
     n_steps, every = round(iset.t_end / iset.dt), iset.record_every
     buf = np.empty((n_steps // every + 1, len(y)))
     buf[0] = y
     state = comp.state
     state[:] = y
+    steps = (comp.advance_generated(n_steps, every) if _generates(comp, n_steps)
+             else comp.advance(0, n_steps))
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in comp.advance(0, n_steps):
+        for step in steps:
             if step % every == 0:
                 # A non-finite entry stays non-finite, so one check per sample
                 # sees every blow-up; the replay finds the step it happened in.

@@ -175,7 +175,7 @@ def test_blow_up_names_first_non_finite_agent_and_component(leader):
     assert str(excinfo.value).endswith(f"first at {expected}")
 
 
-def damping_blow_up(scale):
+def damping_blow_up(scale, velocity=VelocityShape()):
     """Two weakly coupled agents whose cosine damping gains, 32 ± 1 at
     dt = 0.1, lie outside RK4's stability interval, so the velocities grow
     about 1.8x per step from ±scale until they overflow. 2000 steps are
@@ -183,7 +183,7 @@ def damping_blow_up(scale):
     910-step gain schedule block of 2 state components (8192 // (3 * 3))."""
     return Scenario(
         mode=Mode.LEADERLESS, masses=(1.0, 1.0), topology=build_topology(2, [(1, 2, 1e-3)]),
-        protocol=ProtocolSpec(velocity=VelocityShape(), coupling=CouplingShape(kind="linear"),
+        protocol=ProtocolSpec(velocity=velocity, coupling=CouplingShape(kind="linear"),
                               gains=(GainProfile(kind="cosine", b0=32.0, amplitude=1.0),) * 2),
         initial=SystemState(t=0.0, p=[0.0, 0.0], q=[scale, -scale]),
         integrator=IntegratorSettings(dt=0.1, t_end=200.0, record_every=50))
@@ -201,6 +201,22 @@ def test_blow_up_is_named_at_its_step(scale, between, last_good):
     assert str(excinfo.value) == (f"state became non-finite between {between}, "
                                   "first at agent 1 velocity, coordinate 1")
     assert excinfo.value.last_good_time == last_good
+
+
+@pytest.mark.parametrize("scale", [1e-10, 4e-21, 1e-20],
+                         ids=["mid_interval", "first_step_of_interval", "recorded_step"])
+def test_sine_feedback_blow_up_is_named_alike_on_both_paths(monkeypatch, scale):
+    # With sine feedback a velocity that reaches ±inf makes math.sin raise
+    # ValueError in the generated step, where np.sin gives NaN; the run must
+    # still replay the interval and name the numpy path's step.
+    scenario = damping_blow_up(scale, VelocityShape(kind="sine_perturbed", omega=0.5))
+    named = {}
+    for generated in (False, True):
+        monkeypatch.setattr(consensim.dynamics, "_generates", lambda comp, n_steps: generated)
+        with pytest.raises(NonFiniteState) as excinfo:
+            simulate(scenario)
+        named[generated] = (str(excinfo.value), excinfo.value.last_good_time)
+    assert named[True] == named[False]
 
 
 def reference_rhs(state, scenario):
@@ -223,9 +239,10 @@ def reference_rhs(state, scenario):
     return force / np.array(scenario.masses)[:, None], leader_q_dot
 
 
-def random_scenario(rng, leader, coupling, velocity, dims, n=8):
+def random_scenario(rng, leader, coupling, velocity, dims, n=8, isolated=False):
     """Random tree plus chords over the agents; in leader mode the last agent
-    has no edge at all, only its leader link."""
+    has no edge at all, only its leader link. With ``isolated`` one more
+    agent follows, with neither edge nor link, at -0.0 in every component."""
     linked = n - 1 if leader else n
     pairs = {(int(rng.integers(0, k)), k) for k in range(1, linked)}
     pairs |= {tuple(sorted(map(int, rng.choice(linked, 2, replace=False)))) for _ in range(4)}
@@ -238,20 +255,27 @@ def random_scenario(rng, leader, coupling, velocity, dims, n=8):
         return VelocityShape(kind="sine_perturbed", omega=float(rng.uniform(0.1, 0.9)))
 
     extra = {"leader_velocity": shape(), "leader_gain": GainProfile(b0=0.7)} if leader else {}
-    return Scenario(
+    agents = n + isolated
+    scenario = Scenario(
         mode=Mode.LEADER if leader else Mode.LEADERLESS,
-        masses=tuple(rng.uniform(0.5, 2.0, n)),
-        topology=build_topology(n, edges, leader_links=links),
+        masses=tuple(rng.uniform(0.5, 2.0, agents)),
+        topology=build_topology(agents, edges, leader_links=links),
         protocol=ProtocolSpec(
             velocity=shape(), coupling=CouplingShape(kind=coupling),
             gains=tuple(GainProfile(kind="cosine", b0=float(b), amplitude=float(a))
-                        for b, a in zip(rng.uniform(0.6, 1.5, n), rng.uniform(-0.3, 0.3, n))),
+                        for b, a in zip(rng.uniform(0.6, 1.5, agents),
+                                        rng.uniform(-0.3, 0.3, agents))),
             **extra),
         initial=SystemState(
-            t=float(rng.uniform(0.0, 10.0)), p=rng.normal(size=(n, dims)),
-            q=rng.normal(size=(n, dims)),
+            t=float(rng.uniform(0.0, 10.0)), p=rng.normal(size=(agents, dims)),
+            q=rng.normal(size=(agents, dims)),
             leader=LeaderState(rng.normal(size=dims), rng.normal(size=dims)) if leader else None),
     )
+    if not isolated:
+        return scenario
+    p, q = scenario.initial.p.copy(), scenario.initial.q.copy()
+    p[-1] = q[-1] = -0.0
+    return dataclasses.replace(scenario, initial=dataclasses.replace(scenario.initial, p=p, q=q))
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3])
@@ -272,6 +296,72 @@ def test_rhs_matches_per_edge_reference(leader, coupling, velocity, dims):
         np.testing.assert_allclose(derivative.leader_q_dot, leader_q_dot, rtol=1e-13)
     else:
         assert derivative.leader_q_dot is None
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("masses", ["unit", "non_unit"])
+@pytest.mark.parametrize("gains", ["constant", "cosine"])
+@pytest.mark.parametrize("velocity", ["linear", "sine"])
+@pytest.mark.parametrize("coupling", ["linear", "linear_plus_cubic"])
+@pytest.mark.parametrize("leader", [False, True], ids=["leaderless", "leader"])
+def test_generated_step_records_the_numpy_kernels_bits(monkeypatch, leader, coupling, velocity,
+                                                       gains, masses, dims):
+    rng = np.random.default_rng([int(leader), len(coupling), len(velocity), len(gains),
+                                 len(masses), dims])
+    scenario = random_scenario(rng, leader, coupling, velocity, dims, isolated=True)
+    protocol = scenario.protocol
+    if gains == "constant":
+        protocol = dataclasses.replace(
+            protocol, gains=[GainProfile(b0=b0) for b0 in protocol.gains.b0.tolist()])
+    elif leader:
+        protocol = dataclasses.replace(
+            protocol, leader_gain=GainProfile(kind="cosine", b0=0.7, amplitude=0.2))
+    # The run loops of the generated step and of the numpy kernel, on one
+    # compile, record the same bytes. 280 steps recorded every 7th cross a
+    # gain schedule block boundary in every case: blocks are at most 273
+    # steps (8192 // (3 * 10), 9 state components).
+    scenario = dataclasses.replace(
+        scenario, protocol=protocol,
+        masses=(1.0,) * scenario.n_agents if masses == "unit" else scenario.masses,
+        integrator=IntegratorSettings(dt=1e-2, t_end=2.8, record_every=7))
+    comp = _Compiled(scenario)
+    y = _flatten(scenario.initial)
+    recorded = {}
+    for generated in (False, True):
+        monkeypatch.setattr(consensim.dynamics, "_generates", lambda comp, n_steps: generated)
+        recorded[generated] = consensim.dynamics._integrate(comp, y, scenario.integrator)
+    assert recorded[True].tobytes() == recorded[False].tobytes()
+
+
+def test_code_is_generated_only_for_small_long_runs(monkeypatch):
+    generated = []
+    generate = _Compiled.generate
+    monkeypatch.setattr(_Compiled, "generate", lambda comp: generated.append(comp) or generate(comp))
+    # A sweep-sized run: 4 agents, 100 steps, every step recorded.
+    small = leaderless_scenario(n=4, coupling="linear_plus_cubic", q0=[0.3, -0.1, 0.0, 0.2],
+                                integrator=IntegratorSettings(dt=1e-2, t_end=1.0, record_every=1))
+    rhs(small.initial, small)
+    rk4_step(small.initial, small)
+    simulate(small)
+    assert generated == []
+    shipped = parse_scenario(bundled_scenario_path("fig2a"))
+    simulate(dataclasses.replace(shipped, integrator=dataclasses.replace(shipped.integrator,
+                                                                         t_end=1.0)))
+    assert len(generated) == 1
+
+
+def test_math_sin_equals_numpy_sin_bit_for_bit():
+    # The generated step takes sin from math.sin and the numpy kernel from
+    # np.sin; runs are bitwise equal only where the two agree. They do on
+    # the platform and numpy version that tests/golden_digests.json records
+    # as the determinism contract's scope.
+    rng = np.random.default_rng(28)
+    x = np.concatenate([rng.uniform(-10.0, 10.0, 40000), rng.normal(scale=1e3, size=20000),
+                        rng.uniform(-1e-3, 1e-3, 20000),
+                        np.exp(rng.uniform(-700.0, 700.0, 20000)) * rng.choice([-1.0, 1.0], 20000),
+                        [0.0, -0.0, 5e-324, -5e-324, np.pi, -np.pi, 1e308, -1e308]])
+    expected = np.array([math.sin(v) for v in x.tolist()])
+    assert np.sin(x).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("q_leader", [0.0, -0.0], ids=["plus_zero", "minus_zero"])
