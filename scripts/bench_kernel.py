@@ -138,7 +138,7 @@ def run_us(comp: _Compiled, y: np.ndarray, steps: int, generated: bool) -> float
 
     def run():
         comp.state[:] = y
-        for _ in comp.advance_generated(steps, steps) if generated else comp.advance(0, steps):
+        for _ in comp.advance_generated(steps, steps) if generated else comp.advance(0, steps, steps):
             pass
     return best_us(run) / steps
 

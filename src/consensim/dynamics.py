@@ -208,10 +208,10 @@ class Trajectory:
 
 # The largest recording buffer a run may allocate, in bytes.
 _MAX_RECORD_BYTES = 2 * 2**30
-# The most work a run may take, in component-steps: steps times (M + E)·d,
-# the state rows (agents and leader) and coupling terms (edges and leader
-# links) each step updates. The largest shipped run, fig3a at full
-# settings, takes 1.1·10^6.
+# The most work a run may take, in component-steps: steps times the work
+# components (M + E + L)·d, one per state row, undirected edge and leader
+# link; ``_generates`` counts kernel components, with each edge twice. The
+# largest shipped run, fig3a at full settings, takes 1.1·10^6.
 _MAX_WORK = 10**9
 
 
@@ -398,16 +398,9 @@ class _Compiled:
     components: O(E) work and memory. The coupling is odd bit for bit, so
     both endpoints of an undirected edge receive exactly opposite forces.
     Summation order is fixed by the edge order: runs are bitwise reproducible.
-
-    Leaderless runs with sine feedback, non-unit masses and edges fold
-    g·(Q + ω·sin Q), written into S, into that bincount (slots go on over
-    every agent component), whose result the inverse-mass multiply turns
-    into A. Each slot adds g·v after its edge terms, which equals g·v + Σ
-    bit for bit as IEEE addition commutes. Other runs add the bincount to
-    A = g·v: with linear feedback the n·d extra entries cost more than the
-    add saves; with unit masses no multiply writes A; a leader row must not
-    pick up an empty slot's +0.0, nor an edge-free run, as that turns a
-    -0.0 derivative into +0.0.
+    The sum is added to A = g·(Q + ω·sin Q) on agent rows only, and only
+    when there are edges: a leader row or an edge-free run must not pick up
+    an empty slot's +0.0, as that turns a -0.0 derivative into +0.0.
 
     RK4 runs in work buffers allocated here, once per compile: 12·M·d floats
     for the four stages, 2·E·d for the gathered positions (E directed
@@ -482,17 +475,15 @@ class _Compiled:
         if has_leader:
             omega[n] = _omega(spec.leader_velocity)
         self.sine = bool(omega.any())
-        self.fold = self.sine and not has_leader and self.inv_mass is not None and e > 0
 
         # [w | ω]: w per edge component, then ω per state component.
         self.weights = np.repeat(
             np.concatenate([edge_w, edge_w, link_w] + ([omega] if self.sine else [])), d)
-        # Every edge's neighbor, then source components; with the fold, every agent's.
+        # Every edge's neighbor, then source components.
         components = np.arange(d)
-        index = np.concatenate([(nbr[:, None] * d + components).ravel(),
-                                (src[:, None] * d + components).ravel()]
-                               + ([np.arange(n * d)] if self.fold else []))
-        self.gather, self.slots = index[:2 * e], index[e:]
+        self.gather = np.concatenate([(nbr[:, None] * d + components).ravel(),
+                                      (src[:, None] * d + components).ravel()])
+        self.slots = self.gather[e:]
         # [D | PS | S]: neighbor and source components, then sin Q with sine feedback.
         self.work = np.empty(2 * e + b * self.sine)
         self.cube = np.empty(e) if not spec.coupling.is_linear else None
@@ -529,8 +520,8 @@ class _Compiled:
         cheapest call form) and keeps the operand order of the expression
         it computes: A = (gain·(Q + ω·sin Q) + coupling)·(1/m)."""
         multiply, add, subtract, sin, bincount = np.multiply, np.add, np.subtract, np.sin, np.bincount
-        inv_mass, weights, cube, gather, slots, fold = (
-            self.inv_mass, self.weights, self.cube, self.gather, self.slots, self.fold)
+        inv_mass, weights, cube, gather, slots = (
+            self.inv_mass, self.weights, self.cube, self.gather, self.slots)
         work, e = self.work, self.n_edges * self.dims
         pair, nbr_p, diff, terms = work[:2 * e], work[:e], work[e:2 * e], work[e:]
         sines = work[2 * e:] if self.sine else None
@@ -555,10 +546,6 @@ class _Compiled:
                 sin(q, sines)
                 multiply(weights, terms, terms)
                 add(q, sines, sines)
-                if fold:  # A = (Σ + g·v)·(1/m), g·v + Σ bit for bit
-                    multiply(gain, sines, sines)
-                    multiply(bincount(slots, terms, agent_components), inv_mass, a)
-                    return
                 multiply(gain, sines, a)
             if has_edges:
                 # Only agent rows receive forces: adding an empty slot's +0.0 to
@@ -602,13 +589,13 @@ class _Compiled:
 
         return step
 
-    def advance(self, start: int, stop: int) -> Iterator[int]:
+    def advance(self, start: int, stop: int, every: int) -> Iterator[int]:
         """Advance ``state`` through steps start + 1 to stop of the run's time
         grid, step s running from (s - 1)·dt, one schedule block at a time;
-        yields each step's number once ``state`` holds its end. The factors
-        (start, midpoint, end) of a block's steps are views of the schedule,
-        made once per call and reused by every block; constant gains repeat
-        their one vector."""
+        yields the number of every step that is a multiple of ``every`` once
+        ``state`` holds its end. The factors (start, midpoint, end) of a
+        block's steps are views of the schedule, made once per call and
+        reused by every block; constant gains repeat their one vector."""
         dt, step, block = self.dt, self.step, self.block
         if self.constant_gain is None:
             table = self.schedule[:stop - start]
@@ -621,7 +608,8 @@ class _Compiled:
                 self.gains([s * dt for s in range(first, last)])
             for number, (g1, mid, g4) in zip(range(first + 1, last + 1), rows):
                 step(g1, mid, g4)
-                yield number
+                if number % every == 0:
+                    yield number
 
     def generate(self):
         """A Python function step(y, g) -> list that does one RK4 step of the
@@ -633,15 +621,15 @@ class _Compiled:
         element of each ufunc call of ``accel`` and ``step``, in their operand
         order, so the result equals theirs bit for bit: w·(D + D·D·D) for an
         edge term; each agent component's sum 0.0 + t1 + t2 + … in ``slots``
-        order, as ``bincount`` starts every slot at +0.0; forces on agent rows
-        only, with the fold adding g·v after the edge terms. ``sin`` is libm's
-        through ``math.sin``, which equals ``np.sin`` bit for bit on the
-        platform the determinism contract is scoped to, and raises
-        ValueError on ±inf where ``np.sin`` gives NaN. Weights, ω, inverse
-        masses and the step constants are bound as the function's defaults,
-        never written into the source, so each keeps its exact bits."""
+        order, as ``bincount`` starts every slot at +0.0, added to g·v on
+        agent rows only. ``sin`` is libm's through ``math.sin``, which equals
+        ``np.sin`` bit for bit on the platform the determinism contract is
+        scoped to, and raises ValueError on ±inf where ``np.sin`` gives NaN.
+        Weights, ω, inverse masses and the step constants are bound as the
+        function's defaults, never written into the source, so each keeps its
+        exact bits."""
         b, e, forced = self.rows * self.dims, self.n_edges * self.dims, self.n * self.dims
-        nbrs, srcs = self.gather[:e].tolist(), self.slots[:e].tolist()
+        nbrs, srcs = self.gather[:e].tolist(), self.slots.tolist()
         sources = [[] for _ in range(b)]
         for k, src in enumerate(srcs):
             sources[src].append(k)
@@ -661,11 +649,8 @@ class _Compiled:
                     f" + w{k} * ((d := {x}{nbrs[k]} - {x}{srcs[k]}) + d * d * d)" if cubic
                     else f" + w{k} * ({x}{nbrs[k]} - {x}{srcs[k]})"
                     for k in sources[c])
-                if self.fold:
-                    value = f"(0.0{terms} + {drive}) * m{c}"
-                else:
-                    value = f"{drive} + (0.0{terms})" if e and c < forced else drive
-                    value = f"({value}) * m{c}" if self.inv_mass is not None else value
+                value = f"{drive} + (0.0{terms})" if e and c < forced else drive
+                value = f"({value}) * m{c}" if self.inv_mass is not None else value
                 lines.append(f"    a{stage}_{c} = {value}")
 
         accel(1, "g1_")
@@ -879,7 +864,9 @@ def simulate(scenario: Scenario) -> Trajectory:
 
 
 # A run takes the generated step when it has at least this many steps and
-# at most this many components (M + E)·d, state rows and directed edges.
+# at most this many kernel components (M + 2E + L)·d, one per state row and
+# directed edge: each undirected edge is stored in both directions, each
+# leader link in one. The work budget (``_MAX_WORK``) counts E once.
 # Measured with scripts/bench_kernel.py on 1-D rings of 3 to 20 agents
 # (numpy 2.4, CPython 3.11, x86-64): a numpy step costs 15-21 us at these
 # sizes, a generated one about 0.4 us per component, and generating it about
@@ -905,16 +892,15 @@ def _integrate(comp: _Compiled, y: np.ndarray, iset: IntegratorSettings) -> np.n
     buf[0] = y
     state = comp.state
     state[:] = y
-    steps = (comp.advance_generated(n_steps, every) if _generates(comp, n_steps)
-             else comp.advance(0, n_steps))
+    samples = (comp.advance_generated(n_steps, every) if _generates(comp, n_steps)
+               else comp.advance(0, n_steps, every))
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in steps:
-            if step % every == 0:
-                # A non-finite entry stays non-finite, so one check per sample
-                # sees every blow-up; the replay finds the step it happened in.
-                if not _finite(state):
-                    raise _blow_up(comp, buf[step // every - 1], step - every, step)
-                buf[step // every] = state
+        for step in samples:
+            # A non-finite entry stays non-finite, so one check per sample
+            # sees every blow-up; the replay finds the step it happened in.
+            if not _finite(state):
+                raise _blow_up(comp, buf[step // every - 1], step - every, step)
+            buf[step // every] = state
     return buf
 
 
@@ -931,7 +917,7 @@ def _blow_up(comp: _Compiled, y: np.ndarray, start: int, stop: int) -> NonFinite
     after step stop is not finite, one of them is."""
     state = comp.state
     state[:] = y
-    for step in comp.advance(start, stop):
+    for step in comp.advance(start, stop, 1):
         if not _finite(state):
             t_prev = (step - 1) * comp.dt
             return NonFiniteState(

@@ -424,5 +424,5 @@ def bundled_scenario_path(name: str) -> Path:
 
 
 def list_bundled() -> list[str]:
-    folder = resources.files(__package__) / "scenarios"
-    return sorted(entry.name[:-5] for entry in folder.iterdir() if entry.name.endswith(".json"))
+    directory = resources.files(__package__) / "scenarios"
+    return sorted(entry.name[:-5] for entry in directory.iterdir() if entry.name.endswith(".json"))

@@ -333,6 +333,28 @@ def test_generated_step_records_the_numpy_kernels_bits(monkeypatch, leader, coup
     assert recorded[True].tobytes() == recorded[False].tobytes()
 
 
+@pytest.mark.parametrize("every", [1, 7, 280], ids=["every_step", "every_7th", "full_run"])
+@pytest.mark.parametrize("generated", [False, True], ids=["numpy", "generated"])
+def test_run_loops_yield_only_recorded_steps(generated, every):
+    # Both run loops yield the recorded steps and no others, each once
+    # ``state`` holds that step's end, so _integrate reads them alike. 280
+    # steps cross the 273-step gain schedule block of 9 state components.
+    rng = np.random.default_rng(29)
+    scenario = dataclasses.replace(
+        random_scenario(rng, True, "linear_plus_cubic", "sine", 1),
+        integrator=IntegratorSettings(dt=1e-2, t_end=2.8, record_every=every))
+    y = _flatten(scenario.initial)
+    recorded = consensim.dynamics._integrate(_Compiled(scenario), y, scenario.integrator)
+    comp = _Compiled(scenario)
+    comp.state[:] = y
+    loop = comp.advance_generated(280, every) if generated else comp.advance(0, 280, every)
+    yielded = []
+    for step in loop:
+        yielded.append(step)
+        assert comp.state.tobytes() == recorded[step // every].tobytes()
+    assert yielded == list(range(every, 281, every))
+
+
 def test_code_is_generated_only_for_small_long_runs(monkeypatch):
     generated = []
     generate = _Compiled.generate
@@ -385,10 +407,10 @@ def test_leader_derivative_keeps_the_sign_of_zero(leader_velocity, q_leader):
 
 
 def test_folded_velocity_term_keeps_the_unfolded_sign_bits():
-    # Leaderless with sine feedback and non-unit masses: the kernel sums g·v
-    # into the coupling bincount after the edge terms. Agents 1-4 sit at +0.0
-    # and -0.0 with zero velocities of both signs, so the edge terms and the
-    # velocity terms are zeros of mixed sign.
+    # Leaderless with sine feedback and non-unit masses: the kernel adds the
+    # coupling bincount to g·v. Agents 1-4 sit at +0.0 and -0.0 with zero
+    # velocities of both signs, so the edge terms and the velocity terms are
+    # zeros of mixed sign.
     masses, b0, omega, t = [0.5, 2.0, 0.25, 4.0, 1.5], [1.0, 0.7, 1.3, 0.9, 1.1], 0.5, 0.3
     edges = [(1, 2, 1.0), (2, 3, 0.5), (3, 4, 2.0), (4, 5, 1.5), (1, 5, 0.8)]
     scenario = leaderless_scenario(
@@ -396,7 +418,6 @@ def test_folded_velocity_term_keeps_the_unfolded_sign_bits():
         velocity=VelocityShape(kind="sine_perturbed", omega=omega),
         gains=[GainProfile(kind="cosine", b0=b, amplitude=0.2) for b in b0], edges=edges,
         p0=[0.0, -0.0, 0.0, -0.0, 0.7], q0=[0.0, -0.0, -0.0, 0.0, -0.4])
-    assert _Compiled(scenario).fold
     state = dataclasses.replace(scenario.initial, t=t)
     p, q = state.p[:, 0], state.q[:, 0]
     # The unfolded formula: A = (g·(q + ω·sin q) + Σ)·(1/m), with Σ each
@@ -417,7 +438,6 @@ def test_edge_free_agent_keeps_a_negative_zero_acceleration():
     # negative feedback factor makes of q = +0.0 stays -0.0.
     scenario = leaderless_scenario(n=1, masses=[0.4], edges=[], p0=[0.25], q0=[0.0],
                                    velocity=VelocityShape(kind="sine_perturbed", omega=0.5))
-    assert not _Compiled(scenario).fold
     q_dot = rhs(scenario.initial, scenario).q_dot
     assert q_dot == 0.0 and np.signbit(q_dot).all()
 
