@@ -27,7 +27,7 @@ and prints for each:
   the run loop's own work;
 
 and, at N = 6 and N = 500, the same steps in the generated straight-line
-Python float code that ``simulate`` runs for small, long runs:
+Python float code that ``simulate`` runs for small runs:
 
 - microseconds per RK4 step through ``_Compiled.advance_generated``, its
   run loop, with one step function generated beforehand;
@@ -35,7 +35,8 @@ Python float code that ``simulate`` runs for small, long runs:
 - the break-even: the steps after which a run through the generated step,
   generation included, is faster than the numpy kernel; "never" where the
   generated step is the slower. These are the numbers behind the size rule
-  in ``consensim.dynamics._generates``.
+  in ``consensim.dynamics._generates``; a run shorter than its break-even
+  pays for the generation.
 
 It first prints the numpy calls per RK4 step of the four shipped
 scenarios.

@@ -229,6 +229,16 @@ def size_errors(scenario: Scenario) -> list[str]:
     return errors
 
 
+def _mass_errors(masses: tuple[float, ...]) -> list[str]:
+    """The broken rule, if any: every mass is finite and > 0."""
+    masses = np.array(masses)
+    valid = np.isfinite(masses) & (masses > 0.0)
+    if valid.all():
+        return []
+    k = int(np.argmin(valid))
+    return [f"masses must be finite and > 0 (agent {k + 1} has {masses[k]})"]
+
+
 def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     """Run every blocking and advisory rule against the scenario.
 
@@ -245,16 +255,12 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     """
     errors = size_errors(scenario)
     sized = not errors
+    errors += _mass_errors(scenario.masses)
     warnings: list[str] = []
     topo = scenario.topology
     state = scenario.initial
     n = topo.n_agents
 
-    masses = np.array(scenario.masses)
-    valid_masses = np.isfinite(masses) & (masses > 0.0)
-    if not valid_masses.all():
-        k = int(np.argmin(valid_masses))
-        errors.append(f"masses must be finite and > 0 (agent {k + 1} has {masses[k]})")
     if state.t != 0.0:
         errors.append(f"initial state must start at t=0, got t={state.t}")
     if not (np.all(np.isfinite(state.p)) and np.all(np.isfinite(state.q))):
@@ -274,7 +280,7 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
         elif sized and not leader_reaches_all(topo):
             errors.append("leader has no path to every agent "
                           f"(none to agent {topo.unreached_from_leader + 1})")
-        if (masses != 1.0).any():
+        if any(m != 1.0 for m in scenario.masses):
             warnings.append(
                 "tracking analysis assumes unit masses; results hold only empirically otherwise")
     else:
@@ -419,14 +425,14 @@ class _Compiled:
     view of it. ``accel`` and ``step`` are closures over the arrays, stage
     views and constants they read, bound once here.
 
-    Small, long runs evaluate the same lowered kernel in Python floats, bit
-    for bit: ``generate`` writes one RK4 step as straight-line float code
-    from ``gather``, ``slots``, ``weights``, the gain factors and the inverse
+    Small runs evaluate the same lowered kernel in Python floats, bit for
+    bit: ``generate`` writes one RK4 step as straight-line float code from
+    ``gather``, ``slots``, ``weights``, the gain factors and the inverse
     masses, and ``advance_generated`` runs it. At a few agents a numpy call
     costs more than the float operations it does, so the generated step is
     about 2.8x faster at 6; ``simulate`` chooses it by size alone
-    (``_generates``), and ``rhs``, ``rk4_step`` and a blow-up's replay use
-    the numpy kernel.
+    (``_generates``). ``rk4_step`` and a blow-up's replay step through
+    ``advance``, and ``rhs`` runs ``accel``: the numpy kernel.
     """
 
     def __init__(self, scenario: Scenario):
@@ -589,13 +595,15 @@ class _Compiled:
 
         return step
 
-    def advance(self, start: int, stop: int, every: int) -> Iterator[int]:
-        """Advance ``state`` through steps start + 1 to stop of the run's time
-        grid, step s running from (s - 1)·dt, one schedule block at a time;
-        yields the number of every step that is a multiple of ``every`` once
-        ``state`` holds its end. The factors (start, midpoint, end) of a
-        block's steps are views of the schedule, made once per call and
-        reused by every block; constant gains repeat their one vector."""
+    def advance(self, start: int, stop: int, every: int, t0: float = 0.0) -> Iterator[int]:
+        """Advance ``state`` through steps start + 1 to stop of the time grid
+        whose step 0 starts at t0, step s running from t0 + (s - 1)·dt, one
+        schedule block at a time; yields the number of every step that is a
+        multiple of ``every`` once ``state`` holds its end. A run's grid
+        starts at t0 = 0.0, and 0.0 + s·dt is s·dt bit for bit. The factors
+        (start, midpoint, end) of a block's steps are views of the schedule,
+        made once per call and reused by every block; constant gains repeat
+        their one vector."""
         dt, step, block = self.dt, self.step, self.block
         if self.constant_gain is None:
             table = self.schedule[:stop - start]
@@ -605,7 +613,7 @@ class _Compiled:
         for first in range(start, stop, block):
             last = min(first + block, stop)
             if self.constant_gain is None:
-                self.gains([s * dt for s in range(first, last)])
+                self.gains([t0 + s * dt for s in range(first, last)])
             for number, (g1, mid, g4) in zip(range(first + 1, last + 1), rows):
                 step(g1, mid, g4)
                 if number % every == 0:
@@ -712,29 +720,13 @@ class _Compiled:
                     state[:] = y
                     yield number
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Derivative [Q, A] of state vector y at time t, a view of the work
-        buffers that the next call overwrites."""
-        self.state[:] = y
-        stage = self.stages[0]
-        self.accel(stage, self.gains((t,))[0, 0])
-        return stage[1]
-
-    def rk4(self, t: float, y: np.ndarray) -> np.ndarray:
-        """One classical RK4 step of length dt from state vector y at time t,
-        through a one-step schedule block.
-
-        Returns ``state``, which the next call overwrites; passing it back
-        in advances it in place with no copy."""
-        state = self.state
-        if y is not state:
-            state[:] = y
-        table = self.gains((t,))
-        self.step(table[0, 0], table[0, 1], table[0, 2])
-        return state
-
 
 def _check_state_matches(state: SystemState, scenario: Scenario) -> None:
+    """Refuse what ``simulate`` would: the scenario's sizes and masses by
+    validation's rules, then a state that does not fit the scenario."""
+    errors = size_errors(scenario) + _mass_errors(scenario.masses)
+    if errors:
+        raise ValidationFailed("; ".join(errors))
     if state.p.shape != (scenario.n_agents, scenario.n_dims):
         raise ValidationFailed(
             f"state shape {state.p.shape} does not match scenario "
@@ -756,16 +748,20 @@ def rhs(state: SystemState, scenario: Scenario) -> StateDerivative:
             "state contains non-finite entries, "
             f"first at {_first_non_finite(y, comp.n, comp.dims)}",
             last_good_time=None)
-    return StateDerivative(*_split(comp.rhs(state.t, y), comp.n, comp.dims))
+    comp.state[:] = y
+    stage = comp.stages[0]
+    comp.accel(stage, comp.gains((state.t,))[0, 0])
+    return StateDerivative(*_split(stage[1], comp.n, comp.dims))
 
 
 def rk4_step(state: SystemState, scenario: Scenario) -> SystemState:
     """One classical RK4 step of length scenario.integrator.dt."""
     _check_state_matches(state, scenario)
     comp = _Compiled(scenario)
+    comp.state[:] = _flatten(state)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = comp.rk4(state.t, _flatten(state))
-    p, q, leader_p, leader_q = _split(y, comp.n, comp.dims)
+        next(comp.advance(0, 1, 1, state.t))
+    p, q, leader_p, leader_q = _split(comp.state, comp.n, comp.dims)
     leader = None if leader_p is None else LeaderState(leader_p, leader_q)
     return SystemState(t=state.t + comp.dt, p=p, q=q, leader=leader)
 
@@ -863,36 +859,34 @@ def simulate(scenario: Scenario) -> Trajectory:
     return Trajectory(times, *_split(buf, comp.n, comp.dims), fingerprint, validation)
 
 
-# A run takes the generated step when it has at least this many steps and
-# at most this many kernel components (M + 2E + L)·d, one per state row and
-# directed edge: each undirected edge is stored in both directions, each
-# leader link in one. The work budget (``_MAX_WORK``) counts E once.
-# Measured with scripts/bench_kernel.py on 1-D rings of 3 to 20 agents
-# (numpy 2.4, CPython 3.11, x86-64): a numpy step costs 15-21 us at these
-# sizes, a generated one about 0.4 us per component, and generating it about
-# 60 us per component. At 24 components the generated run is the faster
-# from about 140 steps on, and at 500 steps takes 0.55-0.61 of the numpy
-# time; from about 48 components on, a generated step is the slower.
-_GENERATE_MIN_STEPS = 500
+# A run takes the generated step when it has at most this many kernel
+# components (M + 2E + L)·d, one per state row and directed edge: each
+# undirected edge is stored in both directions, each leader link in one. The
+# work budget (``_MAX_WORK``) counts E once. Measured with
+# scripts/bench_kernel.py on 1-D rings of 3 to 20 agents (numpy 2.4, CPython
+# 3.11, x86-64): a numpy step costs 15-21 us at these sizes, a generated one
+# about 0.4 us per component, and generating it about 60 us per component,
+# so a run pays up to about 1.4 ms before its steps repay it (about 70 steps
+# at 14 components, 170 at 24); from about 48 components on, a generated
+# step is the slower.
 _GENERATE_MAX_COMPONENTS = 24
 
 
-def _generates(comp: _Compiled, n_steps: int) -> bool:
-    return n_steps >= _GENERATE_MIN_STEPS and (
-        (comp.rows + comp.n_edges) * comp.dims <= _GENERATE_MAX_COMPONENTS)
+def _generates(comp: _Compiled) -> bool:
+    return (comp.rows + comp.n_edges) * comp.dims <= _GENERATE_MAX_COMPONENTS
 
 
 def _integrate(comp: _Compiled, y: np.ndarray, iset: IntegratorSettings) -> np.ndarray:
     """The recorded state vectors of a run from state vector y, one row per
     sample, the initial state first; raises NonFiniteState on a blow-up.
-    Small, long runs (``_generates``) take the generated step; a blow-up is
+    Small runs (``_generates``) take the generated step; a blow-up is
     replayed in the numpy kernel either way."""
     n_steps, every = round(iset.t_end / iset.dt), iset.record_every
     buf = np.empty((n_steps // every + 1, len(y)))
     buf[0] = y
     state = comp.state
     state[:] = y
-    samples = (comp.advance_generated(n_steps, every) if _generates(comp, n_steps)
+    samples = (comp.advance_generated(n_steps, every) if _generates(comp)
                else comp.advance(0, n_steps, every))
     with np.errstate(over="ignore", invalid="ignore"):
         for step in samples:

@@ -23,7 +23,7 @@ from consensim import (CouplingShape, GainProfile, IntegratorSettings, LeaderSta
                        scenario_to_dict, simulate, validate_scenario)
 import consensim.dynamics
 from consensim.dynamics import _Compiled, _flatten
-from consensim.errors import HypothesisViolated
+from consensim.errors import HypothesisViolated, ValidationFailed
 from consensim.protocols import GainColumns
 
 import oracle
@@ -212,7 +212,7 @@ def test_sine_feedback_blow_up_is_named_alike_on_both_paths(monkeypatch, scale):
     scenario = damping_blow_up(scale, VelocityShape(kind="sine_perturbed", omega=0.5))
     named = {}
     for generated in (False, True):
-        monkeypatch.setattr(consensim.dynamics, "_generates", lambda comp, n_steps: generated)
+        monkeypatch.setattr(consensim.dynamics, "_generates", lambda comp: generated)
         with pytest.raises(NonFiniteState) as excinfo:
             simulate(scenario)
         named[generated] = (str(excinfo.value), excinfo.value.last_good_time)
@@ -328,7 +328,7 @@ def test_generated_step_records_the_numpy_kernels_bits(monkeypatch, leader, coup
     y = _flatten(scenario.initial)
     recorded = {}
     for generated in (False, True):
-        monkeypatch.setattr(consensim.dynamics, "_generates", lambda comp, n_steps: generated)
+        monkeypatch.setattr(consensim.dynamics, "_generates", lambda comp: generated)
         recorded[generated] = consensim.dynamics._integrate(comp, y, scenario.integrator)
     assert recorded[True].tobytes() == recorded[False].tobytes()
 
@@ -355,20 +355,24 @@ def test_run_loops_yield_only_recorded_steps(generated, every):
     assert yielded == list(range(every, 281, every))
 
 
-def test_code_is_generated_only_for_small_long_runs(monkeypatch):
+def test_code_is_generated_only_for_small_runs(monkeypatch):
     generated = []
     generate = _Compiled.generate
     monkeypatch.setattr(_Compiled, "generate", lambda comp: generated.append(comp) or generate(comp))
-    # A sweep-sized run: 4 agents, 100 steps, every step recorded.
+    # A sweep-sized run: 4 agents on a path, 100 steps, every step recorded:
+    # 4 + 2·3 = 10 kernel components. The one-step API never generates.
     small = leaderless_scenario(n=4, coupling="linear_plus_cubic", q0=[0.3, -0.1, 0.0, 0.2],
                                 integrator=IntegratorSettings(dt=1e-2, t_end=1.0, record_every=1))
     rhs(small.initial, small)
     rk4_step(small.initial, small)
-    simulate(small)
     assert generated == []
-    shipped = parse_scenario(bundled_scenario_path("fig2a"))
-    simulate(dataclasses.replace(shipped, integrator=dataclasses.replace(shipped.integrator,
-                                                                         t_end=1.0)))
+    simulate(small)
+    assert len(generated) == 1
+    # A 9-agent ring: 9 + 18 = 27 kernel components, more than 24.
+    ring = leaderless_scenario(n=9, q0=np.linspace(-0.4, 0.4, 9),
+                               edges=[(i, i % 9 + 1, 1.0) for i in range(1, 10)],
+                               integrator=IntegratorSettings(dt=1e-2, t_end=1.0))
+    simulate(ring)
     assert len(generated) == 1
 
 
@@ -452,6 +456,25 @@ def test_non_finite_state_names_agents_before_the_leader():
     assert str(excinfo.value).endswith("first at agent 2 velocity, coordinate 1")
 
 
+@pytest.mark.parametrize("step", [rhs, rk4_step], ids=["rhs", "rk4_step"])
+@pytest.mark.parametrize("broken, message", [
+    (dict(gains=(GainProfile(b0=1.0),)), "gains length 1 != n_agents 3"),
+    (dict(masses=(1.0, 1.0)), "masses length 2 != n_agents 3"),
+    (dict(masses=(1.0, 0.0, 1.0)), "masses must be finite and > 0 (agent 2 has 0.0)"),
+], ids=["one_gain", "two_masses", "zero_mass"])
+def test_one_step_api_refuses_sizes_and_masses_as_simulate_does(step, broken, message):
+    # One gain for three agents would make them identical, two masses would
+    # not fit them, and a zero mass would divide by zero: the one-step API
+    # refuses each with simulate's message, before any kernel is built.
+    scenario = leaderless_scenario(**broken)
+    with pytest.raises(ValidationFailed) as excinfo:
+        step(scenario.initial, scenario)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValidationFailed) as excinfo:
+        simulate(scenario)
+    assert str(excinfo.value) == message
+
+
 def test_compiled_kernel_memory_is_linear_in_edges():
     # A dense agents-by-edges coupling matrix alone would take 32 MB here.
     n = 2000
@@ -460,7 +483,8 @@ def test_compiled_kernel_memory_is_linear_in_edges():
     tracemalloc.start()
     try:
         comp = _Compiled(scenario)
-        comp.rk4(0.0, _flatten(scenario.initial))
+        comp.state[:] = _flatten(scenario.initial)
+        next(comp.advance(0, 1, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
