@@ -30,8 +30,8 @@ and, at N = 6 and N = 500, the same steps in the generated straight-line
 Python float code that ``simulate`` runs for small runs:
 
 - microseconds per RK4 step through ``_Compiled.advance_generated``, its
-  run loop, with one step function generated beforehand;
-- milliseconds to generate and compile the step function;
+  run loop, with its run function generated beforehand;
+- milliseconds to generate and compile the run function;
 - the break-even: the steps after which a run through the generated step,
   generation included, is faster than the numpy kernel; "never" where the
   generated step is the slower. These are the numbers behind the size rule
@@ -132,10 +132,10 @@ def calls_per_step(scenario: Scenario) -> int:
 def run_us(comp: _Compiled, y: np.ndarray, steps: int, generated: bool) -> float:
     """Microseconds per step of a run of ``steps`` steps from state vector
     y, through the numpy or the generated run loop; the generated one reuses
-    one generated step, so its time leaves the generation out."""
+    one generated run function, so its time leaves the generation out."""
     if generated:
-        step = comp.generate()
-        comp.generate = lambda: step
+        cached = comp.generate()
+        comp.generate = lambda: cached
 
     def run():
         comp.state[:] = y

@@ -239,6 +239,11 @@ def _mass_errors(masses: tuple[float, ...]) -> list[str]:
     return [f"masses must be finite and > 0 (agent {k + 1} has {masses[k]})"]
 
 
+def _dt_errors(dt: float) -> list[str]:
+    """The broken rule, if any: the step dt is finite and > 0."""
+    return [] if math.isfinite(dt) and dt > 0.0 else [f"dt must be finite and > 0, got {dt}"]
+
+
 def validate_scenario(scenario: Scenario) -> ScenarioValidation:
     """Run every blocking and advisory rule against the scenario.
 
@@ -295,8 +300,7 @@ def validate_scenario(scenario: Scenario) -> ScenarioValidation:
                           f"(no path from agent 1 to agent {topo.unreached_from_first + 1})")
 
     iset = scenario.integrator
-    if not (math.isfinite(iset.dt) and iset.dt > 0.0):
-        errors.append(f"dt must be finite and > 0, got {iset.dt}")
+    errors += _dt_errors(iset.dt)
     if not (math.isfinite(iset.t_end) and iset.t_end >= iset.dt > 0.0):
         errors.append(f"t_end must be at least dt, got t_end={iset.t_end} dt={iset.dt}")
     if iset.record_every < 1:
@@ -426,13 +430,14 @@ class _Compiled:
     views and constants they read, bound once here.
 
     Small runs evaluate the same lowered kernel in Python floats, bit for
-    bit: ``generate`` writes one RK4 step as straight-line float code from
-    ``gather``, ``slots``, ``weights``, the gain factors and the inverse
-    masses, and ``advance_generated`` runs it. At a few agents a numpy call
-    costs more than the float operations it does, so the generated step is
-    about 2.8x faster at 6; ``simulate`` chooses it by size alone
-    (``_generates``). ``rk4_step`` and a blow-up's replay step through
-    ``advance``, and ``rhs`` runs ``accel``: the numpy kernel.
+    bit: ``generate`` writes a loop of RK4 steps as straight-line float code
+    from ``gather``, ``slots``, ``weights``, the gains and the inverse
+    masses, and ``advance_generated`` runs it once per recorded interval.
+    At a few agents a numpy call costs more than the float operations it
+    does, so the generated step is about 3-4x faster at 6; ``simulate``
+    chooses it by size alone (``_generates``). ``rk4_step`` and a blow-up's
+    replay step through ``advance``, and ``rhs`` runs ``accel``: the numpy
+    kernel.
     """
 
     def __init__(self, scenario: Scenario):
@@ -451,7 +456,7 @@ class _Compiled:
             link_i, link_w = link_i[:0], link_w[:0]
         src = np.concatenate([edge_i, edge_j, link_i])
         nbr = np.concatenate([edge_j, edge_i, np.full(len(link_i), n)])
-        self.n_edges = len(src)
+        self.n_edges, self.n_links = len(src), len(link_i)
         e = self.n_edges * d
 
         b0, amplitude = spec.gains.b0, spec.gains.amplitude
@@ -620,111 +625,141 @@ class _Compiled:
                     yield number
 
     def generate(self):
-        """A Python function step(y, g) -> list that does one RK4 step of the
-        lowered kernel in Python floats, from the state vector y as a list
-        and the step's feedback factors g at its start, midpoint and end as
-        one list of 3·M·d floats.
+        """A Python function run(y, first, last) -> list that advances the
+        state vector y, a list, through steps first + 1 to last of the run's
+        time grid in RK4 steps of the lowered kernel in Python floats, with
+        the state in locals, and returns the state after step last.
 
-        The source is straight-line code with one float operation for each
-        element of each ufunc call of ``accel`` and ``step``, in their operand
-        order, so the result equals theirs bit for bit: w·(D + D·D·D) for an
-        edge term; each agent component's sum 0.0 + t1 + t2 + … in ``slots``
-        order, as ``bincount`` starts every slot at +0.0, added to g·v on
-        agent rows only. ``sin`` is libm's through ``math.sin``, which equals
-        ``np.sin`` bit for bit on the platform the determinism contract is
-        scoped to, and raises ValueError on ±inf where ``np.sin`` gives NaN.
-        Weights, ω, inverse masses and the step constants are bound as the
-        function's defaults, never written into the source, so each keeps its
-        exact bits."""
-        b, e, forced = self.rows * self.dims, self.n_edges * self.dims, self.n * self.dims
+        The source is one loop over the steps whose body is straight-line
+        code with one float operation for each element of each ufunc call of
+        ``gains``, ``accel`` and ``step``, in their operand order, so the
+        result equals theirs bit for bit. Each step starts at t = s·dt and
+        takes the factors -(b0 + a·cos x) at x = t, t + dt/2 and t + dt, with
+        one product per distinct ripple a and one sum per distinct (b0, a);
+        a constant gain is its b0. Each undirected edge's term
+        w·(D + D·D·D) is computed once per stage: the reverse edge's D is
+        exactly -D, so its term is exactly the negated one, and s + (-t) is
+        s - t. Each agent component's sum 0.0 ± t1 ± t2 … runs in ``slots``
+        order, as ``bincount`` starts every slot at +0.0, and takes the
+        feedback g·v on agent rows only, with the factor's sign folded:
+        -(b·v) + s is s - b·v. ``sin`` is libm's through ``math.sin``, which
+        equals ``np.sin`` bit for bit on the platform the determinism
+        contract is scoped to, and raises ValueError on ±inf where ``np.sin``
+        gives NaN. Weights, gains, ω, inverse masses and the step constants
+        are bound as the function's defaults, never written into the source,
+        so each keeps its exact bits."""
+        d = self.dims
+        b, e, forced = self.rows * d, self.n_edges * d, self.n * d
+        pairs = (self.n_edges - self.n_links) // 2 * d
         nbrs, srcs = self.gather[:e].tolist(), self.slots.tolist()
         sources = [[] for _ in range(b)]
         for k, src in enumerate(srcs):
             sources[src].append(k)
         cubic = self.cube is not None
-
-        def names(*prefixes: str) -> str:
-            return ", ".join(f"{prefix}{c}" for prefix in prefixes for c in range(b))
-
-        lines = [f"    {names('x', 'v')}, = y", f"    {names('g1_', 'mid_', 'g4_')}, = g"]
-
-        def accel(stage: int, gain: str) -> None:
-            x, v = ("x", "v") if stage == 1 else (f"x{stage}_", f"v{stage}_")
-            for c in range(b):
-                drive = (f"{gain}{c} * ({v}{c} + o{c} * sin({v}{c}))" if self.sine
-                         else f"{gain}{c} * {v}{c}")
-                terms = "".join(
-                    f" + w{k} * ((d := {x}{nbrs[k]} - {x}{srcs[k]}) + d * d * d)" if cubic
-                    else f" + w{k} * ({x}{nbrs[k]} - {x}{srcs[k]})"
-                    for k in sources[c])
-                value = f"{drive} + (0.0{terms})" if e and c < forced else drive
-                value = f"({value}) * m{c}" if self.inv_mass is not None else value
-                lines.append(f"    a{stage}_{c} = {value}")
-
-        accel(1, "g1_")
-        # Stage s starts from y + h·k, k = [V, A] of stage s - 1.
-        for stage, h, gain in ((2, "h", "mid_"), (3, "h", "mid_"), (4, "dt", "g4_")):
-            v = "v" if stage == 2 else f"v{stage - 1}_"
-            for c in range(b):
-                lines.append(f"    x{stage}_{c} = x{c} + {h} * {v}{c}")
-                lines.append(f"    v{stage}_{c} = v{c} + {h} * a{stage - 1}_{c}")
-            accel(stage, gain)
-        lines.append("    return [" + ", ".join(
-            [f"x{c} + s6 * (v{c} + 2.0 * (v2_{c} + v3_{c}) + v4_{c})" for c in range(b)]
-            + [f"v{c} + s6 * (a1_{c} + 2.0 * (a2_{c} + a3_{c}) + a4_{c})" for c in range(b)]) + "]")
-
-        constants = {"h": 0.5 * self.dt, "dt": self.dt, "s6": self.dt / 6.0, "sin": math.sin}
+        constants = {"h": 0.5 * self.dt, "dt": self.dt, "s6": self.dt / 6.0,
+                     "sin": math.sin, "cos": math.cos}
         constants.update((f"w{k}", w) for k, w in enumerate(self.weights[:e].tolist()))
         if self.sine:
             constants.update((f"o{c}", o) for c, o in enumerate(self.weights[e:].tolist()))
         if self.inv_mass is not None:
             constants.update((f"m{c}", m) for c, m in enumerate(self.inv_mass.tolist()))
-        source = "\n".join([f"def step(y, g, {', '.join(constants)}):"] + lines)
+
+        def names(*prefixes: str) -> str:
+            return ", ".join(f"{prefix}{c}" for prefix in prefixes for c in range(b))
+
+        lines = [f"    {names('x', 'v')}, = y", "    for s in range(first, last):",
+                 "        t = s * dt", "        c1, c2, c4 = cos(t), cos(t + h), cos(t + dt)"]
+        # Per component: its (b0, a) pair's number and whether a ripples.
+        ripples, factors, gain = {}, {}, []
+        for b0, a in zip(self.gain_base.tolist(), self.gain_ripple.tolist()):
+            if (b0, a) not in factors:
+                j = factors[b0, a] = len(factors)
+                constants[f"b{j}"] = b0
+                if a:
+                    if a not in ripples:
+                        i = ripples[a] = len(ripples)
+                        constants[f"r{i}"] = a
+                        lines.append(f"        r1_{i}, r2_{i}, r4_{i} = r{i} * c1, r{i} * c2, "
+                                     f"r{i} * c4")
+                    i = ripples[a]
+                    lines.append(f"        g1_{j}, g2_{j}, g4_{j} = b{j} + r1_{i}, b{j} + r2_{i}, "
+                                 f"b{j} + r4_{i}")
+            gain.append((factors[b0, a], bool(a)))
+
+        def accel(stage: int, x: str, v: str) -> None:
+            def term(k: int) -> str:
+                # Edges have i < j, so edge k's term, in agent i's sum, is
+                # computed before its reverse k + pairs, in agent j's sum.
+                if pairs <= k < 2 * pairs:
+                    return f" - t{k - pairs}"
+                diff = f"{x}{nbrs[k]} - {x}{srcs[k]}"
+                value = f"w{k} * ((d := {diff}) + d * d * d)" if cubic else f"w{k} * ({diff})"
+                return f" + (t{k} := {value})" if k < pairs else f" + {value}"
+
+            for c in range(b):
+                j, rippled = gain[c]
+                g = f"g{2 if stage == 3 else stage}_{j}" if rippled else f"b{j}"
+                drive = f"{g} * ({v}{c} + o{c} * sin({v}{c}))" if self.sine else f"{g} * {v}{c}"
+                if e and c < forced:
+                    value = f"0.0{''.join(map(term, sources[c]))} - {drive}"
+                else:
+                    value = f"-({drive})"
+                value = f"({value}) * m{c}" if self.inv_mass is not None else value
+                lines.append(f"        a{stage}_{c} = {value}")
+
+        accel(1, "x", "v")
+        # Stage s starts from y + h·k, k = [V, A] of stage s - 1.
+        for stage, h in ((2, "h"), (3, "h"), (4, "dt")):
+            v = "v" if stage == 2 else f"v{stage - 1}_"
+            for c in range(b):
+                lines.append(f"        x{stage}_{c} = x{c} + {h} * {v}{c}")
+                lines.append(f"        v{stage}_{c} = v{c} + {h} * a{stage - 1}_{c}")
+            accel(stage, f"x{stage}_", f"v{stage}_")
+        # Positions first: each reads its own component's old velocity.
+        lines += [f"        x{c} = x{c} + s6 * (v{c} + 2.0 * (v2_{c} + v3_{c}) + v4_{c})"
+                  for c in range(b)]
+        lines += [f"        v{c} = v{c} + s6 * (a1_{c} + 2.0 * (a2_{c} + a3_{c}) + a4_{c})"
+                  for c in range(b)]
+        lines.append(f"    return [{names('x', 'v')}]")
+        source = "\n".join([f"def run(y, first, last, {', '.join(constants)}):"] + lines)
         namespace = {}
-        exec(compile(source, "<consensim generated step>", "exec"), namespace)
-        step = namespace["step"]
-        step.__defaults__ = tuple(constants.values())
-        return step
+        exec(compile(source, "<consensim generated run>", "exec"), namespace)
+        run = namespace["run"]
+        run.__defaults__ = tuple(constants.values())
+        return run
 
     def advance_generated(self, stop: int, every: int) -> Iterator[int]:
         """Advance ``state`` through steps 1 to stop of the run's time grid,
-        as ``advance`` does, in the step that ``generate`` makes: the state
-        travels between steps as a list and is written into ``state`` only at
-        every ``every``-th step, whose number is then yielded. The gain
-        schedule is computed once per block, as in ``advance``, and read one
-        step's row at a time as a list.
+        stop a multiple of ``every``, as ``advance`` does, in the function
+        that ``generate`` makes: one call per recorded interval, the state
+        travelling between calls as a list and written into ``state`` at
+        the interval's end, whose step number is then yielded.
 
-        A step that raises ValueError, ``math.sin`` of ±inf, found the state
+        A call that raises ValueError, ``math.sin`` of ±inf, found the state
         not finite: ``state`` is filled with NaN and the number of the
         recorded step that ends its interval is yielded, so that the caller
         replays the interval in ``advance`` as for any non-finite sample."""
-        step, state, dt, block = self.generate(), self.state, self.dt, self.block
+        run, state = self.generate(), self.state
         y = state.tolist()
-        if self.constant_gain is not None:
-            rows = itertools.repeat(self.constant_gain.tolist() * 3)
-        for first in range(0, stop, block):
-            last = min(first + block, stop)
-            if self.constant_gain is None:
-                # One step's list at a time: a block's lists hold 3·M·d Python
-                # floats per step, 0.3 MB for fig2a, and raised its peak RSS.
-                table = self.gains([s * dt for s in range(first, last)])
-                rows = map(np.ndarray.tolist, table.reshape(last - first, -1))
-            for number, gains in zip(range(first + 1, last + 1), rows):
-                try:
-                    y = step(y, gains)
-                except ValueError:
-                    state[:] = math.nan
-                    yield -(-number // every) * every
-                    return
-                if number % every == 0:
-                    state[:] = y
-                    yield number
+        for last in range(every, stop + 1, every):
+            try:
+                y = run(y, last - every, last)
+            except ValueError:
+                state[:] = math.nan
+                yield last
+                return
+            state[:] = y
+            yield last
 
 
-def _check_state_matches(state: SystemState, scenario: Scenario) -> None:
-    """Refuse what ``simulate`` would: the scenario's sizes and masses by
-    validation's rules, then a state that does not fit the scenario."""
+def _load(state: SystemState, scenario: Scenario, stepping: bool) -> _Compiled:
+    """The compiled scenario with ``state`` loaded, refusing what
+    ``simulate`` would: the scenario's sizes, masses and, when stepping, dt
+    by validation's rules, a state that does not fit the scenario, and a
+    state that is not finite."""
     errors = size_errors(scenario) + _mass_errors(scenario.masses)
+    if stepping:
+        errors += _dt_errors(scenario.integrator.dt)
     if errors:
         raise ValidationFailed("; ".join(errors))
     if state.p.shape != (scenario.n_agents, scenario.n_dims):
@@ -736,11 +771,6 @@ def _check_state_matches(state: SystemState, scenario: Scenario) -> None:
         raise ValidationFailed("state leader presence does not match scenario mode")
     if scenario.mode is Mode.LEADER and not scenario.protocol.has_leader:
         raise ValidationFailed("leader mode requires leader_velocity and leader_gain")
-
-
-def rhs(state: SystemState, scenario: Scenario) -> StateDerivative:
-    """Time derivative of the full state under the scenario's closed loop."""
-    _check_state_matches(state, scenario)
     comp = _Compiled(scenario)
     y = _flatten(state)
     if not np.isfinite(y).all():
@@ -749,16 +779,25 @@ def rhs(state: SystemState, scenario: Scenario) -> StateDerivative:
             f"first at {_first_non_finite(y, comp.n, comp.dims)}",
             last_good_time=None)
     comp.state[:] = y
+    return comp
+
+
+def rhs(state: SystemState, scenario: Scenario) -> StateDerivative:
+    """Time derivative of the full state under the scenario's closed loop."""
+    comp = _load(state, scenario, stepping=False)
     stage = comp.stages[0]
-    comp.accel(stage, comp.gains((state.t,))[0, 0])
+    # The factors at t alone, in ``gains``' operations: its rows at t + dt/2
+    # and t + dt would read dt, which takes no part here.
+    gain = comp.constant_gain
+    if gain is None:
+        gain = np.negative(comp.gain_base + comp.gain_ripple * math.cos(state.t))
+    comp.accel(stage, gain)
     return StateDerivative(*_split(stage[1], comp.n, comp.dims))
 
 
 def rk4_step(state: SystemState, scenario: Scenario) -> SystemState:
     """One classical RK4 step of length scenario.integrator.dt."""
-    _check_state_matches(state, scenario)
-    comp = _Compiled(scenario)
-    comp.state[:] = _flatten(state)
+    comp = _load(state, scenario, stepping=True)
     with np.errstate(over="ignore", invalid="ignore"):
         next(comp.advance(0, 1, 1, state.t))
     p, q, leader_p, leader_q = _split(comp.state, comp.n, comp.dims)
@@ -865,10 +904,13 @@ def simulate(scenario: Scenario) -> Trajectory:
 # work budget (``_MAX_WORK``) counts E once. Measured with
 # scripts/bench_kernel.py on 1-D rings of 3 to 20 agents (numpy 2.4, CPython
 # 3.11, x86-64): a numpy step costs 15-21 us at these sizes, a generated one
-# about 0.4 us per component, and generating it about 60 us per component,
-# so a run pays up to about 1.4 ms before its steps repay it (about 70 steps
-# at 14 components, 170 at 24); from about 48 components on, a generated
-# step is the slower.
+# 0.19-0.24 us per component with linear feedback and constant gains and
+# 0.24-0.34 us with sine feedback and cosine gains, and generating it 45-90
+# us per component, so a run pays up to about 1.7 ms before its steps repay
+# it (about 55-65 steps at 14 components, 105-130 at 24). A generated step
+# stays the faster up to at least 62 components, the largest measured, but
+# its break-even grows with the size (630-1260 steps at 60), so a larger
+# bound would slow the short runs of that size.
 _GENERATE_MAX_COMPONENTS = 24
 
 

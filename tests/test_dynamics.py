@@ -299,8 +299,8 @@ def test_rhs_matches_per_edge_reference(leader, coupling, velocity, dims):
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3])
-@pytest.mark.parametrize("masses", ["unit", "non_unit"])
-@pytest.mark.parametrize("gains", ["constant", "cosine"])
+@pytest.mark.parametrize("masses", ["unit", "non_unit", "blow_up"])
+@pytest.mark.parametrize("gains", ["constant", "cosine", "mixed"])
 @pytest.mark.parametrize("velocity", ["linear", "sine"])
 @pytest.mark.parametrize("coupling", ["linear", "linear_plus_cubic"])
 @pytest.mark.parametrize("leader", [False, True], ids=["leaderless", "leader"])
@@ -308,29 +308,68 @@ def test_generated_step_records_the_numpy_kernels_bits(monkeypatch, leader, coup
                                                        gains, masses, dims):
     rng = np.random.default_rng([int(leader), len(coupling), len(velocity), len(gains),
                                  len(masses), dims])
+    # In leader mode agent 1 has edges and a leader link, agent n a link only.
     scenario = random_scenario(rng, leader, coupling, velocity, dims, isolated=True)
     protocol = scenario.protocol
     if gains == "constant":
         protocol = dataclasses.replace(
             protocol, gains=[GainProfile(b0=b0) for b0 in protocol.gains.b0.tolist()])
+    elif gains == "mixed":
+        # Constant and cosine gains side by side; (b0, a) pairs repeat, and
+        # so do a ripple under two b0s and a b0 under two ripples.
+        pairs = [(1.3, 0.0), (1.1, 0.2), (0.8, 0.2), (1.1, -0.15)]
+        protocol = dataclasses.replace(protocol, gains=[
+            GainProfile(kind="cosine" if a else "constant", b0=b0, amplitude=a)
+            for b0, a in (pairs[k % 4] for k in range(scenario.n_agents))])
+        if leader:
+            protocol = dataclasses.replace(
+                protocol, leader_gain=GainProfile(kind="cosine", b0=0.8, amplitude=0.2))
     elif leader:
         protocol = dataclasses.replace(
             protocol, leader_gain=GainProfile(kind="cosine", b0=0.7, amplitude=0.2))
-    # The run loops of the generated step and of the numpy kernel, on one
-    # compile, record the same bytes. 280 steps recorded every 7th cross a
-    # gain schedule block boundary in every case: blocks are at most 273
-    # steps (8192 // (3 * 10), 9 state components).
+    # Masses of 1e-3 put every agent's damping far outside RK4's stability
+    # interval: the run blows up within its first 110 steps, and with sine
+    # feedback math.sin of ±inf raises ValueError in the generated run.
+    # 280 steps are recorded every step in 1-D, every 7th in 2-D and once
+    # in 3-D, and cross a numpy gain schedule block boundary in every case:
+    # blocks are at most 273 steps (8192 // (3 * 10), 9 state components).
+    mass = {"unit": (1.0,) * scenario.n_agents, "non_unit": scenario.masses,
+            "blow_up": (1e-3,) * scenario.n_agents}[masses]
     scenario = dataclasses.replace(
-        scenario, protocol=protocol,
-        masses=(1.0,) * scenario.n_agents if masses == "unit" else scenario.masses,
-        integrator=IntegratorSettings(dt=1e-2, t_end=2.8, record_every=7))
+        scenario, protocol=protocol, masses=mass,
+        integrator=IntegratorSettings(dt=1e-2, t_end=2.8, record_every=(1, 7, 280)[dims - 1]))
     comp = _Compiled(scenario)
+    raised = []
+    generate = comp.generate
+
+    def spying_generate():
+        run = generate()
+
+        def spying_run(*args):
+            try:
+                return run(*args)
+            except ValueError:
+                raised.append(args[1:])
+                raise
+        return spying_run
+
+    comp.generate = spying_generate
     y = _flatten(scenario.initial)
-    recorded = {}
+    outcome = {}
     for generated in (False, True):
         monkeypatch.setattr(consensim.dynamics, "_generates", lambda comp: generated)
-        recorded[generated] = consensim.dynamics._integrate(comp, y, scenario.integrator)
-    assert recorded[True].tobytes() == recorded[False].tobytes()
+        try:
+            outcome[generated] = consensim.dynamics._integrate(
+                comp, y, scenario.integrator).tobytes()
+        except NonFiniteState as exc:
+            outcome[generated] = str(exc), exc.last_good_time
+    assert outcome[True] == outcome[False]
+    assert isinstance(outcome[True], tuple) == (masses == "blow_up")
+    assert bool(raised) == (masses == "blow_up" and velocity == "sine")
+    if raised:
+        # The replay names a step of the interval whose call raised.
+        (first, last), = raised
+        assert first <= round(outcome[True][1] / 1e-2) < last
 
 
 @pytest.mark.parametrize("every", [1, 7, 280], ids=["every_step", "every_7th", "full_run"])
@@ -473,6 +512,37 @@ def test_one_step_api_refuses_sizes_and_masses_as_simulate_does(step, broken, me
     with pytest.raises(ValidationFailed) as excinfo:
         simulate(scenario)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("dt", [-0.01, 0.0, math.inf, math.nan])
+def test_rk4_step_refuses_a_dt_that_validation_refuses(dt):
+    # A negative dt would step backwards, 0.0 return the input and a
+    # non-finite one NaN. rhs takes no step and accepts any dt.
+    scenario = dataclasses.replace(
+        leader_scenario(), integrator=IntegratorSettings(dt=dt, t_end=1.0, record_every=1))
+    message = f"dt must be finite and > 0, got {dt}"
+    assert message in validate_scenario(scenario).errors
+    with pytest.raises(ValidationFailed) as excinfo:
+        rk4_step(scenario.initial, scenario)
+    assert str(excinfo.value) == message
+    expected = rhs(scenario.initial, leader_scenario())
+    derivative = rhs(scenario.initial, scenario)
+    np.testing.assert_array_equal(derivative.q_dot, expected.q_dot)
+    np.testing.assert_array_equal(derivative.leader_q_dot, expected.leader_q_dot)
+
+
+def test_rk4_step_refuses_a_non_finite_state_as_rhs_does():
+    scenario = parse_scenario(bundled_scenario_path("fig2b"))
+    p = scenario.initial.p.copy()
+    p[3, 0] = math.inf
+    state = dataclasses.replace(scenario.initial, p=p)
+    messages = []
+    for step in (rhs, rk4_step):
+        with pytest.raises(NonFiniteState) as excinfo:
+            step(state, scenario)
+        messages.append(str(excinfo.value))
+    assert messages == ["state contains non-finite entries, first at agent 4 position, "
+                        "coordinate 1"] * 2
 
 
 def test_compiled_kernel_memory_is_linear_in_edges():
